@@ -108,6 +108,47 @@ TEST_F(ExplainTest, AnalyzeSeqScanFeedbackAndJoinOperators) {
   EXPECT_NE(out->find("via seq scan"), std::string::npos) << *out;
 }
 
+TEST_F(ExplainTest, AnalyzeRendersOperatorDetails) {
+  ASSERT_TRUE(db_.CreateIndex(IndexDef("t", {"a"})).ok());
+  auto probe = ExplainAnalyzeSql(db_, "SELECT b, a FROM t WHERE a = 5");
+  ASSERT_TRUE(probe.ok());
+  EXPECT_NE(probe->find("-> Project b, a  (est."), std::string::npos)
+      << *probe;
+  EXPECT_NE(probe->find("-> Filter a = 5  (est."), std::string::npos)
+      << *probe;
+  EXPECT_NE(probe->find("-> IndexScan on t via idx_t_a (eq prefix 1)  (est."),
+            std::string::npos)
+      << *probe;
+
+  auto join = ExplainAnalyzeSql(
+      db_,
+      "SELECT t.b, COUNT(*) FROM d, t WHERE t.b = d.k AND d.v < 3 "
+      "GROUP BY t.b ORDER BY t.b LIMIT 2");
+  ASSERT_TRUE(join.ok());
+  EXPECT_NE(join->find("-> Limit 2 rows  (est."), std::string::npos) << *join;
+  EXPECT_NE(join->find("-> Sort by slot 0  (est."), std::string::npos)
+      << *join;
+  EXPECT_NE(join->find("-> HashAggregate group by t.b  (est."),
+            std::string::npos)
+      << *join;
+  EXPECT_NE(join->find("-> SeqScan on d  (est."), std::string::npos) << *join;
+  EXPECT_NE(join->find("-> SeqScan on t  (est."), std::string::npos) << *join;
+  EXPECT_NE(join->find("to t on b = d.k  (est."), std::string::npos) << *join;
+
+  auto probed = ExplainAnalyzeSql(
+      db_, "SELECT d.v, t.b FROM d, t WHERE d.k = 1 AND t.a = 2");
+  ASSERT_TRUE(probed.ok());
+  EXPECT_NE(probed->find("-> IndexNestedLoopJoin to t  (est."),
+            std::string::npos)
+      << *probed;
+  auto cross = ExplainAnalyzeSql(
+      db_, "SELECT d.v, t.a FROM d, t WHERE d.k = 1 AND t.b = 2");
+  ASSERT_TRUE(cross.ok());
+  EXPECT_NE(cross->find("-> NestedLoopJoin to t (cartesian)  (est."),
+            std::string::npos)
+      << *cross;
+}
+
 TEST_F(ExplainTest, AnalyzeExecutesWriteStatements) {
   // EXPLAIN ANALYZE on an UPDATE really runs it — the mutation sticks and
   // the rendered pipeline is the write's row-location plan.
