@@ -66,8 +66,8 @@ namespace {
 
 void FillPlanContext(const Database& db, CheckContext* ctx) {
   const Executor& executor = db.executor();
-  if (executor.last_plan().has_value()) {
-    ctx->last_plan = &*executor.last_plan();
+  if (executor.last_plan() != nullptr) {
+    ctx->last_plan = executor.last_plan();
     ctx->last_plan_stats = &executor.last_plan_stats();
   }
 }

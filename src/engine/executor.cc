@@ -1,6 +1,7 @@
 #include "engine/executor.h"
 
 #include <algorithm>
+#include <unordered_map>
 #include <utility>
 
 #include "obs/trace.h"
@@ -41,16 +42,37 @@ uint64_t NonNegative(int64_t v) {
 }
 
 // Per-operator-type series: executor.op.<name>.{invocations,rows_out,
-// pages_read}. Operator names are a small closed set, so the registry
-// lookups hit existing entries after the first statement of each shape.
+// pages_read}. Operator names are a small closed set, so each thread
+// resolves a name's handles on its first statement of that shape and
+// reuses them: no string building or registry mutex per plan node.
+struct OperatorSeries {
+  util::Counter* invocations;
+  util::Counter* rows_out;
+  util::Counter* pages_read;
+};
+
+const OperatorSeries& SeriesFor(const std::string& op) {
+  thread_local std::unordered_map<std::string, OperatorSeries> cache;
+  auto it = cache.find(op);
+  if (it == cache.end()) {
+    auto& registry = util::MetricsRegistry::Default();
+    const std::string base = StrCat("executor.op.", ToLower(op), ".");
+    it = cache
+             .emplace(op, OperatorSeries{
+                              registry.GetCounter(base + "invocations"),
+                              registry.GetCounter(base + "rows_out"),
+                              registry.GetCounter(base + "pages_read")})
+             .first;
+  }
+  return it->second;
+}
+
 void RecordOperatorMetrics(const PlanNodeSnapshot& node) {
-  auto& registry = util::MetricsRegistry::Default();
-  const std::string base = StrCat("executor.op.", ToLower(node.op), ".");
-  registry.GetCounter(base + "invocations")->Add();
-  registry.GetCounter(base + "rows_out")->Add(NonNegative(node.actual.rows_out));
-  registry.GetCounter(base + "pages_read")
-      ->Add(NonNegative(node.actual.heap_pages_read) +
-            NonNegative(node.actual.index_pages_read));
+  const OperatorSeries& series = SeriesFor(node.op);
+  series.invocations->Add();
+  series.rows_out->Add(NonNegative(node.actual.rows_out));
+  series.pages_read->Add(NonNegative(node.actual.heap_pages_read) +
+                         NonNegative(node.actual.index_pages_read));
   for (const PlanNodeSnapshot& child : node.children) {
     RecordOperatorMetrics(child);
   }
@@ -87,8 +109,9 @@ StatusOr<ExecResult> Executor::Execute(const Statement& stmt) {
   return Status::Internal("unknown statement kind");
 }
 
-// Retains the statement's pipeline snapshot and final stats for the plan
-// validator, then forwards the collected feedback to the installed hook.
+// Retains the statement's pipeline snapshot (shared, not copied) and final
+// stats for the plan validator, then forwards the collected feedback to the
+// installed hook.
 void Executor::FinishStatement(const ExecResult& result) {
   last_plan_ = result.plan;
   last_plan_stats_ = result.stats;
@@ -100,7 +123,7 @@ void Executor::FinishStatement(const ExecResult& result) {
     metrics.index_pages_read->Add(result.stats.index_pages_read);
     metrics.tuples_examined->Add(result.stats.tuples_examined);
     metrics.index_tuples_read->Add(result.stats.index_tuples_read);
-    if (result.plan.has_value()) RecordOperatorMetrics(*result.plan);
+    if (result.plan != nullptr) RecordOperatorMetrics(*result.plan);
   }
   if (feedback_hook_ && !result.feedback.empty()) {
     feedback_hook_(result.feedback);
@@ -130,11 +153,12 @@ StatusOr<ExecResult> Executor::ExecuteSelect(const SelectStatement& stmt) {
   pplan->root->Open();
   ExecTuple t;
   while (pplan->root->Next(&t)) {
-    result.rows.push_back(std::move(t.slots[0]));
+    result.rows.push_back(*t.slots[0]);
   }
   pplan->root->Close();
 
-  result.plan = pplan->root->Snapshot();
+  result.plan = std::make_shared<const PlanNodeSnapshot>(
+      pplan->root->Snapshot(plan_detail_));
   AccumulateOperatorCounters(*result.plan, &result.stats);
   result.stats.rows_returned = result.rows.size();
   CollectAccessPathFeedback(*pplan->root, params_, &result.feedback);
@@ -167,7 +191,8 @@ StatusOr<std::vector<RowId>> Executor::LookupRows(const std::string& table,
   }
   pplan->root->Close();
 
-  result->plan = pplan->root->Snapshot();
+  result->plan = std::make_shared<const PlanNodeSnapshot>(
+      pplan->root->Snapshot(plan_detail_));
   AccumulateOperatorCounters(*result->plan, &result->stats);
   CollectAccessPathFeedback(*pplan->root, params_, &result->feedback);
   return out;

@@ -1,7 +1,7 @@
 #pragma once
 
 #include <functional>
-#include <optional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -26,9 +26,10 @@ struct ExecResult {
   // order, for diagnostics.
   std::vector<std::string> indexes_used;
   // Snapshot of the executed operator tree with per-operator counters
-  // (absent for INSERT, which has no read pipeline). EXPLAIN ANALYZE
+  // (null for INSERT, which has no read pipeline). EXPLAIN ANALYZE
   // renders this; the plan validator cross-checks it against `stats`.
-  std::optional<PlanNodeSnapshot> plan;
+  // Shared with the executor's last_plan().
+  std::shared_ptr<const PlanNodeSnapshot> plan;
   // Per-access-path (estimated, observed) pairs collected from the scan
   // operators — the feedback the benefit estimator consumes.
   std::vector<AccessPathFeedback> feedback;
@@ -59,18 +60,24 @@ class Executor {
   // access-path feedback of every executed statement that ran a pipeline.
   void set_feedback_hook(FeedbackHook hook) { feedback_hook_ = std::move(hook); }
 
+  // Whether plan snapshots carry each operator's detail text. Off by
+  // default: only EXPLAIN ANALYZE renders it.
+  void set_plan_detail(bool on) { plan_detail_ = on; }
+
   // The last executed read pipeline and the statement-level stats it
-  // summed into — what the PhysicalPlanValidator checks. Empty until a
+  // summed into — what the PhysicalPlanValidator checks. Null until a
   // SELECT/UPDATE/DELETE runs (INSERT clears it).
-  const std::optional<PlanNodeSnapshot>& last_plan() const {
-    return last_plan_;
-  }
+  const PlanNodeSnapshot* last_plan() const { return last_plan_.get(); }
   const ExecStats& last_plan_stats() const { return last_plan_stats_; }
 
   // Test hook: lets check_test corrupt the retained snapshot to prove the
-  // validator catches structural and accounting damage.
+  // validator catches structural and accounting damage. Unshares it from
+  // the ExecResult first.
   PlanNodeSnapshot* TestOnlyMutableLastPlan() {
-    return last_plan_.has_value() ? &*last_plan_ : nullptr;
+    if (last_plan_ == nullptr) return nullptr;
+    auto copy = std::make_shared<PlanNodeSnapshot>(*last_plan_);
+    last_plan_ = copy;
+    return copy.get();
   }
 
  private:
@@ -97,7 +104,8 @@ class Executor {
   Planner planner_;
   CostParams params_;
   FeedbackHook feedback_hook_;
-  std::optional<PlanNodeSnapshot> last_plan_;
+  bool plan_detail_ = false;
+  std::shared_ptr<const PlanNodeSnapshot> last_plan_;
   ExecStats last_plan_stats_;
 };
 

@@ -146,10 +146,13 @@ std::string RenderPlanSnapshot(const PlanNodeSnapshot& node) {
 
 StatusOr<std::string> ExplainAnalyzeStatement(Database& db,
                                               const Statement& stmt) {
+  // Operator detail text is built only for EXPLAIN, not per statement.
+  db.executor().set_plan_detail(true);
   StatusOr<ExecResult> result = db.Execute(stmt);
+  db.executor().set_plan_detail(false);
   if (!result.ok()) return result.status();
   std::string out;
-  if (result->plan.has_value()) {
+  if (result->plan != nullptr) {
     out += RenderPlanSnapshot(*result->plan);
   } else {
     // INSERT has no read pipeline; show the logical shape instead.

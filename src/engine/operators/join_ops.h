@@ -20,7 +20,8 @@ class JoinOpBase : public PhysicalOperator {
         tables_(tables),
         level_(level),
         outer_(std::move(outer)),
-        resolver_(*ctx->catalog, tables, level) {}
+        join_conds_(ColumnBinder(*ctx->catalog, tables, level)
+                        .BindConditions(tables[level], /*join=*/true)) {}
 
   size_t out_width() const override { return level_ + 1; }
   size_t num_children() const override { return 2; }
@@ -29,10 +30,24 @@ class JoinOpBase : public PhysicalOperator {
   }
 
  protected:
-  void Extend(const ExecTuple& inner_row, ExecTuple* out) {
-    *out = outer_tuple_;
-    out->slots.push_back(inner_row.slots[0]);
-    out->rids.push_back(inner_row.rids[0]);
+  // Pulls the next outer tuple into tuple_, widened by an empty slot for
+  // tables_[level].
+  bool NextOuter() {
+    if (!outer_->Next(&tuple_)) return false;
+    ++stats_.rows_in;
+    tuple_.slots.push_back(nullptr);
+    tuple_.rids.push_back(kInvalidRowId);
+    return true;
+  }
+  // Places an inner row in the new slot; true when the level's join
+  // conditions hold over the widened tuple.
+  bool Place(const Row* row, RowId rid) {
+    tuple_.slots.back() = row;
+    tuple_.rids.back() = rid;
+    return AllHold(join_conds_, tuple_, &stats_.comparisons);
+  }
+  void Emit(ExecTuple* out) {
+    *out = tuple_;
     ++stats_.rows_out;
   }
 
@@ -40,8 +55,9 @@ class JoinOpBase : public PhysicalOperator {
   const std::vector<TablePlan>& tables_;
   size_t level_;
   std::unique_ptr<PhysicalOperator> outer_;
-  PrefixResolver resolver_;
-  ExecTuple outer_tuple_;
+  std::vector<BoundPredicate> join_conds_;
+  ExecTuple tuple_;  // current outer tuple plus the inner row's slot
+  ExecTuple inner_tuple_;
   bool inner_active_ = false;
 };
 
@@ -105,6 +121,9 @@ class HashJoinOp : public JoinOpBase {
   std::vector<std::string> join_cols_;
   std::vector<ColumnRef> join_sources_;
   std::vector<int> key_ords_;
+  std::vector<BoundValue> probe_;  // read from the outer slots
+  bool probe_bound_ = true;
+  Row key_;
   const HeapTable* table_;
   std::unordered_map<size_t, std::vector<RowId>> hash_;
   bool built_ = false;

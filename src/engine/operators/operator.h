@@ -30,14 +30,85 @@ struct OperatorStats {
   int64_t comparisons = 0;        // predicate/key evaluations performed
 };
 
-// A tuple flowing through the pipeline: one materialized row per placed
-// base table (in join order), with the originating RowIds alongside so
-// write lookups can address the heap. Row-shaped operators
-// (Project/HashAggregate) emit one derived slot with kInvalidRowId.
+// A tuple flowing through the pipeline: one row per placed base table (in
+// join order), with the originating RowIds alongside so write lookups can
+// address the heap. Row-shaped operators (Project/HashAggregate) emit one
+// derived slot with kInvalidRowId, pointing at a row they own.
+//
+// Slots point into the heap rather than copying rows. The pointers stay
+// valid for the whole statement: a SELECT holds shared latches on all its
+// tables until it finishes, so no writer can touch (or reallocate) their
+// heaps, and an UPDATE/DELETE runs its lookup pipeline to completion,
+// collecting RowIds (Executor::LookupRows), before it mutates any row.
 struct ExecTuple {
-  std::vector<Row> slots;
+  std::vector<const Row*> slots;
   std::vector<RowId> rids;
 };
+
+// Where a value is read at run time: a constant, or a column bound at
+// lowering to its tuple slot (join level) and schema ordinal. With neither
+// it is unbound, "no value": an atom over it is false and a projection of
+// it is NULL.
+struct BoundValue {
+  const Value* literal = nullptr;
+  int slot = -1;
+  int ord = -1;
+
+  bool bound() const { return literal != nullptr || slot >= 0; }
+  const Value* Read(const ExecTuple& t) const {
+    if (literal != nullptr) return literal;
+    if (slot < 0) return nullptr;
+    return &(*t.slots[static_cast<size_t>(slot)])[static_cast<size_t>(ord)];
+  }
+  const Value& ReadOrNull(const ExecTuple& t) const;
+};
+
+// A predicate with its column references bound at lowering. Connectives
+// keep their children; atoms keep one operand per child (see sql's
+// EvaluateAtom, which gives them their meaning).
+struct BoundPredicate {
+  const Expr* expr = nullptr;
+  std::vector<BoundPredicate> children;  // kAnd / kOr / kNot
+  std::vector<BoundValue> operands;      // atoms
+
+  bool Eval(const ExecTuple& t) const;
+};
+
+// The engine's one column-resolution rule, applied once per reference at
+// lowering. A reference is resolved over the join prefix tables[0..level]:
+// the newest table is searched first, a qualifier matches either the alias
+// or the table name, and the first schema match wins. The match is bound
+// only when its table's row is in view where the result is read — slots
+// [view_begin, view_end) — and is otherwise unbound, exactly as if no row
+// were there (so a name shadowed by the table being placed does not fall
+// through to an earlier table).
+class ColumnBinder {
+ public:
+  ColumnBinder(const Catalog& catalog, const std::vector<TablePlan>& tables,
+               size_t level, size_t view_begin, size_t view_end);
+  // Whole prefix in view: the joined tuple of levels [0, level].
+  ColumnBinder(const Catalog& catalog, const std::vector<TablePlan>& tables,
+               size_t level)
+      : ColumnBinder(catalog, tables, level, 0, level + 1) {}
+
+  BoundValue Bind(const ColumnRef& col) const;
+  BoundPredicate Bind(const Expr& expr) const;
+  // The level's literal (local) or join-equality condition atoms.
+  std::vector<BoundPredicate> BindConditions(const TablePlan& tp,
+                                             bool join) const;
+
+ private:
+  const std::vector<TablePlan>& tables_;
+  std::vector<const Schema*> schemas_;  // per level; null = no such table
+  size_t level_;
+  size_t view_begin_;
+  size_t view_end_;
+};
+
+// True when every predicate holds over `t`; each evaluation bumps
+// *comparisons.
+bool AllHold(const std::vector<BoundPredicate>& preds, const ExecTuple& t,
+             int64_t* comparisons);
 
 // Per-statement state shared by every operator in one tree.
 struct ExecContext {
@@ -66,7 +137,7 @@ struct AccessPathFeedback {
 // statement-level ExecStats.
 struct PlanNodeSnapshot {
   std::string op;         // operator name ("IndexScan", "HashJoin", ...)
-  std::string detail;     // target table / keys, human-readable
+  std::string detail;     // target table / keys; empty unless requested
   double est_rows = 0.0;  // planner estimate of this operator's output
   double est_cost = 0.0;  // planner estimate of this operator's own cost
   size_t out_width = 0;   // slots per emitted tuple
@@ -78,51 +149,6 @@ struct PlanNodeSnapshot {
 // fields are untouched (operators only ever read).
 void AccumulateOperatorCounters(const PlanNodeSnapshot& node,
                                 ExecStats* stats);
-
-// Resolves columns over the join prefix tables[0..level]: rows come from a
-// partially-built outer tuple plus an optional candidate row for the table
-// being placed (null while binding index key prefixes). Resolution walks
-// newest table first — the same order the monolithic executor used — so
-// unqualified names shadow identically.
-class PrefixResolver : public ColumnResolver {
- public:
-  PrefixResolver(const Catalog& catalog, const std::vector<TablePlan>& tables,
-                 size_t level)
-      : catalog_(catalog), tables_(tables), level_(level) {}
-
-  // `outer` supplies rows for tables [0, outer->slots.size()); `top` (may
-  // be null) stands in for tables_[level]. When `outer` already carries a
-  // row for every level (a complete tuple), `top` is ignored.
-  void Bind(const ExecTuple* outer, const Row* top) {
-    outer_ = outer;
-    top_ = top;
-  }
-  void set_top(const Row* top) { top_ = top; }
-
-  bool Resolve(const ColumnRef& col, Value* out) const override;
-
- private:
-  const Row* RowAt(size_t i) const {
-    if (outer_ != nullptr && i < outer_->slots.size()) {
-      return &outer_->slots[i];
-    }
-    return i == level_ ? top_ : nullptr;
-  }
-
-  const Catalog& catalog_;
-  const std::vector<TablePlan>& tables_;
-  size_t level_;
-  const ExecTuple* outer_ = nullptr;
-  const Row* top_ = nullptr;
-};
-
-// Evaluates the level's non-join (literal) conditions / join-equality
-// conditions over the resolver. Each predicate evaluation bumps
-// *comparisons.
-bool LocalConditionsOk(const TablePlan& tp, const ColumnResolver& resolver,
-                       int64_t* comparisons);
-bool JoinConditionsOk(const TablePlan& tp, const ColumnResolver& resolver,
-                      int64_t* comparisons);
 
 // A Volcano-style physical operator: Open() prepares per-execution state,
 // Next() produces the next tuple (false = exhausted), Close() tears down.
@@ -170,8 +196,9 @@ class PhysicalOperator {
     est_cost_ = cost;
   }
 
-  // Deep, pointer-free copy of the tree with its counters.
-  PlanNodeSnapshot Snapshot() const;
+  // Deep, pointer-free copy of the tree with its counters. The detail
+  // strings are built only on request (EXPLAIN ANALYZE renders them).
+  PlanNodeSnapshot Snapshot(bool with_detail) const;
 
  protected:
   virtual void DoOpen() = 0;

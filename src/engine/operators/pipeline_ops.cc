@@ -8,11 +8,6 @@
 namespace autoindex {
 namespace {
 
-Value ProjectColumn(const ColumnResolver& resolver, const ColumnRef& col) {
-  Value v;
-  return resolver.Resolve(col, &v) ? v : Value::Null();
-}
-
 // Aggregate accumulator for one group.
 struct AggState {
   size_t count = 0;
@@ -39,13 +34,10 @@ struct GroupKeyEq {
 // --- FilterOp ------------------------------------------------------------
 
 bool FilterOp::DoNext(ExecTuple* out) {
-  ExecTuple t;
-  while (child_->Next(&t)) {
+  while (child_->Next(out)) {
     ++stats_.rows_in;
-    resolver_.Bind(&t, nullptr);
     ++stats_.comparisons;
-    if (!EvaluatePredicate(*predicate_, resolver_)) continue;
-    *out = std::move(t);
+    if (!predicate_.Eval(*out)) continue;
     ++stats_.rows_out;
     return true;
   }
@@ -53,7 +45,7 @@ bool FilterOp::DoNext(ExecTuple* out) {
 }
 
 std::string FilterOp::detail() const {
-  std::string s = predicate_->ToString();
+  std::string s = predicate_.expr->ToString();
   if (s.size() > 60) s = s.substr(0, 57) + "...";
   return s;
 }
@@ -61,21 +53,19 @@ std::string FilterOp::detail() const {
 // --- ProjectOp -----------------------------------------------------------
 
 bool ProjectOp::DoNext(ExecTuple* out) {
-  ExecTuple t;
-  if (!child_->Next(&t)) return false;
+  if (!child_->Next(&in_)) return false;
   ++stats_.rows_in;
-  resolver_.Bind(&t, nullptr);
-  Row row;
-  for (const SelectItem& item : *items_) {
-    if (item.star) {
-      for (const Row& slot : t.slots) {
-        for (const Value& v : slot) row.push_back(v);
+  row_.clear();
+  for (size_t i = 0; i < items_->size(); ++i) {
+    if ((*items_)[i].star) {
+      for (const Row* slot : in_.slots) {
+        row_.insert(row_.end(), slot->begin(), slot->end());
       }
     } else {
-      row.push_back(ProjectColumn(resolver_, item.column));
+      row_.push_back(cols_[i].ReadOrNull(in_));
     }
   }
-  out->slots.assign(1, std::move(row));
+  out->slots.assign(1, &row_);
   out->rids.assign(1, kInvalidRowId);
   ++stats_.rows_out;
   return true;
@@ -98,70 +88,47 @@ void SortOp::EnsureSorted() {
   }
   if (mode_ == Mode::kTupleKeys) {
     stats_.sort_rows += static_cast<int64_t>(buffer_.size());
-    // Precompute each tuple's sort key once (one Bind + one column
-    // resolution per key column), then sort an index permutation. The
-    // comparator used to re-Bind and re-resolve both sides on every
-    // comparison — O(n log n) resolver work instead of O(n).
-    std::vector<Row> keys(buffer_.size());
-    for (size_t i = 0; i < buffer_.size(); ++i) {
-      resolver_.Bind(&buffer_[i], nullptr);
-      keys[i].reserve(order_by_->size());
-      for (const OrderByItem& o : *order_by_) {
-        keys[i].push_back(ProjectColumn(resolver_, o.column));
-      }
-    }
-    std::vector<size_t> order(buffer_.size());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](size_t a, size_t b) {
-                       for (size_t j = 0; j < order_by_->size(); ++j) {
-                         ++stats_.comparisons;
-                         const int c = keys[a][j].Compare(keys[b][j]);
-                         if (c != 0) {
-                           return (*order_by_)[j].desc ? c > 0 : c < 0;
-                         }
-                       }
-                       return false;
-                     });
-    std::vector<ExecTuple> sorted;
-    sorted.reserve(buffer_.size());
-    for (size_t idx : order) sorted.push_back(std::move(buffer_[idx]));
-    buffer_ = std::move(sorted);
-  } else {
-    std::stable_sort(buffer_.begin(), buffer_.end(),
-                     [&](const ExecTuple& a, const ExecTuple& b) {
-                       for (const auto& [slot, desc] : slot_keys_) {
-                         ++stats_.comparisons;
-                         const int c = a.slots[0][static_cast<size_t>(slot)]
-                                           .Compare(
-                                               b.slots[0][static_cast<size_t>(
-                                                   slot)]);
-                         if (c != 0) return desc ? c > 0 : c < 0;
-                       }
-                       return false;
-                     });
   }
+  // Read each tuple's sort key once, then sort an index permutation.
+  const size_t width = keys_.size();
+  std::vector<const Value*> keys(buffer_.size() * width);
+  for (size_t i = 0; i < buffer_.size(); ++i) {
+    for (size_t j = 0; j < width; ++j) {
+      keys[i * width + j] = &keys_[j].value.ReadOrNull(buffer_[i]);
+    }
+  }
+  std::vector<size_t> order(buffer_.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    for (size_t j = 0; j < width; ++j) {
+      ++stats_.comparisons;
+      const int c = keys[a * width + j]->Compare(*keys[b * width + j]);
+      if (c != 0) return keys_[j].desc ? c > 0 : c < 0;
+    }
+    return false;
+  });
+  std::vector<ExecTuple> sorted;
+  sorted.reserve(buffer_.size());
+  for (size_t idx : order) sorted.push_back(std::move(buffer_[idx]));
+  buffer_ = std::move(sorted);
   sorted_ = true;
 }
 
 bool SortOp::DoNext(ExecTuple* out) {
   EnsureSorted();
   if (cursor_ >= buffer_.size()) return false;
-  *out = buffer_[cursor_++];
+  *out = std::move(buffer_[cursor_++]);
   ++stats_.rows_out;
   return true;
 }
 
 std::string SortOp::detail() const {
   std::vector<std::string> keys;
-  if (mode_ == Mode::kTupleKeys) {
-    for (const OrderByItem& o : *order_by_) {
-      keys.push_back(o.column.ToString() + (o.desc ? " desc" : ""));
-    }
-  } else {
-    for (const auto& [slot, desc] : slot_keys_) {
-      keys.push_back("slot " + std::to_string(slot) + (desc ? " desc" : ""));
-    }
+  for (size_t j = 0; j < keys_.size(); ++j) {
+    keys.push_back((mode_ == Mode::kTupleKeys
+                        ? (*order_by_)[j].column.ToString()
+                        : "slot " + std::to_string(keys_[j].value.ord)) +
+                   (keys_[j].desc ? " desc" : ""));
   }
   return "by " + Join(keys, ", ");
 }
@@ -172,10 +139,8 @@ bool LimitOp::DoNext(ExecTuple* out) {
   // Short-circuit: once satisfied, never pull the child again (the whole
   // point of LIMIT). Draining here used to force full upstream scans.
   if (emitted_ >= limit_) return false;
-  ExecTuple t;
-  if (!child_->Next(&t)) return false;
+  if (!child_->Next(out)) return false;
   ++stats_.rows_in;
-  *out = std::move(t);
   ++emitted_;
   ++stats_.rows_out;
   return true;
@@ -187,14 +152,12 @@ void HashAggregateOp::EnsureAggregated() {
   if (aggregated_) return;
   std::unordered_map<Row, AggState, GroupKeyHash, GroupKeyEq> groups;
   ExecTuple t;
+  Row group_key;
   while (child_->Next(&t)) {
     ++stats_.rows_in;
-    resolver_.Bind(&t, nullptr);
-    Row key;
-    for (const ColumnRef& g : *group_by_) {
-      key.push_back(ProjectColumn(resolver_, g));
-    }
-    AggState& st = groups[key];
+    group_key.clear();
+    for (const BoundValue& g : group_) group_key.push_back(g.ReadOrNull(t));
+    AggState& st = groups[group_key];
     if (st.count == 0) {
       st.sums.assign(items_->size(), 0.0);
       st.mins.assign(items_->size(), Value());
@@ -206,7 +169,7 @@ void HashAggregateOp::EnsureAggregated() {
     for (size_t k = 0; k < items_->size(); ++k) {
       const SelectItem& item = (*items_)[k];
       if (item.agg == AggFunc::kNone || item.star) continue;
-      const Value v = ProjectColumn(resolver_, item.column);
+      const Value& v = cols_[k].ReadOrNull(t);
       if (v.is_null()) continue;
       ++st.non_null[k];
       if (v.type() == ValueType::kString) {
@@ -279,7 +242,7 @@ void HashAggregateOp::EnsureAggregated() {
 bool HashAggregateOp::DoNext(ExecTuple* out) {
   EnsureAggregated();
   if (cursor_ >= out_rows_.size()) return false;
-  out->slots.assign(1, out_rows_[cursor_++]);
+  out->slots.assign(1, &out_rows_[cursor_++]);
   out->rids.assign(1, kInvalidRowId);
   ++stats_.rows_out;
   return true;

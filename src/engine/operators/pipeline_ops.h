@@ -29,11 +29,8 @@ class UnaryOpBase : public PhysicalOperator {
 // cross-table predicates the per-level pruning could not evaluate.
 class FilterOp : public UnaryOpBase {
  public:
-  FilterOp(ExecContext* ctx, const std::vector<TablePlan>& tables,
-           const Expr* predicate, std::unique_ptr<PhysicalOperator> child)
-      : UnaryOpBase(std::move(child)),
-        predicate_(predicate),
-        resolver_(*ctx->catalog, tables, tables.size() - 1) {}
+  FilterOp(BoundPredicate predicate, std::unique_ptr<PhysicalOperator> child)
+      : UnaryOpBase(std::move(child)), predicate_(std::move(predicate)) {}
 
   bool DoNext(ExecTuple* out) override;
 
@@ -42,21 +39,17 @@ class FilterOp : public UnaryOpBase {
   size_t out_width() const override { return child_->out_width(); }
 
  private:
-  const Expr* predicate_;
-  PrefixResolver resolver_;
+  BoundPredicate predicate_;
 };
 
-// Projects joined tuples to output rows (star expansion in join order,
-// columns resolved newest-table-first — the engine's historical
-// semantics). Emits single-slot derived rows.
+// Projects joined tuples to output rows (star expansion in join order).
+// Emits single-slot derived rows it owns; `cols` holds each item's bound
+// column (unused for `*`).
 class ProjectOp : public UnaryOpBase {
  public:
-  ProjectOp(ExecContext* ctx, const std::vector<TablePlan>& tables,
-            const std::vector<SelectItem>* items,
+  ProjectOp(const std::vector<SelectItem>* items, std::vector<BoundValue> cols,
             std::unique_ptr<PhysicalOperator> child)
-      : UnaryOpBase(std::move(child)),
-        items_(items),
-        resolver_(*ctx->catalog, tables, tables.size() - 1) {}
+      : UnaryOpBase(std::move(child)), items_(items), cols_(std::move(cols)) {}
 
   bool DoNext(ExecTuple* out) override;
 
@@ -66,28 +59,31 @@ class ProjectOp : public UnaryOpBase {
 
  private:
   const std::vector<SelectItem>* items_;
-  PrefixResolver resolver_;
+  std::vector<BoundValue> cols_;
+  ExecTuple in_;
+  Row row_;  // the emitted row, valid until the next pull
 };
 
-// Blocking sort. Two key modes:
-//  - kTupleKeys: ORDER BY columns resolved over joined tuples (pre-
-//    projection); counts its input into sort_rows.
+// Blocking sort on bound keys, in one of two modes:
+//  - kTupleKeys: ORDER BY columns of joined tuples (pre-projection);
+//    counts its input into sort_rows.
 //  - kSlotKeys: ORDER BY matched to select-item slots of aggregate output
 //    rows; contributes nothing to sort_rows because HashAggregate already
 //    counted its groups — the sort-like work the cost model prices.
 class SortOp : public UnaryOpBase {
  public:
   enum class Mode { kTupleKeys, kSlotKeys };
+  struct Key {
+    BoundValue value;
+    bool desc = false;
+  };
 
-  SortOp(ExecContext* ctx, const std::vector<TablePlan>& tables,
-         const std::vector<OrderByItem>* order_by,
-         std::vector<std::pair<int, bool>> slot_keys, Mode mode,
-         std::unique_ptr<PhysicalOperator> child)
+  SortOp(const std::vector<OrderByItem>* order_by, std::vector<Key> keys,
+         Mode mode, std::unique_ptr<PhysicalOperator> child)
       : UnaryOpBase(std::move(child)),
         order_by_(order_by),
-        slot_keys_(std::move(slot_keys)),
-        mode_(mode),
-        resolver_(*ctx->catalog, tables, tables.size() - 1) {}
+        keys_(std::move(keys)),
+        mode_(mode) {}
 
   bool DoNext(ExecTuple* out) override;
 
@@ -98,10 +94,9 @@ class SortOp : public UnaryOpBase {
  private:
   void EnsureSorted();
 
-  const std::vector<OrderByItem>* order_by_;
-  std::vector<std::pair<int, bool>> slot_keys_;  // (slot, desc)
+  const std::vector<OrderByItem>* order_by_;  // names kTupleKeys keys
+  std::vector<Key> keys_;
   Mode mode_;
-  PrefixResolver resolver_;
   std::vector<ExecTuple> buffer_;
   bool sorted_ = false;
   size_t cursor_ = 0;
@@ -137,14 +132,17 @@ class LimitOp : public UnaryOpBase {
 // single-slot output rows; counts its group build into sort_rows.
 class HashAggregateOp : public UnaryOpBase {
  public:
-  HashAggregateOp(ExecContext* ctx, const std::vector<TablePlan>& tables,
-                  const std::vector<SelectItem>* items,
+  // `cols` holds each item's bound input column, `group` each GROUP BY
+  // column's.
+  HashAggregateOp(const std::vector<SelectItem>* items,
                   const std::vector<ColumnRef>* group_by,
+                  std::vector<BoundValue> cols, std::vector<BoundValue> group,
                   std::unique_ptr<PhysicalOperator> child)
       : UnaryOpBase(std::move(child)),
         items_(items),
         group_by_(group_by),
-        resolver_(*ctx->catalog, tables, tables.size() - 1) {}
+        cols_(std::move(cols)),
+        group_(std::move(group)) {}
 
   bool DoNext(ExecTuple* out) override;
 
@@ -157,7 +155,8 @@ class HashAggregateOp : public UnaryOpBase {
 
   const std::vector<SelectItem>* items_;
   const std::vector<ColumnRef>* group_by_;
-  PrefixResolver resolver_;
+  std::vector<BoundValue> cols_;
+  std::vector<BoundValue> group_;
   std::vector<Row> out_rows_;
   bool aggregated_ = false;
   size_t cursor_ = 0;

@@ -3,36 +3,6 @@
 #include <functional>
 
 namespace autoindex {
-namespace {
-
-// For a local index: the bound value of the table's partition column, when
-// an equality condition pins it (literal, or join-resolved from the outer
-// tuple). Returns false when unbound (the scan must probe every shard).
-bool ResolvePartitionValue(const BuiltIndex& index, const HeapTable& table,
-                           const std::vector<ColumnCondition>& conditions,
-                           const ColumnResolver& resolver, Value* out) {
-  if (!index.is_local() || !table.partitioned()) return false;
-  const std::string& pcol =
-      table.schema().column(static_cast<size_t>(table.partition_column()))
-          .name;
-  for (const ColumnCondition& c : conditions) {
-    if (c.column != pcol || c.kind != ColumnCondition::kEq) continue;
-    if (c.join_source.has_value()) {
-      if (resolver.Resolve(*c.join_source, out)) return true;
-      continue;
-    }
-    *out = c.literal;
-    return true;
-  }
-  return false;
-}
-
-size_t HeapPageKey(const HeapTable& table, RowId rid) {
-  return table.PageOfRow(rid) ^
-         (std::hash<std::string>()(table.name()) << 1);
-}
-
-}  // namespace
 
 // --- SeqScanOp -----------------------------------------------------------
 
@@ -42,15 +12,17 @@ SeqScanOp::SeqScanOp(ExecContext* ctx, const std::vector<TablePlan>& tables,
       tables_(tables),
       level_(level),
       table_(ctx->catalog->GetTable(tables[level].ref.table)),
-      resolver_(*ctx->catalog, tables, level) {}
+      local_(ColumnBinder(*ctx->catalog, tables, level, level, level + 1)
+                 .BindConditions(tables[level], /*join=*/false)) {
+  candidate_.slots.assign(level + 1, nullptr);
+}
 
 void SeqScanOp::EnsureMaterialized() {
   if (materialized_done_) return;
-  const TablePlan& tp = tables_[level_];
   table_->Scan([&](RowId rid, const Row& row) {
     ++stats_.tuples_examined;
-    resolver_.Bind(nullptr, &row);
-    if (LocalConditionsOk(tp, resolver_, &stats_.comparisons)) {
+    candidate_.slots[level_] = &row;
+    if (AllHold(local_, candidate_, &stats_.comparisons)) {
       materialized_.push_back(rid);
     }
   });
@@ -63,7 +35,7 @@ bool SeqScanOp::DoNext(ExecTuple* out) {
   while (cursor_ < materialized_.size()) {
     const RowId rid = materialized_[cursor_++];
     if (!table_->IsLive(rid)) continue;
-    out->slots.assign(1, table_->Get(rid));
+    out->slots.assign(1, &table_->Get(rid));
     out->rids.assign(1, rid);
     ++stats_.rows_out;
     return true;
@@ -99,7 +71,49 @@ IndexScanOp::IndexScanOp(ExecContext* ctx,
       level_(level),
       table_(ctx->catalog->GetTable(tables[level].ref.table)),
       index_(index),
-      resolver_(*ctx->catalog, tables, level) {}
+      page_salt_(std::hash<std::string>()(table_->name()) << 1) {
+  const TablePlan& tp = tables[level];
+  // Key and partition sources read the outer tuple only, so a join source
+  // shadowed by this table itself is unbound. Equality conditions are
+  // tried in extraction order; the first one with a source wins.
+  const ColumnBinder outer_view(*ctx->catalog, tables, level, 0, level);
+  auto eq_source = [&](const std::string& column) {
+    for (const ColumnCondition& c : tp.conditions) {
+      if (c.column != column || c.kind != ColumnCondition::kEq) continue;
+      if (!c.join_source.has_value()) return BoundValue{&c.literal};
+      const BoundValue v = outer_view.Bind(*c.join_source);
+      if (v.bound()) return v;
+    }
+    return BoundValue{};
+  };
+  for (size_t k = 0; k < tp.access.eq_prefix_len; ++k) {
+    key_.push_back(eq_source(tp.access.index.columns[k]));
+    key_bound_ = key_bound_ && key_.back().bound();
+  }
+  if (tp.access.has_range &&
+      tp.access.eq_prefix_len < tp.access.index.columns.size()) {
+    const std::string& rcol = tp.access.index.columns[tp.access.eq_prefix_len];
+    for (const ColumnCondition& c : tp.conditions) {
+      if (c.column != rcol) continue;
+      if (c.kind == ColumnCondition::kRangeLo && range_lo_ == nullptr) {
+        range_lo_ = &c;
+      } else if (c.kind == ColumnCondition::kRangeHi && range_hi_ == nullptr) {
+        range_hi_ = &c;
+      }
+    }
+  }
+  if (index->is_local() && table_->partitioned()) {
+    partition_ = eq_source(
+        table_->schema()
+            .column(static_cast<size_t>(table_->partition_column()))
+            .name);
+  }
+  const ColumnBinder binder(*ctx->catalog, tables, level);
+  conditions_ = binder.BindConditions(tp, /*join=*/false);
+  for (BoundPredicate& p : binder.BindConditions(tp, /*join=*/true)) {
+    conditions_.push_back(std::move(p));
+  }
+}
 
 void IndexScanOp::DoOpen() {
   // Standalone use (leftmost table / write lookup): one probe, all key
@@ -111,61 +125,32 @@ void IndexScanOp::DoOpen() {
 }
 
 bool IndexScanOp::Rebind(const ExecTuple* outer) {
-  const TablePlan& tp = tables_[level_];
-  outer_ = outer;
+  static const ExecTuple kNoOuter;
+  const ExecTuple& o = outer != nullptr ? *outer : kNoOuter;
   rids_.clear();
   cursor_ = 0;
-  resolver_.Bind(outer, nullptr);
+  if (!key_bound_) return false;
+  candidate_.slots.assign(o.slots.begin(),
+                          o.slots.begin() + static_cast<ptrdiff_t>(level_));
+  candidate_.slots.push_back(nullptr);
 
-  // Runtime key prefix: equality columns may be literals or join
-  // references resolved from the outer tuple.
-  Row lo, hi;
+  lo_.clear();
+  for (const BoundValue& k : key_) lo_.push_back(*k.Read(o));
+  hi_ = lo_;
   bool lo_inc = true, hi_inc = true;
-  for (size_t k = 0; k < tp.access.eq_prefix_len; ++k) {
-    const std::string& icol = tp.access.index.columns[k];
-    bool bound = false;
-    for (const ColumnCondition& c : tp.conditions) {
-      if (c.column != icol || c.kind != ColumnCondition::kEq) continue;
-      Value v;
-      if (c.join_source.has_value()) {
-        if (!resolver_.Resolve(*c.join_source, &v)) continue;
-      } else {
-        v = c.literal;
-      }
-      lo.push_back(v);
-      hi.push_back(v);
-      bound = true;
-      break;
-    }
-    if (!bound) return false;
+  if (range_lo_ != nullptr) {
+    lo_.push_back(range_lo_->literal);
+    lo_inc = range_lo_->inclusive;
   }
-  if (tp.access.has_range &&
-      tp.access.eq_prefix_len < tp.access.index.columns.size()) {
-    const std::string& rcol = tp.access.index.columns[tp.access.eq_prefix_len];
-    for (const ColumnCondition& c : tp.conditions) {
-      if (c.column != rcol) continue;
-      if (c.kind == ColumnCondition::kRangeLo) {
-        if (lo.size() == tp.access.eq_prefix_len) {
-          lo.push_back(c.literal);
-          lo_inc = c.inclusive;
-        }
-      } else if (c.kind == ColumnCondition::kRangeHi) {
-        if (hi.size() == tp.access.eq_prefix_len) {
-          hi.push_back(c.literal);
-          hi_inc = c.inclusive;
-        }
-      }
-    }
+  if (range_hi_ != nullptr) {
+    hi_.push_back(range_hi_->literal);
+    hi_inc = range_hi_->inclusive;
   }
 
   size_t index_pages = 0;
-  const Row* lo_ptr = lo.empty() ? nullptr : &lo;
-  const Row* hi_ptr = hi.empty() ? nullptr : &hi;
-  Value partition_value;
-  const bool pruned = ResolvePartitionValue(
-      *index_, *table_, tp.conditions, resolver_, &partition_value);
-  index_->Scan(pruned ? &partition_value : nullptr, lo_ptr, lo_inc, hi_ptr,
-               hi_inc,
+  index_->Scan(partition_.Read(o),
+               lo_.empty() ? nullptr : &lo_, lo_inc,
+               hi_.empty() ? nullptr : &hi_, hi_inc,
                [&](const Row&, RowId rid) {
                  rids_.push_back(rid);
                  return true;
@@ -178,21 +163,18 @@ bool IndexScanOp::Rebind(const ExecTuple* outer) {
 }
 
 bool IndexScanOp::DoNext(ExecTuple* out) {
-  const TablePlan& tp = tables_[level_];
   while (cursor_ < rids_.size()) {
     const RowId rid = rids_[cursor_++];
     if (!table_->IsLive(rid)) continue;
-    if (ctx_->probed_heap_pages.insert(HeapPageKey(*table_, rid)).second) {
+    if (ctx_->probed_heap_pages.insert(table_->PageOfRow(rid) ^ page_salt_)
+            .second) {
       ++stats_.heap_pages_read;
     }
     const Row& row = table_->Get(rid);
     ++stats_.tuples_examined;
-    resolver_.Bind(outer_, &row);
-    if (!LocalConditionsOk(tp, resolver_, &stats_.comparisons) ||
-        !JoinConditionsOk(tp, resolver_, &stats_.comparisons)) {
-      continue;
-    }
-    out->slots.assign(1, row);
+    candidate_.slots.back() = &row;
+    if (!AllHold(conditions_, candidate_, &stats_.comparisons)) continue;
+    out->slots.assign(1, &row);
     out->rids.assign(1, rid);
     ++stats_.rows_out;
     return true;

@@ -38,7 +38,8 @@ class SeqScanOp : public PhysicalOperator {
   const std::vector<TablePlan>& tables_;
   size_t level_;
   const HeapTable* table_;
-  PrefixResolver resolver_;
+  std::vector<BoundPredicate> local_;  // over slot `level` alone
+  ExecTuple candidate_;                // the row under test at slot `level`
   std::vector<RowId> materialized_;
   bool materialized_done_ = false;
   size_t cursor_ = 0;
@@ -62,10 +63,15 @@ class IndexScanOp : public PhysicalOperator {
   std::string detail() const override;
   size_t out_width() const override { return 1; }
 
-  // Probes the index with the key prefix bound against `outer` (null for
-  // the leftmost table: literal bindings only). Returns false when a
-  // join-bound key column cannot be resolved — lowering statically avoids
-  // that case, and an unbindable probe simply yields no rows.
+  // Whether every equality column of the key prefix has a source: a
+  // literal, or a column of an earlier table (bound at construction).
+  // Lowering falls back to another access path when it has not; an
+  // unbindable probe simply yields no rows.
+  bool key_bound() const { return key_bound_; }
+
+  // Probes the index with the key prefix read from the first `level` slots
+  // of `outer` (null for the leftmost table: literal bindings only).
+  // Returns false, with no rows, when the key is not bound.
   bool Rebind(const ExecTuple* outer);
 
   void AppendFeedback(const CostParams& params,
@@ -77,8 +83,17 @@ class IndexScanOp : public PhysicalOperator {
   size_t level_;
   const HeapTable* table_;
   const BuiltIndex* index_;
-  PrefixResolver resolver_;
-  const ExecTuple* outer_ = nullptr;
+  // Query-wide heap-page keys are salted with the table name's hash.
+  size_t page_salt_;
+  std::vector<BoundValue> key_;  // eq prefix, read from the outer tuple
+  bool key_bound_ = true;
+  const ColumnCondition* range_lo_ = nullptr;
+  const ColumnCondition* range_hi_ = nullptr;
+  // Partition pruning: the partition column's value; unbound = all shards.
+  BoundValue partition_;
+  std::vector<BoundPredicate> conditions_;  // local then join atoms
+  ExecTuple candidate_;  // outer slots plus the row under test
+  Row lo_, hi_;
   std::vector<RowId> rids_;
   size_t cursor_ = 0;
   int64_t probes_ = 0;

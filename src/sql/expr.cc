@@ -268,34 +268,22 @@ bool EvalScalar(const Expr& expr, const ColumnResolver& resolver, Value* out) {
 
 }  // namespace
 
-bool EvaluatePredicate(const Expr& expr, const ColumnResolver& resolver) {
-  switch (expr.kind) {
-    case ExprKind::kAnd:
-      for (const ExprPtr& c : expr.children) {
-        if (!EvaluatePredicate(*c, resolver)) return false;
-      }
-      return true;
-    case ExprKind::kOr:
-      for (const ExprPtr& c : expr.children) {
-        if (EvaluatePredicate(*c, resolver)) return true;
-      }
-      return false;
-    case ExprKind::kNot:
-      return !EvaluatePredicate(*expr.children[0], resolver);
+bool EvaluateAtom(const Expr& atom, const Value* const* operands) {
+  switch (atom.kind) {
     case ExprKind::kCompare: {
-      Value lhs, rhs;
-      if (!EvalScalar(*expr.children[0], resolver, &lhs)) return false;
-      if (!EvalScalar(*expr.children[1], resolver, &rhs)) return false;
-      if (lhs.is_null() || rhs.is_null()) return false;
-      if (expr.op == CompareOp::kLike) {
-        if (lhs.type() != ValueType::kString ||
-            rhs.type() != ValueType::kString) {
+      const Value* lhs = operands[0];
+      const Value* rhs = operands[1];
+      if (lhs == nullptr || rhs == nullptr) return false;
+      if (lhs->is_null() || rhs->is_null()) return false;
+      if (atom.op == CompareOp::kLike) {
+        if (lhs->type() != ValueType::kString ||
+            rhs->type() != ValueType::kString) {
           return false;
         }
-        return LikeMatch(lhs.AsString(), rhs.AsString(), 0, 0);
+        return LikeMatch(lhs->AsString(), rhs->AsString(), 0, 0);
       }
-      const int c = lhs.Compare(rhs);
-      switch (expr.op) {
+      const int c = lhs->Compare(*rhs);
+      switch (atom.op) {
         case CompareOp::kEq:
           return c == 0;
         case CompareOp::kNe:
@@ -314,42 +302,78 @@ bool EvaluatePredicate(const Expr& expr, const ColumnResolver& resolver) {
       return false;
     }
     case ExprKind::kBetween: {
-      Value v, lo, hi;
-      if (!EvalScalar(*expr.children[0], resolver, &v)) return false;
-      if (!EvalScalar(*expr.children[1], resolver, &lo)) return false;
-      if (!EvalScalar(*expr.children[2], resolver, &hi)) return false;
-      if (v.is_null() || lo.is_null() || hi.is_null()) return false;
-      return v.Compare(lo) >= 0 && v.Compare(hi) <= 0;
+      const Value* v = operands[0];
+      const Value* lo = operands[1];
+      const Value* hi = operands[2];
+      if (v == nullptr || lo == nullptr || hi == nullptr) return false;
+      if (v->is_null() || lo->is_null() || hi->is_null()) return false;
+      return v->Compare(*lo) >= 0 && v->Compare(*hi) <= 0;
     }
     case ExprKind::kInList: {
-      Value v;
-      if (!EvalScalar(*expr.children[0], resolver, &v)) return false;
-      if (v.is_null()) return false;
+      const Value* v = operands[0];
+      if (v == nullptr || v->is_null()) return false;
       bool found = false;
-      for (const Value& item : expr.in_list) {
-        if (v.Compare(item) == 0) {
+      for (const Value& item : atom.in_list) {
+        if (v->Compare(item) == 0) {
           found = true;
           break;
         }
       }
-      return expr.negated ? !found : found;
+      return atom.negated ? !found : found;
     }
     case ExprKind::kIsNull: {
-      Value v;
-      if (!EvalScalar(*expr.children[0], resolver, &v)) return false;
-      return expr.negated ? !v.is_null() : v.is_null();
+      const Value* v = operands[0];
+      if (v == nullptr) return false;
+      return atom.negated ? !v->is_null() : v->is_null();
     }
     case ExprKind::kColumn:
     case ExprKind::kLiteral: {
       // A bare scalar in boolean context: truthy when non-null/non-zero.
-      Value v;
-      if (!EvalScalar(expr, resolver, &v)) return false;
-      if (v.is_null()) return false;
-      if (v.type() == ValueType::kInt) return v.AsInt() != 0;
+      const Value* v = operands[0];
+      if (v == nullptr || v->is_null()) return false;
+      if (v->type() == ValueType::kInt) return v->AsInt() != 0;
       return true;
     }
+    case ExprKind::kAnd:
+    case ExprKind::kOr:
+    case ExprKind::kNot:
+      return false;  // connectives are not atoms
   }
   return false;
+}
+
+bool EvaluatePredicate(const Expr& expr, const ColumnResolver& resolver) {
+  switch (expr.kind) {
+    case ExprKind::kAnd:
+      for (const ExprPtr& c : expr.children) {
+        if (!EvaluatePredicate(*c, resolver)) return false;
+      }
+      return true;
+    case ExprKind::kOr:
+      for (const ExprPtr& c : expr.children) {
+        if (EvaluatePredicate(*c, resolver)) return true;
+      }
+      return false;
+    case ExprKind::kNot:
+      return !EvaluatePredicate(*expr.children[0], resolver);
+    case ExprKind::kColumn:
+    case ExprKind::kLiteral: {
+      Value v;
+      const Value* operand = EvalScalar(expr, resolver, &v) ? &v : nullptr;
+      return EvaluateAtom(expr, &operand);
+    }
+    default: {
+      Value values[kMaxAtomOperands];
+      const Value* operands[kMaxAtomOperands] = {};
+      for (size_t i = 0; i < expr.children.size() && i < kMaxAtomOperands;
+           ++i) {
+        if (EvalScalar(*expr.children[i], resolver, &values[i])) {
+          operands[i] = &values[i];
+        }
+      }
+      return EvaluateAtom(expr, operands);
+    }
+  }
 }
 
 }  // namespace autoindex

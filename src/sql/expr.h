@@ -103,4 +103,14 @@ class ColumnResolver {
 
 bool EvaluatePredicate(const Expr& expr, const ColumnResolver& resolver);
 
+// Operands of an atom: one per child (kCompare 2, kBetween 3, kInList and
+// kIsNull 1); a bare kColumn/kLiteral predicate is its own single operand.
+inline constexpr size_t kMaxAtomOperands = 3;
+
+// Evaluates one atom (a non-connective node) over already-resolved operand
+// values, where a null pointer is an unbound operand: the single place the
+// comparison, LIKE, BETWEEN, IN and IS NULL semantics live. Both
+// EvaluatePredicate and the executor's lowering-bound predicates call it.
+bool EvaluateAtom(const Expr& atom, const Value* const* operands);
+
 }  // namespace autoindex

@@ -78,7 +78,7 @@ TEST_P(PipelinePropertyTest, PipelineMatchesReferenceAndCountersAreConsistent) {
     EXPECT_EQ(Canonical(r->rows), expected) << sql;
 
     // Every SELECT runs a pipeline and must return its snapshot.
-    ASSERT_TRUE(r->plan.has_value()) << sql;
+    ASSERT_NE(r->plan, nullptr) << sql;
     ExpectCountersSumToStats(*r->plan, r->stats, sql);
 
     // The registered PhysicalPlanValidator re-checks the retained snapshot
