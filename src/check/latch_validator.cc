@@ -49,11 +49,13 @@ void LatchValidator::Validate(const CheckContext& ctx,
 
   for (const LatchManager::TableLatchState& latch : snap.latches) {
     report->NoteStructureChecked();
-    if (latch.readers < 0 || latch.waiting_writers < 0) {
-      report->AddIssue(name(),
-                       StrCat("latch ", latch.table, ": negative count (",
-                              latch.readers, " readers, ",
-                              latch.waiting_writers, " waiting writers)"));
+    if (latch.readers < 0 || latch.waiting_writers < 0 ||
+        latch.waiting_readers < 0) {
+      report->AddIssue(
+          name(), StrCat("latch ", latch.table, ": negative count (",
+                         latch.readers, " readers, ", latch.waiting_writers,
+                         " waiting writers, ", latch.waiting_readers,
+                         " waiting readers)"));
     }
     if (latch.readers > 0 && latch.writer) {
       report->AddIssue(name(),

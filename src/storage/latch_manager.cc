@@ -57,10 +57,12 @@ void LatchManager::Guard::Release() {
       LatchInfo& info = latch_it->second;
       if (it->second == LatchMode::kExclusive) {
         info.writer = false;
+        info.reader_grants = info.waiting_readers;
       } else {
         --info.readers;
       }
-      if (info.readers == 0 && !info.writer && info.waiting_writers == 0) {
+      if (info.readers == 0 && !info.writer && info.waiting_writers == 0 &&
+          info.waiting_readers == 0 && info.reader_grants == 0) {
         manager_->latches_.erase(latch_it);
       }
       if (thread_it != manager_->held_by_thread_.end()) {
@@ -96,7 +98,8 @@ const LatchManager::LatchMode* LatchManager::HeldModeLocked(
 bool LatchManager::SharedAdmissibleLocked(const std::string& key) const {
   auto it = latches_.find(key);
   return it == latches_.end() ||
-         (!it->second.writer && it->second.waiting_writers == 0);
+         (!it->second.writer && (it->second.waiting_writers == 0 ||
+                                 it->second.reader_grants > 0));
 }
 
 LatchManager::Guard LatchManager::Acquire(
@@ -133,7 +136,7 @@ LatchManager::Guard LatchManager::Acquire(
     }
     if (r.mode == LatchMode::kExclusive) {
       LatchInfo& info = latches_[r.table];
-      if (info.readers != 0 || info.writer) {
+      if (info.readers != 0 || info.writer || info.reader_grants > 0) {
         // The map entry stays pinned while waiting_writers > 0 (Release
         // only erases latches nobody holds or waits on), so `info` stays
         // a valid reference across the waits.
@@ -146,7 +149,7 @@ LatchManager::Guard LatchManager::Acquire(
         ++waiters_;
         do {
           cv_.Wait(mu_);
-        } while (info.readers != 0 || info.writer);
+        } while (info.readers != 0 || info.writer || info.reader_grants > 0);
         --waiters_;
         --info.waiting_writers;
       }
@@ -159,12 +162,16 @@ LatchManager::Guard LatchManager::Acquire(
         util::ScopedTimer wait_timer(LatchMetrics::Get().wait_us);
         obs::ScopedSpan wait_span("latch.wait");
         ++waiters_;
+        ++latches_[r.table].waiting_readers;
         do {
           cv_.Wait(mu_);
         } while (!SharedAdmissibleLocked(r.table));
+        --latches_[r.table].waiting_readers;
         --waiters_;
       }
-      ++latches_[r.table].readers;
+      LatchInfo& info = latches_[r.table];
+      if (info.reader_grants > 0) --info.reader_grants;
+      ++info.readers;
     }
     held_by_thread_[tid].emplace_back(r.table, r.mode);
     acquired.emplace_back(r.table, r.mode);
@@ -194,7 +201,8 @@ LatchManager::DebugSnapshot LatchManager::Snapshot() const {
   snap.latches.reserve(latches_.size());
   for (const auto& [table, info] : latches_) {
     snap.latches.push_back(
-        {table, info.readers, info.writer, info.waiting_writers});
+        {table, info.readers, info.writer, info.waiting_writers,
+         info.waiting_readers});
   }
   snap.threads.reserve(held_by_thread_.size());
   for (const auto& [tid, held] : held_by_thread_) {

@@ -23,7 +23,10 @@ namespace autoindex {
 // preference) but never a thread that already holds the latch — nested
 // re-acquisition by the same thread (e.g. lazy statistics builds running
 // under a statement's latch) is a recorded no-op, which also rules out
-// self-deadlock.
+// self-deadlock. Readers are not starved either: when a writer releases,
+// the readers already waiting go before the next writer (phase-fair), so
+// a reader waits for at most one writer's turn even under a steady writer
+// stream (an online build's shared-latch chunks rely on this).
 //
 // Upgrades (shared held, exclusive requested by the same thread) are a
 // programming error and abort loudly: statements acquire every latch they
@@ -118,6 +121,7 @@ class LatchManager {
     int readers = 0;
     bool writer = false;
     int waiting_writers = 0;
+    int waiting_readers = 0;
   };
   struct ThreadHeldList {
     // Held latches in acquisition order (must be sorted by table name).
@@ -145,6 +149,11 @@ class LatchManager {
     int readers = 0;
     bool writer = false;
     int waiting_writers = 0;
+    int waiting_readers = 0;
+    // Readers admitted ahead of queued writers: set to waiting_readers
+    // when a writer releases, consumed one per admitted reader. Writers
+    // wait while it is positive.
+    int reader_grants = 0;
   };
 
   // Mode the calling thread already holds on `key` (nullptr = not held).
@@ -152,8 +161,9 @@ class LatchManager {
                                   const std::string& key) const
       REQUIRES(mu_);
 
-  // Whether a new shared acquisition of `key` may proceed (no writer holds
-  // it and none is queued — writer preference).
+  // Whether a shared acquisition of `key` may proceed: no writer holds it,
+  // and none is queued (writer preference) unless the last writer's
+  // release granted the waiting readers their turn.
   bool SharedAdmissibleLocked(const std::string& key) const REQUIRES(mu_);
 
   mutable util::Mutex mu_;
