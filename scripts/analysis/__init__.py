@@ -2,9 +2,10 @@
 
 A small, dependency-free lint engine for the project's structural rules:
 things clang-tidy either cannot express or that must hold even on
-machines without clang installed. `scripts/lint.py` is the command-line
-entry point; rules live in `scripts/analysis/rules/` and register
-themselves with the framework registry on import.
+machines without clang installed. `python3 scripts/analysis` is the
+command-line entry point (__main__.py); rules live in
+`scripts/analysis/rules/` and register themselves with the framework
+registry on import.
 
 Layout:
   framework.py   Finding / SourceFile / Rule / registry / runner

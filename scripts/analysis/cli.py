@@ -1,6 +1,6 @@
 """Command-line front end for the analysis framework.
 
-Usage: scripts/lint.py [--format=text|json] [--rules=a,b] [paths...]
+Usage: python3 scripts/analysis [--format=text|json] [--rules=a,b] [paths...]
        (default paths: src)
 
 Text output is one `file:line: [rule] message` per finding, plus a
@@ -23,7 +23,7 @@ from . import framework
 def _usage(msg):
     sys.stderr.write("lint: %s\n" % msg)
     sys.stderr.write(
-        "usage: lint.py [--format=text|json] [--rules=a,b] "
+        "usage: python3 scripts/analysis [--format=text|json] [--rules=a,b] "
         "[--list-rules] [paths...]\n")
     return 2
 

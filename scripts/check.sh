@@ -24,8 +24,8 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 
 step() { printf '\n==== %s ====\n' "$*"; }
 
-step "lint (scripts/lint.py — scripts/analysis framework)"
-python3 scripts/lint.py src
+step "lint (python3 scripts/analysis)"
+python3 scripts/analysis src
 
 step "lint self-test (analyzer corpus)"
 python3 tests/analysis/run_corpus_test.py

@@ -36,9 +36,9 @@ void CatalogConsistencyValidator::Validate(const CheckContext& ctx,
       report->AddIssue(name(), StrCat("index ", display, " has no columns"));
     }
 
-    // Indexes carry exactly one entry per live row: OnInsert/OnDelete/
-    // OnUpdate keep them in lock-step and CreateIndex scans only live
-    // rows. Drift here is the "index-size accounting" class of bug.
+    // Indexes carry exactly one entry per live row: the write path keeps
+    // them in lock-step and the build scans only live rows. Drift here is
+    // the "index-size accounting" class of bug.
     if (index->num_entries() != table->num_rows()) {
       report->AddIssue(
           name(), StrCat("index ", display, " holds ", index->num_entries(),

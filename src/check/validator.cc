@@ -101,13 +101,6 @@ CheckReport CheckAll(const Database& db, const MctsIndexSelector& mcts) {
   return ValidatorRegistry::Default().RunAll(ctx);
 }
 
-CheckReport CheckAll(const Catalog& catalog, const IndexManager& indexes) {
-  CheckContext ctx;
-  ctx.catalog = &catalog;
-  ctx.indexes = &indexes;
-  return ValidatorRegistry::Default().RunAll(ctx);
-}
-
 void InstallDebugChecks(Database* db, bool install) {
   if (!install) {
     db->set_invariant_hook(nullptr);

@@ -107,9 +107,6 @@ class ValidatorRegistry {
 // tests, the shell's \check command, and the debug-mode engine hook use.
 CheckReport CheckAll(const Database& db);
 CheckReport CheckAll(const Database& db, const MctsIndexSelector& mcts);
-// Storage-level variant for tests that assemble a Catalog + IndexManager
-// without the engine on top.
-CheckReport CheckAll(const Catalog& catalog, const IndexManager& indexes);
 
 // Debug-mode wiring: installs an invariant hook on `db` so that every
 // mutating statement batch (INSERT/UPDATE/DELETE, BulkInsert, index DDL)

@@ -58,7 +58,12 @@ AutoIndexManager::AutoIndexManager(Database* db, AutoIndexConfig config)
   }
 }
 
-AutoIndexManager::~AutoIndexManager() { ShutdownApplyWorker(); }
+AutoIndexManager::~AutoIndexManager() {
+  ShutdownApplyWorker();
+  // The hook borrows estimator_, which dies with this manager; the
+  // database outlives it and keeps executing statements.
+  if (config_.learn_cost_model) db_->set_execution_feedback_hook(nullptr);
+}
 
 AutoIndexManager::DdlOutcome AutoIndexManager::ApplyDdlNow(
     const std::vector<IndexDef>& drops, const std::vector<IndexDef>& adds) {

@@ -98,7 +98,8 @@ struct TuningResult {
 class AutoIndexManager {
  public:
   AutoIndexManager(Database* db, AutoIndexConfig config = {});
-  // Drains and joins the background apply worker (staged DDL still lands).
+  // Drains and joins the background apply worker (staged DDL still lands)
+  // and uninstalls the execution feedback hook it installed.
   ~AutoIndexManager();
 
   AutoIndexManager(const AutoIndexManager&) = delete;

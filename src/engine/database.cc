@@ -89,14 +89,9 @@ Database::Database(CostParams params) : params_(params) {
   index_manager_ = std::make_unique<IndexManager>(catalog_.get());
   stats_manager_ = std::make_unique<StatsManager>(catalog_.get());
   stats_manager_->set_latch_manager(&latches_);
-  executor_ = std::make_unique<Executor>(catalog_.get(), index_manager_.get(),
-                                         stats_manager_.get(), params_);
-  executor_->set_feedback_hook(
-      [this](const std::vector<AccessPathFeedback>& batch) {
-        DeliverFeedback(batch);
-      });
   what_if_ = std::make_unique<WhatIfCostModel>(catalog_.get(),
                                                stats_manager_.get(), params_);
+  session_ = std::make_unique<Session>(this);
 }
 
 Database::~Database() = default;
@@ -105,17 +100,11 @@ std::unique_ptr<Session> Database::CreateSession() {
   return std::make_unique<Session>(this);
 }
 
-std::unique_ptr<Executor> Database::MakeSessionExecutor() {
-  auto executor = std::make_unique<Executor>(
-      catalog_.get(), index_manager_.get(), stats_manager_.get(), params_);
-  executor->set_feedback_hook(
-      [this](const std::vector<AccessPathFeedback>& batch) {
-        DeliverFeedback(batch);
-      });
-  return executor;
-}
+Executor& Database::executor() { return session_->executor(); }
 
-void Database::set_execution_feedback_hook(Executor::FeedbackHook hook) {
+const Executor& Database::executor() const { return session_->executor(); }
+
+void Database::set_execution_feedback_hook(FeedbackHook hook) {
   util::MutexLock lock(feedback_mu_);
   feedback_hook_ = std::move(hook);
 }
@@ -258,23 +247,6 @@ Status Database::CreateIndex(const IndexDef& def) {
   return RunInvariantHook();
 }
 
-Status Database::CreateIndexBlocking(const IndexDef& def) {
-  // Exclusive: the build scans the heap and a half-built index must never
-  // be visible to statement lowering.
-  LatchManager::Guard guard = latches_.AcquireExclusive(def.table);
-  Status s = index_manager_->CreateIndex(def);
-  if (s.ok()) {
-    // Logged under the latch so no later mutation of this table can slip
-    // into the log ahead of the index build that observed it.
-    s = CommitDurable([&](DurabilityLog* log, uint64_t version) {
-      return log->AppendCreateIndex(def, version);
-    });
-  }
-  guard.Release();
-  if (!s.ok()) return s;
-  return RunInvariantHook();
-}
-
 Status Database::DropIndex(const std::string& key_or_name) {
   const std::string table = index_manager_->TableOf(key_or_name);
   LatchManager::Guard guard;
@@ -291,31 +263,19 @@ Status Database::DropIndex(const std::string& key_or_name) {
 }
 
 StatusOr<ExecResult> Database::Execute(const std::string& sql) {
-  // Root the trace here so parsing is part of the statement's span tree
-  // (a no-op under a Session or network-request trace, which opened one
-  // already and traced its own parse).
-  obs::ScopedTrace trace("statement");
-  StatusOr<Statement> stmt = [&] {
-    obs::ScopedSpan parse_span("parse");
-    return ParseSql(sql);
-  }();
-  if (!stmt.ok()) {
-    trace.Cancel();
-    return stmt.status();
-  }
-  return Execute(*stmt);
+  return session_->Execute(sql);
 }
 
 StatusOr<ExecResult> Database::Execute(const Statement& stmt) {
-  return ExecuteOn(executor_.get(), stmt);
+  return session_->Execute(stmt);
 }
 
 StatusOr<ExecResult> Database::ExecuteOn(Executor* executor,
                                          const Statement& stmt) {
   const EngineMetrics& metrics = EngineMetrics::Get();
   metrics.statements->Add();
-  // Statement trace root for direct ExecuteOn callers; a no-op nested
-  // under a Session or network-request trace.
+  // Statement trace root for pre-parsed statements; a no-op nested under
+  // Session::Execute(sql)'s or a network request's trace.
   obs::ScopedTrace trace("statement");
   // End-to-end statement latency: latch wait + execution + WAL append.
   util::ScopedTimer statement_timer(metrics.statement_us);
@@ -327,6 +287,11 @@ StatusOr<ExecResult> Database::ExecuteOn(Executor* executor,
     obs::ScopedSpan exec_span("engine.execute");
     return executor->Execute(stmt);
   }();
+  // Delivered under the statement latches, so the estimator sees the
+  // access paths exactly as the statement ran them.
+  if (result.ok() && !result->feedback.empty()) {
+    DeliverFeedback(result->feedback);
+  }
   if (result.ok() && stmt.IsWrite()) {
     // Logged while the exclusive table latch is still held, so WAL order
     // equals execution order for every table.
@@ -359,10 +324,14 @@ Status Database::BulkInsert(const std::string& table, std::vector<Row> rows) {
   std::vector<Row> logged_rows;
   if (HasDurabilityLog()) logged_rows = rows;
   LatchManager::Guard guard = latches_.AcquireExclusive(table);
+  // Write-visible, as in the executor's INSERT: an in-flight build must
+  // see every row (buffered into its side delta).
+  const std::vector<BuiltIndex*> indexes =
+      index_manager_->WriteVisibleOnTable(table);
   for (Row& row : rows) {
     StatusOr<RowId> rid = t->Insert(std::move(row));
     if (!rid.ok()) return rid.status();
-    index_manager_->OnInsert(table, *rid, t->Get(*rid));
+    for (BuiltIndex* index : indexes) index->InsertEntry(t->Get(*rid), *rid);
   }
   Status logged = CommitDurable([&](DurabilityLog* log, uint64_t version) {
     return log->AppendBulkInsert(table, logged_rows, version);

@@ -29,10 +29,12 @@ class Session;
 // Concurrency model (DESIGN.md §6): statements run under table-level
 // reader–writer latches managed by the LatchManager; multiple client
 // threads each drive their own Session (CreateSession) while the tuning
-// thread builds/drops indexes under exclusive latches. The monotone data
-// version counts every data-changing operation (writes, bulk loads, index
-// DDL, ANALYZE) so caches keyed on table contents/statistics — notably the
-// benefit estimator's cost memo — can detect staleness without callbacks.
+// thread builds/drops indexes online. Database::Execute is itself a
+// session: the database owns one built-in Session and forwards to it.
+// The monotone data version counts every data-changing operation (writes,
+// bulk loads, index DDL, ANALYZE) so caches keyed on table
+// contents/statistics — notably the benefit estimator's cost memo — can
+// detect staleness without callbacks.
 class Database {
  public:
   explicit Database(CostParams params = CostParams());
@@ -49,18 +51,15 @@ class Database {
 
   // --- DDL ---
   StatusOr<HeapTable*> CreateTable(const std::string& name, Schema schema);
-  // Online three-phase index build (DESIGN.md §10): registers a kBuilding
-  // index under a brief exclusive latch (from which point writer
+  // Online three-phase index build (DESIGN.md §10), the only way an index
+  // is built (tuning, manual DDL, and recovery alike): registers a
+  // kBuilding index under a brief exclusive latch (from which point writer
   // maintenance lands in the build's side-delta buffer), scans the heap
   // in chunks under *shared* latches so writers interleave, catches the
   // delta up, then drains the final delta, appends the WAL create record,
   // and publishes — all inside one short exclusive window. Concurrent
   // writer stalls are O(final delta drain), not O(heap scan).
   Status CreateIndex(const IndexDef& def);
-  // Legacy blocking build: exclusive latch across the whole heap scan.
-  // Used by recovery (the database is quiesced, so online phases would
-  // only add overhead) and as the baseline in bench_online_build.
-  Status CreateIndexBlocking(const IndexDef& def);
   Status DropIndex(const std::string& key_or_name);
   bool HasIndex(const IndexDef& def) const {
     return index_manager_->HasIndex(def);
@@ -75,15 +74,15 @@ class Database {
   }
 
   // --- DML ---
+  // Both overloads forward to the built-in session (Session::Execute), so
+  // a statement entering here is traced, latched, logged, and reported to
+  // the feedback hook exactly as one entering through any other session.
+  // Like any session, the built-in one serves one thread at a time.
+  //
   // Parses and executes one SQL string.
   StatusOr<ExecResult> Execute(const std::string& sql);
   // Executes a pre-parsed statement (avoids re-parsing in tight loops).
   StatusOr<ExecResult> Execute(const Statement& stmt);
-
-  // Executes on a specific executor under statement latches (shared for
-  // SELECT on every referenced table, exclusive for writes). Used by
-  // Execute and by Session; most callers want those instead.
-  StatusOr<ExecResult> ExecuteOn(Executor* executor, const Statement& stmt);
 
   // Bulk load rows without per-statement accounting (population fast path).
   Status BulkInsert(const std::string& table, std::vector<Row> rows);
@@ -156,28 +155,14 @@ class Database {
   }
 
   // --- Execution feedback ---
-  // Forwards per-access-path (estimated, observed) pairs of every executed
-  // statement to the given hook; installed by AutoIndexManager when
-  // cost-model learning is enabled. The hook is shared by the legacy
-  // executor and every session executor, and may be (re)installed while
-  // sessions are executing.
-  void set_execution_feedback_hook(Executor::FeedbackHook hook)
-      EXCLUDES(feedback_mu_);
-
-  // Internal: executors forward their per-statement feedback here.
-  void DeliverFeedback(const std::vector<AccessPathFeedback>& batch)
-      EXCLUDES(feedback_mu_);
-
-  // Internal: a fresh executor wired to this database's feedback fan-in
-  // (Session construction).
-  std::unique_ptr<Executor> MakeSessionExecutor();
-
-  // Internal: the next session id (Session construction). Monotone per
-  // database; id 0 is never handed out, so the net handshake can treat 0
-  // as "no session".
-  uint64_t NextSessionId() {
-    return next_session_id_.fetch_add(1, std::memory_order_relaxed);
-  }
+  // Receives the per-access-path (estimated, observed) pairs of every
+  // successful statement that ran a read pipeline, on any session, while
+  // that statement still holds its latches. Installed by AutoIndexManager
+  // when cost-model learning is enabled (and removed by its destructor);
+  // may be (re)installed while sessions are executing. Null uninstalls.
+  using FeedbackHook =
+      std::function<void(const std::vector<AccessPathFeedback>&)>;
+  void set_execution_feedback_hook(FeedbackHook hook) EXCLUDES(feedback_mu_);
 
   // --- Observability (DESIGN.md §11) ---
   // Point-in-time view of the process-wide metrics registry, filtered to
@@ -197,8 +182,10 @@ class Database {
   std::string RenderTraceTrees(size_t n) const;
 
   // --- Introspection ---
-  Executor& executor() { return *executor_; }
-  const Executor& executor() const { return *executor_; }
+  // The built-in session's executor: the one Database::Execute runs on
+  // (EXPLAIN ANALYZE, the plan validator).
+  Executor& executor();
+  const Executor& executor() const;
   Catalog& catalog() { return *catalog_; }
   const Catalog& catalog() const { return *catalog_; }
   IndexManager& index_manager() { return *index_manager_; }
@@ -209,6 +196,24 @@ class Database {
   const CostParams& params() const { return params_; }
 
  private:
+  friend class Session;
+
+  // Executes on a session's executor under statement latches (shared for
+  // SELECT on every referenced table, exclusive for writes), appends
+  // writes to the WAL, and delivers the statement's feedback. The one
+  // statement path: Session::Execute is its only caller.
+  StatusOr<ExecResult> ExecuteOn(Executor* executor, const Statement& stmt);
+
+  void DeliverFeedback(const std::vector<AccessPathFeedback>& batch)
+      EXCLUDES(feedback_mu_);
+
+  // The next session id (Session construction). Monotone per database; id
+  // 0 is never handed out, so the net handshake can treat 0 as "no
+  // session".
+  uint64_t NextSessionId() {
+    return next_session_id_.fetch_add(1, std::memory_order_relaxed);
+  }
+
   // Bumps the data version and, when a durability log is attached, appends
   // the record via `append(log, new_version)` — both under wal_mu_ so
   // concurrent writers cannot interleave their (bump, append) pairs. The
@@ -242,12 +247,14 @@ class Database {
   std::unique_ptr<Catalog> catalog_;
   std::unique_ptr<IndexManager> index_manager_;
   std::unique_ptr<StatsManager> stats_manager_;
-  std::unique_ptr<Executor> executor_;
   std::unique_ptr<WhatIfCostModel> what_if_;
   // Guards the central feedback hook (installed by the manager, invoked
-  // from every client thread's executor).
+  // from every client thread's statement path).
   mutable util::Mutex feedback_mu_;
-  Executor::FeedbackHook feedback_hook_ GUARDED_BY(feedback_mu_);
+  FeedbackHook feedback_hook_ GUARDED_BY(feedback_mu_);
+  // Declared last: its executor borrows the catalog, indexes and stats
+  // above, so it must be destroyed first.
+  std::unique_ptr<Session> session_;
 };
 
 }  // namespace autoindex

@@ -110,8 +110,7 @@ StatusOr<ExecResult> Executor::Execute(const Statement& stmt) {
 }
 
 // Retains the statement's pipeline snapshot (shared, not copied) and final
-// stats for the plan validator, then forwards the collected feedback to the
-// installed hook.
+// stats for the plan validator, and records the executor metrics.
 void Executor::FinishStatement(const ExecResult& result) {
   last_plan_ = result.plan;
   last_plan_stats_ = result.stats;
@@ -124,9 +123,6 @@ void Executor::FinishStatement(const ExecResult& result) {
     metrics.tuples_examined->Add(result.stats.tuples_examined);
     metrics.index_tuples_read->Add(result.stats.index_tuples_read);
     if (result.plan != nullptr) RecordOperatorMetrics(*result.plan);
-  }
-  if (feedback_hook_ && !result.feedback.empty()) {
-    feedback_hook_(result.feedback);
   }
 }
 
@@ -241,7 +237,6 @@ StatusOr<ExecResult> Executor::ExecuteInsert(const InsertStatement& stmt) {
     // Index maintenance: inserts update indexes immediately (Sec. V).
     for (IndexSnapshot& snap : snaps) {
       snap.index->InsertEntry(t->Get(*rid), *rid);
-      snap.index->RecordMaintenance();
       ++result.stats.index_entries_written;
       result.stats.maint_cpu_cost += IndexUpdateCpuCost(
           snap.index->num_entries(), snap.index->height(), 1, params_);
@@ -304,7 +299,6 @@ StatusOr<ExecResult> Executor::ExecuteUpdate(const UpdateStatement& stmt) {
       const size_t splits_before = bi->num_splits();
       bi->DeleteEntry(old_row, rid);
       bi->InsertEntry(new_row, rid);
-      bi->RecordMaintenance();
       ++result.stats.index_entries_written;
       result.stats.index_pages_written +=
           2 + (bi->num_splits() - splits_before);

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,7 +30,8 @@ struct ExecResult {
   // Shared with the executor's last_plan().
   std::shared_ptr<const PlanNodeSnapshot> plan;
   // Per-access-path (estimated, observed) pairs collected from the scan
-  // operators — the feedback the benefit estimator consumes.
+  // operators — the feedback the benefit estimator consumes. The statement
+  // path hands it to Database's feedback hook.
   std::vector<AccessPathFeedback> feedback;
 };
 
@@ -41,9 +41,6 @@ struct ExecResult {
 // per-operator counters, so the two accountings cannot drift apart.
 class Executor {
  public:
-  using FeedbackHook =
-      std::function<void(const std::vector<AccessPathFeedback>&)>;
-
   Executor(Catalog* catalog, IndexManager* indexes, StatsManager* stats,
            const CostParams& params)
       : catalog_(catalog),
@@ -55,10 +52,6 @@ class Executor {
   StatusOr<ExecResult> Execute(const Statement& stmt);
 
   const Planner& planner() const { return planner_; }
-
-  // Installed by the manager when cost-model learning is on: receives the
-  // access-path feedback of every executed statement that ran a pipeline.
-  void set_feedback_hook(FeedbackHook hook) { feedback_hook_ = std::move(hook); }
 
   // Whether plan snapshots carry each operator's detail text. Off by
   // default: only EXPLAIN ANALYZE renders it.
@@ -103,7 +96,6 @@ class Executor {
   StatsManager* stats_;
   Planner planner_;
   CostParams params_;
-  FeedbackHook feedback_hook_;
   bool plan_detail_ = false;
   std::shared_ptr<const PlanNodeSnapshot> last_plan_;
   ExecStats last_plan_stats_;

@@ -13,9 +13,11 @@ namespace autoindex {
 class Database;
 
 // One client connection. Each session owns a private Executor — the
-// executor keeps mutable per-statement state (the retained plan snapshot,
-// feedback buffers) that must not be shared between threads — and
-// accumulates per-connection ExecStats across statements.
+// executor keeps mutable per-statement state (the retained plan snapshot)
+// that must not be shared between threads — and accumulates
+// per-connection ExecStats across statements. Every statement, including
+// Database::Execute's (which forwards to the database's built-in session),
+// runs through Session::Execute.
 //
 // Statements execute under the database's table latches (shared for
 // SELECT on every referenced table, exclusive for writes on the target

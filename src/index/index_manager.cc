@@ -73,8 +73,8 @@ const char* IndexStateName(IndexState state) {
   return "unknown";
 }
 
-BuiltIndex::BuiltIndex(IndexDef def, const HeapTable& table, IndexState state)
-    : def_(std::move(def)), table_(&table), state_(state) {
+BuiltIndex::BuiltIndex(IndexDef def, const HeapTable& table)
+    : def_(std::move(def)), table_(&table) {
   column_ordinals_.reserve(def_.columns.size());
   for (const std::string& col : def_.columns) {
     column_ordinals_.push_back(table.schema().FindColumn(col));
@@ -261,41 +261,12 @@ Status IndexManager::ValidateDef(const IndexDef& def) const {
   return Status::Ok();
 }
 
-Status IndexManager::CreateIndex(const IndexDef& def) {
-  Status s = ValidateDef(def);
-  if (!s.ok()) return s;
-  const std::string key = def.Key();
-  {
-    // Cheap existence probe *before* the expensive build scan: a
-    // duplicate must not pay for a full-table pass it will throw away.
-    util::ReaderLock lock(mu_);
-    if (indexes_.count(key) > 0 || builds_.count(key) > 0) {
-      return Status::AlreadyExists("index exists: " + key);
-    }
-  }
-  HeapTable* table = catalog_->GetTable(def.table);
-  // Build outside the map lock: the table scan is long and is already
-  // serialized by the caller's exclusive table latch.
-  auto index = std::make_unique<BuiltIndex>(def, *table);
-  BuiltIndex* raw = index.get();
-  table->Scan([&](RowId rid, const Row& row) { raw->BuildInsert(row, rid); });
-  util::WriterLock lock(mu_);
-  // Recheck under the writer lock: another creator may have won the race
-  // between the probe and here.
-  if (indexes_.count(key) > 0 || builds_.count(key) > 0) {
-    return Status::AlreadyExists("index exists: " + key);
-  }
-  indexes_.emplace(key, std::move(index));
-  return Status::Ok();
-}
-
 StatusOr<BuiltIndex*> IndexManager::BeginBuild(const IndexDef& def) {
   Status s = ValidateDef(def);
   if (!s.ok()) return s;
   const std::string key = def.Key();
   HeapTable* table = catalog_->GetTable(def.table);
-  auto index =
-      std::make_unique<BuiltIndex>(def, *table, IndexState::kBuilding);
+  auto index = std::make_unique<BuiltIndex>(def, *table);
   BuiltIndex* raw = index.get();
   util::WriterLock lock(mu_);
   if (indexes_.count(key) > 0 || builds_.count(key) > 0) {
@@ -461,49 +432,6 @@ size_t IndexManager::TotalIndexBytes() const {
   size_t total = 0;
   for (const auto& [_, index] : indexes_) total += index->SizeBytes();
   return total;
-}
-
-size_t IndexManager::OnInsert(const std::string& table, RowId rid,
-                              const Row& row) {
-  size_t touched = 0;
-  for (BuiltIndex* index : WriteVisibleOnTable(table)) {
-    index->InsertEntry(row, rid);
-    index->RecordMaintenance();
-    ++touched;
-  }
-  return touched;
-}
-
-size_t IndexManager::OnDelete(const std::string& table, RowId rid,
-                              const Row& row) {
-  size_t touched = 0;
-  for (BuiltIndex* index : WriteVisibleOnTable(table)) {
-    index->DeleteEntry(row, rid);
-    index->RecordMaintenance();
-    ++touched;
-  }
-  return touched;
-}
-
-size_t IndexManager::OnUpdate(const std::string& table, RowId rid,
-                              const Row& old_row, const Row& new_row) {
-  size_t touched = 0;
-  const HeapTable* t = catalog_->GetTable(table);
-  for (BuiltIndex* index : WriteVisibleOnTable(table)) {
-    const Row old_key = index->KeyFromRow(old_row);
-    const Row new_key = index->KeyFromRow(new_row);
-    const bool partition_moved =
-        index->is_local() && t != nullptr &&
-        t->PartitionOfRow(old_row) != t->PartitionOfRow(new_row);
-    if (CompareRows(old_key, new_key) == 0 && !partition_moved) {
-      continue;  // key unchanged, same shard
-    }
-    index->DeleteEntry(old_row, rid);
-    index->InsertEntry(new_row, rid);
-    index->RecordMaintenance();
-    ++touched;
-  }
-  return touched;
 }
 
 Status IndexManager::AddHypothetical(const IndexDef& def) {

@@ -36,10 +36,9 @@ const char* IndexStateName(IndexState state);
 class BuiltIndex {
  public:
   // `table` supplies the schema and (for local indexes) the partitioning.
-  // Indexes start kReady by default (blocking build, tests); the online
-  // build path constructs them kBuilding.
-  BuiltIndex(IndexDef def, const HeapTable& table,
-             IndexState state = IndexState::kReady);
+  // Every index starts kBuilding: the online build (IndexManager::
+  // BeginBuild) is the only constructor caller, and publishing flips it.
+  BuiltIndex(IndexDef def, const HeapTable& table);
 
   const IndexDef& def() const { return def_; }
   bool is_local() const { return trees_.size() > 1; }
@@ -104,14 +103,6 @@ class BuiltIndex {
   size_t uses() const { return uses_.load(std::memory_order_relaxed); }
   void ResetUses() { uses_.store(0, std::memory_order_relaxed); }
 
-  // Maintenance accounting: number of write operations applied.
-  size_t maintenance_ops() const {
-    return maintenance_ops_.load(std::memory_order_relaxed);
-  }
-  void RecordMaintenance() {
-    maintenance_ops_.fetch_add(1, std::memory_order_relaxed);
-  }
-
  private:
   // One buffered writer operation against a kBuilding index. The full row
   // is kept so partition routing can be recomputed at apply time.
@@ -131,9 +122,8 @@ class BuiltIndex {
   const HeapTable* table_;
   std::vector<int> column_ordinals_;
   std::vector<std::unique_ptr<BTree>> trees_;
-  std::atomic<IndexState> state_{IndexState::kReady};
+  std::atomic<IndexState> state_{IndexState::kBuilding};
   std::atomic<size_t> uses_{0};
-  std::atomic<size_t> maintenance_ops_{0};
   mutable util::Mutex delta_mu_;
   std::deque<DeltaOp> delta_ GUARDED_BY(delta_mu_);
 };
@@ -165,13 +155,16 @@ struct IndexStatsView {
 // (shared by hypothetical registration and what-if configs).
 IndexStatsView EstimateStatsView(const IndexDef& def, const HeapTable& table);
 
-// Owns every secondary index of a database and keeps them consistent with
-// table writes. Also hosts the hypothetical-index registry.
+// Owns every secondary index of a database. Writers keep entries in sync
+// through WriteVisibleOnTable + BuiltIndex::InsertEntry/DeleteEntry (the
+// executor's INSERT/UPDATE/DELETE and Database::BulkInsert). Also hosts
+// the hypothetical-index registry.
 //
 // Thread safety: the index *map* is guarded by an internal shared_mutex
-// (concurrent lookups vs index build/drop). Mutating an index's *entries*
-// (OnInsert/OnDelete/OnUpdate, CreateIndex's build scan) requires the
-// owning table's exclusive latch, same as the heap rows they shadow.
+// (concurrent lookups vs index build/drop). Writer maintenance of an
+// index's *entries* runs under the owning table's exclusive latch, same as
+// the heap rows they shadow; only the builder touches a kBuilding index's
+// trees.
 class IndexManager {
  public:
   explicit IndexManager(Catalog* catalog) : catalog_(catalog) {}
@@ -179,22 +172,16 @@ class IndexManager {
   IndexManager(const IndexManager&) = delete;
   IndexManager& operator=(const IndexManager&) = delete;
 
-  // Builds a real index by scanning the table, blocking writers for the
-  // duration (the caller holds the table's exclusive latch). Fails on
-  // duplicates (same column list, whether ready or in-flight) or unknown
-  // table/columns — existence is checked *before* the build scan.
-  // Production DDL goes through Database::CreateIndex's online phased
-  // build instead (see the direct-index-build lint rule).
-  Status CreateIndex(const IndexDef& def) EXCLUDES(mu_);
   Status DropIndex(const std::string& index_key_or_name) EXCLUDES(mu_);
   bool HasIndex(const IndexDef& def) const EXCLUDES(mu_);
 
   // --- Online build lifecycle (driven by Database::CreateIndex) ---
   // Registers an empty kBuilding index and returns a borrowed pointer.
-  // From this moment writer maintenance reaches it (via
-  // WriteVisibleOnTable) and buffers into its side delta; the planner
-  // does not see it until PublishBuild. Caller holds the table's
-  // exclusive latch for the registration instant.
+  // Fails on duplicates (same column list, whether ready or in-flight) or
+  // unknown table/columns, before any heap scan. From this moment writer
+  // maintenance reaches it (via WriteVisibleOnTable) and buffers into its
+  // side delta; the planner does not see it until PublishBuild. Caller
+  // holds the table's exclusive latch for the registration instant.
   StatusOr<BuiltIndex*> BeginBuild(const IndexDef& def) EXCLUDES(mu_);
   // Drains the build's remaining delta into its trees. The caller holds
   // the table's exclusive latch, so the delta cannot grow concurrently.
@@ -229,13 +216,6 @@ class IndexManager {
 
   // Total bytes of all built indexes.
   size_t TotalIndexBytes() const EXCLUDES(mu_);
-
-  // Write hooks called by the executor to keep indexes in sync. Each
-  // returns the number of index entries touched (for cost accounting).
-  size_t OnInsert(const std::string& table, RowId rid, const Row& row);
-  size_t OnDelete(const std::string& table, RowId rid, const Row& row);
-  size_t OnUpdate(const std::string& table, RowId rid, const Row& old_row,
-                  const Row& new_row);
 
   // --- Hypothetical indexes ---
   Status AddHypothetical(const IndexDef& def) EXCLUDES(mu_);

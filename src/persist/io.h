@@ -10,7 +10,7 @@ namespace persist {
 
 // File IO for the durability layer. All durable bytes flow through these
 // helpers, which makes two things possible in one place: every error
-// surfaces as a Status (scripts/lint.py bans raw fstream use outside
+// surfaces as a Status (scripts/analysis bans raw fstream use outside
 // src/persist/ for this reason), and the crash-injection hook below can
 // tear any write at an exact byte to exercise recovery.
 

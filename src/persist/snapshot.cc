@@ -115,9 +115,9 @@ Status RestoreIndexes(Database* db, Reader* r, RecoveryReport* report) {
     IndexDef def = GetIndexDef(r);
     if (!r->ok()) break;
     // Rebuilds the tree by scanning the restored heap — only definitions
-    // are checkpointed. Blocking build: recovery is quiesced, so the
-    // online build's phased latching would only add overhead.
-    Status s = db->CreateIndexBlocking(def);
+    // are checkpointed. The online build is the only build; on a quiesced
+    // database its phases cost no more than one blocking scan would.
+    Status s = db->CreateIndex(def);
     if (!s.ok()) return s;
     ++report->indexes_rebuilt;
   }
@@ -137,8 +137,7 @@ Status ApplyWalRecord(Database* db, AutoIndexManager* manager,
       return table.status();
     }
     case WalRecord::Type::kCreateIndex:
-      // Quiesced replay: blocking build (see RestoreIndexes).
-      return db->CreateIndexBlocking(record.def);
+      return db->CreateIndex(record.def);
     case WalRecord::Type::kDropIndex:
       return db->DropIndex(record.name);
     case WalRecord::Type::kBulkInsert:

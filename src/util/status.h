@@ -23,7 +23,7 @@ enum class StatusCode {
 
 // A lightweight absl::Status-like result carrier. Copyable, cheap for the
 // kOk case (no allocation). [[nodiscard]] so that dropping an error on the
-// floor requires an explicit (void) cast — scripts/lint.py enforces the
+// floor requires an explicit (void) cast — scripts/analysis enforces the
 // same rule textually for toolchains that miss the attribute.
 class [[nodiscard]] Status {
  public:

@@ -7,7 +7,6 @@
 namespace corpus {
 
 struct IndexManager {
-  int CreateIndex(int def);
   int BeginBuild(int def);
   int PublishBuild(int key);
   int FinishBuildDrain(int key);
@@ -24,7 +23,7 @@ struct Database {
 
 inline int BypassesFacade(Database& db, IndexManager& indexes) {
   int sum = 0;
-  sum += db.index_manager_->CreateIndex(1);  // lint:expect(direct-index-build)
+  sum += db.index_manager_->BeginBuild(1);   // lint:expect(direct-index-build)
   sum += db.index_manager().BeginBuild(1);   // lint:expect(direct-index-build)
   sum += db.indexes_->PublishBuild(2);       // lint:expect(direct-index-build)
   sum += indexes.FinishBuildDrain(3);        // lint:expect(direct-index-build)

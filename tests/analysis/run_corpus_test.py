@@ -7,9 +7,9 @@ corpus and demands an exact match: each rule fires on precisely its
 marked lines, and nothing else fires anywhere — which also proves the
 clean fixtures stay silent and `lint:allow` suppressions hold.
 
-It then re-runs through the real CLI (scripts/lint.py --format=json) and
-checks the machine-readable output carries the same findings, plus a
---rules= filter pass.
+It then re-runs through the real CLI (python3 scripts/analysis
+--format=json) and checks the machine-readable output carries the same
+findings, plus a --rules= filter pass.
 
 Exit 0 on success, 1 with a readable diff on failure.
 """
@@ -82,7 +82,7 @@ def main():
 
     # --- Pass 2: the real CLI with machine-readable output. ---
     cli = subprocess.run(
-        [sys.executable, os.path.join("scripts", "lint.py"),
+        [sys.executable, os.path.join("scripts", "analysis"),
          "--format=json", CORPUS],
         cwd=REPO_ROOT, capture_output=True, text=True)
     if cli.returncode != 1:

@@ -241,6 +241,16 @@ TEST_F(ConcurrencyDbTest, WritesBumpDataVersion) {
 
 // --- Stress: N writers + M readers + a tuning thread ---------------------
 
+// Runs one statement; a failure is counted and reported with its SQL and
+// status, so a rare failure under load can be diagnosed from the log.
+void RunOrRecord(Session* session, const std::string& sql,
+                 std::atomic<size_t>* failures) {
+  StatusOr<ExecResult> result = session->Execute(sql);
+  if (result.ok()) return;
+  failures->fetch_add(1);
+  ADD_FAILURE() << sql << ": " << result.status().ToString();
+}
+
 TEST_F(ConcurrencyDbTest, ReadersWritersAndTunerRaceCleanly) {
   // Debug checks on: every write statement triggers a full CheckAll
   // (including the LatchValidator) from the writing thread, which also
@@ -273,7 +283,7 @@ TEST_F(ConcurrencyDbTest, ReadersWritersAndTunerRaceCleanly) {
             sql = "DELETE FROM t WHERE a = " + std::to_string(id - 2);
             break;
         }
-        if (!session->Execute(sql).ok()) failures.fetch_add(1);
+        RunOrRecord(session.get(), sql, &failures);
       }
     });
   }
@@ -286,7 +296,7 @@ TEST_F(ConcurrencyDbTest, ReadersWritersAndTunerRaceCleanly) {
                 ? "SELECT a, s FROM t WHERE b = " + std::to_string(i % 10)
                 : "SELECT b, COUNT(a), AVG(a) FROM t WHERE a > " +
                       std::to_string(r * 100) + " GROUP BY b";
-        if (!session->Execute(sql).ok()) failures.fetch_add(1);
+        RunOrRecord(session.get(), sql, &failures);
       }
     });
   }

@@ -6,6 +6,7 @@
 #include <functional>
 
 #include "engine/database.h"
+#include "engine/session.h"
 #include "util/random.h"
 
 namespace autoindex {
@@ -271,6 +272,37 @@ TEST_F(ExecutorTest, WriteLookupUsesIndex) {
   ASSERT_TRUE(upd.ok());
   EXPECT_TRUE(upd->stats.used_index);
   EXPECT_LT(upd->stats.tuples_examined, 5u);
+}
+
+// Database::Execute runs on a built-in session, so it and every other
+// session share one statement path: each delivers a statement's feedback
+// to the installed hook exactly once.
+TEST_F(ExecutorTest, FeedbackDeliveredOncePerStatementOnEveryEntryPoint) {
+  ASSERT_TRUE(db_.CreateIndex(IndexDef("emp", {"id"})).ok());
+  size_t calls = 0;
+  size_t pairs = 0;
+  db_.set_execution_feedback_hook(
+      [&](const std::vector<AccessPathFeedback>& batch) {
+        ++calls;
+        pairs += batch.size();
+      });
+
+  auto direct = db_.Execute("SELECT name FROM emp WHERE id = 7");
+  ASSERT_TRUE(direct.ok());
+  ASSERT_FALSE(direct->feedback.empty());
+  EXPECT_EQ(calls, 1u);
+  EXPECT_EQ(pairs, direct->feedback.size());
+
+  std::unique_ptr<Session> session = db_.CreateSession();
+  auto via_session = session->Execute("SELECT name FROM emp WHERE id = 8");
+  ASSERT_TRUE(via_session.ok());
+  ASSERT_FALSE(via_session->feedback.empty());
+  EXPECT_EQ(calls, 2u);
+  EXPECT_EQ(pairs, direct->feedback.size() + via_session->feedback.size());
+
+  db_.set_execution_feedback_hook(nullptr);
+  ASSERT_TRUE(db_.Execute("SELECT name FROM emp WHERE id = 9").ok());
+  EXPECT_EQ(calls, 2u);
 }
 
 TEST_F(ExecutorTest, IndexesUsedDeduplicatedAcrossJoinLevels) {

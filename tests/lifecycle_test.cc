@@ -170,30 +170,6 @@ TEST_F(LifecycleTest, OnlineBuildUnderConcurrentWriters) {
   EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
-// Same stress against the blocking build: the baseline path must stay
-// correct too (it serializes writers instead of absorbing them).
-TEST_F(LifecycleTest, BlockingBuildUnderConcurrentWriters) {
-  std::atomic<bool> done{false};
-  std::thread writer([this, &done] {
-    std::unique_ptr<Session> session = db_.CreateSession();
-    for (int i = 0; !done.load(std::memory_order_acquire); ++i) {
-      const std::string sql =
-          "UPDATE t SET b = " + std::to_string(i % 997) + " WHERE a = " +
-          std::to_string((i * 31) % kInitialRows);
-      ASSERT_TRUE(session->Execute(sql).ok());
-    }
-  });
-  ASSERT_TRUE(db_.CreateIndexBlocking(IndexDef("t", {"b"})).ok());
-  done.store(true, std::memory_order_release);
-  writer.join();
-
-  const BuiltIndex* index = db_.index_manager().AllIndexes()[0];
-  const HeapTable* table = db_.catalog().GetTable("t");
-  ExpectEntriesEqual(RebuildEntries(*table, *index), IndexEntries(*index));
-  const CheckReport report = CheckAll(db_);
-  EXPECT_TRUE(report.ok()) << report.ToString();
-}
-
 // --- In-flight visibility and the crash-mid-build contract --------------
 
 TEST_F(LifecycleTest, BuildingIndexInvisibleToPlannerAndCheckpoints) {
@@ -257,11 +233,11 @@ TEST_F(LifecycleTest, AbortedBuildLeaksNothing) {
 
 TEST_F(LifecycleTest, DuplicateCreateRefusedBeforeScan) {
   ASSERT_TRUE(db_.CreateIndex(IndexDef("t", {"b"})).ok());
-  // Both build paths refuse without re-scanning (AlreadyExists).
-  EXPECT_FALSE(db_.CreateIndex(IndexDef("t", {"b"})).ok());
-  EXPECT_FALSE(db_.CreateIndexBlocking(IndexDef("t", {"b"})).ok());
-  EXPECT_FALSE(db_.index_manager().CreateIndex(IndexDef("t", {"b"})).ok());
+  // Refused at registration, before any scan (AlreadyExists).
+  const Status again = db_.CreateIndex(IndexDef("t", {"b"}));
+  EXPECT_EQ(again.code(), StatusCode::kAlreadyExists) << again.ToString();
   EXPECT_EQ(db_.index_manager().num_indexes(), 1u);
+  EXPECT_EQ(db_.index_manager().AllIndexesAnyState().size(), 1u);
 }
 
 // --- Async tuning apply -------------------------------------------------

@@ -207,6 +207,23 @@ TEST_F(ManagerTest, FeedbackHookNotInstalledWhenLearningOff) {
   EXPECT_EQ(manager.estimator().num_feedback_pairs(), 0u);
 }
 
+// The learning manager's feedback hook borrows its estimator; destroying
+// the manager must uninstall it, or the next indexed statement on the
+// still-live database calls into freed memory (caught by the ASan stage).
+TEST_F(ManagerTest, DestroyedManagerLeavesNoFeedbackHook) {
+  ASSERT_TRUE(db_.CreateIndex(IndexDef("people", {"phone"})).ok());
+  {
+    AutoIndexConfig config = FastConfig();
+    config.learn_cost_model = true;
+    AutoIndexManager manager(&db_, config);
+  }
+  StatusOr<ExecResult> result =
+      db_.Execute("SELECT name FROM people WHERE phone = 12345");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_FALSE(result->indexes_used.empty());
+  EXPECT_FALSE(result->feedback.empty());
+}
+
 TEST_F(ManagerTest, ElapsedTimeReported) {
   AutoIndexManager manager(&db_, FastConfig());
   RunWorkloadObserved(&manager,

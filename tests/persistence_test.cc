@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "check/validator.h"
 #include "core/manager.h"
 #include "persist/file_format.h"
 #include "persist/io.h"
@@ -20,6 +21,7 @@
 #include "persist/snapshot.h"
 #include "persist/wal.h"
 #include "query_gen.h"
+#include "util/metrics.h"
 #include "util/string_util.h"
 #include "workload/trace.h"
 
@@ -316,6 +318,52 @@ TEST(Wal, AppendsReplayOntoCheckpoint) {
   EXPECT_EQ(restored.index_manager().num_indexes(), 1u);
   ExpectSameResults(&db, &restored, 4321, 100);
   db.set_durability_log(nullptr);
+}
+
+// Recovery builds indexes the one way the engine does — the online
+// build — both for checkpointed definitions and for WAL create_index
+// records, and leaves every validator clean.
+TEST(Wal, RecoveryRebuildsIndexesThroughTheOnlineBuild) {
+  const std::string dir = FreshDir("wal_online_rebuild");
+  Database db;
+  querygen::BuildPropertyTestTables(&db, 9);
+  IndexDef checkpointed;
+  checkpointed.table = "t1";
+  checkpointed.columns = {"b"};
+  CheckOk(db.CreateIndex(checkpointed));
+  StatusOr<uint64_t> saved = persist::SaveSnapshot(&db, nullptr, dir);
+  ASSERT_TRUE(saved.ok()) << saved.status().ToString();
+  StatusOr<std::unique_ptr<Wal>> wal =
+      Wal::Create(persist::WalPath(dir), *saved);
+  ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+  db.set_durability_log(wal->get());
+  IndexDef logged;
+  logged.table = "t2";
+  logged.columns = {"x", "y"};
+  CheckOk(db.CreateIndex(logged));
+  CheckOk(db.Execute("INSERT INTO t2 VALUES (77, 1)"));
+  db.set_durability_log(nullptr);
+
+  const util::Counter* builds =
+      util::MetricsRegistry::Default().GetCounter("index.builds");
+  const uint64_t builds_before = builds->value();
+  Database restored;
+  RecoveryReport report;
+  StatusOr<std::unique_ptr<Wal>> reopened =
+      persist::OpenSnapshot(&restored, nullptr, dir, &report);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(report.indexes_rebuilt, 1u);
+  EXPECT_EQ(report.wal_records_replayed, 2u);
+  ASSERT_EQ(restored.index_manager().num_indexes(), 2u);
+  if constexpr (util::kMetricsEnabled) {
+    EXPECT_EQ(builds->value() - builds_before, 2u);
+  }
+  for (const BuiltIndex* index : restored.index_manager().AllIndexes()) {
+    EXPECT_EQ(index->state(), IndexState::kReady);
+  }
+  const CheckReport check = CheckAll(restored);
+  EXPECT_TRUE(check.ok()) << check.ToString();
+  ExpectSameResults(&db, &restored, 99, 50);
 }
 
 // Tear the WAL at every record boundary and at offsets inside every

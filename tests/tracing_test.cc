@@ -23,6 +23,7 @@
 #include "check/validator.h"
 #include "core/manager.h"
 #include "engine/database.h"
+#include "engine/session.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "obs/export.h"
@@ -471,6 +472,62 @@ TEST(Tracing, LocalStatementTracesAndChromeExport) {
   CheckReport report;
   TraceValidator::CheckSnapshot(snap, &report);
   EXPECT_TRUE(report.ok()) << report.ToString();
+  tracer.ResetForTest();
+}
+
+// The span names of every trace the ring holds, root first.
+std::vector<std::vector<std::string>> TraceShapes(
+    const obs::Tracer::Snapshot& snap) {
+  std::vector<std::vector<std::string>> out;
+  for (const obs::TraceData& trace : snap.traces) {
+    std::vector<std::string> names;
+    for (const obs::SpanRecord& span : trace.spans) names.push_back(span.name);
+    out.push_back(std::move(names));
+  }
+  return out;
+}
+
+// A statement that fails to parse leaves the same trace whichever way it
+// enters: the network path's net.request root keeps its failed parse
+// span, and so do Database::Execute and Session::Execute, which share
+// one statement path.
+TEST(Tracing, ParseFailureTracedAlikeOnEveryEntryPoint) {
+  obs::Tracer& tracer = obs::Tracer::Default();
+  auto reset = [&tracer] {
+    tracer.ResetForTest();
+    tracer.Configure(kKeepAll, 0.0);
+  };
+  const std::string bad = "SELEC id FROM orders";
+  Database db;
+  CheckOk(db.CreateTable("orders", Schema({{"id", ValueType::kInt}}))
+              .status());
+
+  reset();
+  net::Server server(&db);
+  ASSERT_TRUE(server.Start().ok());
+  {
+    net::Client client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+    EXPECT_FALSE(client.Query(bad).ok());
+    client.Close();
+  }
+  server.Stop();
+  EXPECT_NE(FindTraceWithSpan(tracer.TakeSnapshot(), "net.request", "parse"),
+            nullptr);
+
+  reset();
+  ASSERT_FALSE(db.Execute(bad).ok());
+  const auto via_database = TraceShapes(tracer.TakeSnapshot());
+
+  reset();
+  std::unique_ptr<Session> session = db.CreateSession();
+  ASSERT_FALSE(session->Execute(bad).ok());
+  const auto via_session = TraceShapes(tracer.TakeSnapshot());
+
+  const std::vector<std::vector<std::string>> expected = {
+      {"statement", "parse"}};
+  EXPECT_EQ(via_database, expected);
+  EXPECT_EQ(via_session, expected);
   tracer.ResetForTest();
 }
 
