@@ -20,7 +20,9 @@ _SCOPE_RE = re.compile(r"(?:^|/)engine/operators/")
 
 # Operator entry points that run per tuple or per probe.
 PER_TUPLE_BODIES = ("DoNext", "Rebind", "EnsureMaterialized",
-                    "EnsureSorted", "EnsureAggregated", "BuildHashTable")
+                    "EnsureSorted", "EnsureAggregated", "Start", "BuildTable",
+                    "NextHashedInner", "NextHashedOuter", "InnerKeyHash",
+                    "OuterKeyHash")
 
 _BODY_NAME_RE = re.compile(r"\b(%s)\s*\(" % "|".join(PER_TUPLE_BODIES))
 _LOOKUP_RE = re.compile(r"\b(GetTable|FindColumn|ToLower)\s*\(")

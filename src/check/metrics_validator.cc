@@ -24,9 +24,8 @@ const char* KindName(util::MetricsRegistry::Kind kind) {
 void CheckHistogram(const std::string& name,
                     const util::HistogramSnapshot& hist, CheckReport* report) {
   const uint64_t bucket_sum = hist.BucketSum();
-  // One-sided by design: Record publishes count with release *after* the
-  // bucket bump, so a racing snapshot may see extra bucket entries but
-  // never a count with no bucket behind it.
+  // A snapshot never catches a Record half done, so bucket_sum equals
+  // count; a count with no bucket behind it is corruption.
   if (bucket_sum < hist.count) {
     report->AddIssue("metrics",
                      StrCat("histogram ", name, ": count ", hist.count,

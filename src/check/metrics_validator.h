@@ -8,13 +8,14 @@
 namespace autoindex {
 
 // Audits the process-wide metrics registry (DESIGN.md §11):
-//  - every histogram snapshot satisfies bucket_sum >= count (Record bumps
-//    buckets relaxed before publishing count with release, so a torn read
-//    can only over-count buckets — bucket_sum < count means corruption);
+//  - every histogram snapshot satisfies bucket_sum >= count;
 //  - max_us is zero whenever count is zero, and sum_us is zero whenever
 //    count is zero;
 //  - no registration ever collided on kind (asking for "x" as a counter
 //    and later as a gauge).
+// Snapshot never returns a shard with a Record in flight (see
+// LatencyHistogram), so the histogram checks hold mid-race too: a report
+// means corruption.
 // Always runs — the registry exists independently of any Database, so this
 // validator ignores the CheckContext.
 class MetricsValidator : public Validator {

@@ -1,5 +1,8 @@
 #include "engine/operators/join_ops.h"
 
+#include <algorithm>
+#include <bit>
+
 #include "util/string_util.h"
 
 namespace autoindex {
@@ -32,16 +35,17 @@ bool IndexNestedLoopJoinOp::DoNext(ExecTuple* out) {
 HashJoinOp::HashJoinOp(ExecContext* ctx,
                        const std::vector<TablePlan>& tables, size_t level,
                        std::unique_ptr<PhysicalOperator> outer,
-                       std::unique_ptr<SeqScanOp> build,
+                       std::unique_ptr<SeqScanOp> inner,
                        std::vector<std::string> join_cols,
                        std::vector<ColumnRef> join_sources)
     : JoinOpBase(ctx, tables, level, std::move(outer)),
-      build_(std::move(build)),
+      inner_(std::move(inner)),
       join_cols_(std::move(join_cols)),
-      join_sources_(std::move(join_sources)),
-      table_(ctx->catalog->GetTable(tables[level].ref.table)) {
+      join_sources_(std::move(join_sources)) {
+  const Schema& schema =
+      ctx->catalog->GetTable(tables[level].ref.table)->schema();
   for (const std::string& c : join_cols_) {
-    key_ords_.push_back(table_->schema().FindColumn(c));
+    key_ords_.push_back(schema.FindColumn(c));
   }
   // Probe keys read the outer slots only. An unbound key (e.g. a name
   // shadowed by this table) is the same for every outer tuple: the join
@@ -53,46 +57,126 @@ HashJoinOp::HashJoinOp(ExecContext* ctx,
   }
 }
 
-void HashJoinOp::BuildHashTable() {
-  // Drain the build-side scan: it filters by the local conditions and
-  // pays the scan counters (tuples examined, heap pages) exactly once.
-  ExecTuple t;
-  while (build_->Next(&t)) {
-    key_.clear();
-    for (int ord : key_ords_) {
-      key_.push_back(ord >= 0 ? (*t.slots[0])[static_cast<size_t>(ord)]
-                              : Value::Null());
-    }
-    hash_[HashRow(key_)].push_back(t.rids[0]);
+// Both key hashes fold HashRow's combine step over the key values in
+// place, so equal keys hash equal whichever side they come from.
+size_t HashJoinOp::InnerKeyHash(const Row& row) const {
+  size_t h = kHashRowSeed;
+  for (int ord : key_ords_) {
+    h = ord >= 0 ? HashCombine(h, row[static_cast<size_t>(ord)])
+                 : HashCombine(h, Value::Null());
   }
-  built_ = true;
+  return h;
 }
 
-bool HashJoinOp::DoNext(ExecTuple* out) {
+size_t HashJoinOp::OuterKeyHash(const ExecTuple& t) const {
+  size_t h = kHashRowSeed;
+  for (const BoundValue& src : probe_) h = HashCombine(h, *src.Read(t));
+  return h;
+}
+
+template <typename HashOf>
+void HashJoinOp::BuildTable(size_t n, HashOf hash_of) {
+  heads_.assign(std::bit_ceil(std::max<size_t>(n, 1)), kEnd);
+  entries_.resize(n);
+  // Back to front, each item pushed onto its chain's head: every chain
+  // then lists its items in input order.
+  for (size_t i = n; i-- > 0;) {
+    const size_t h = hash_of(i);
+    uint32_t& head = heads_[h & (heads_.size() - 1)];
+    entries_[i] = {h, head};
+    head = static_cast<uint32_t>(i);
+  }
+}
+
+bool HashJoinOp::Start() {
+  // An empty outer side never runs the inner scan.
+  if (!NextOuter()) {
+    outer_done_ = true;
+    return false;
+  }
+  ExecTuple t;
+  while (inner_->Next(&t)) {
+    inner_rows_.push_back(t.slots[0]);
+    inner_rids_.push_back(t.rids[0]);
+  }
   while (true) {
-    if (!inner_active_) {
-      if (!NextOuter()) return false;
-      if (!built_) BuildHashTable();
-      matches_ = nullptr;
-      if (probe_bound_) {
-        key_.clear();
-        for (const BoundValue& src : probe_) key_.push_back(*src.Read(tuple_));
-        auto it = hash_.find(HashRow(key_));
-        if (it != hash_.end()) matches_ = &it->second;
-      }
-      match_cursor_ = 0;
-      inner_active_ = true;
+    outer_slots_.insert(outer_slots_.end(), tuple_.slots.begin(),
+                        tuple_.slots.end() - 1);
+    outer_rids_.insert(outer_rids_.end(), tuple_.rids.begin(),
+                       tuple_.rids.end() - 1);
+    outer_hashes_.push_back(probe_bound_ ? OuterKeyHash(tuple_) : 0);
+    if (num_buffered() > inner_rows_.size()) break;
+    if (!NextOuter()) {
+      outer_done_ = true;
+      break;
     }
-    while (matches_ != nullptr && match_cursor_ < matches_->size()) {
-      const RowId rid = (*matches_)[match_cursor_++];
-      if (!table_->IsLive(rid)) continue;
-      // Exact recheck: hash collisions / partial-key matches.
-      if (!Place(&table_->Get(rid), rid)) continue;
+  }
+  // An unbound probe key matches nothing: keep pulling the outer side
+  // (for its counters) against the inner table.
+  if (outer_done_ && probe_bound_) {
+    hashed_ = Hashed::kOuter;
+    BuildTable(num_buffered(), [&](size_t j) { return outer_hashes_[j]; });
+  } else {
+    hashed_ = Hashed::kInner;
+    BuildTable(inner_rows_.size(),
+               [&](size_t i) { return InnerKeyHash(*inner_rows_[i]); });
+  }
+  return true;
+}
+
+bool HashJoinOp::NextHashedInner(ExecTuple* out) {
+  while (true) {
+    while (chain_ != kEnd) {
+      const uint32_t i = chain_;
+      chain_ = entries_[i].next;
+      // Exact recheck: bucket mates, hash collisions, partial keys.
+      if (entries_[i].hash != probe_hash_ ||
+          !Place(inner_rows_[i], inner_rids_[i])) {
+        continue;
+      }
       Emit(out);
       return true;
     }
-    inner_active_ = false;
+    if (cursor_ < num_buffered()) {
+      std::copy_n(&outer_slots_[cursor_ * level_], level_,
+                  tuple_.slots.begin());
+      std::copy_n(&outer_rids_[cursor_ * level_], level_, tuple_.rids.begin());
+      probe_hash_ = outer_hashes_[cursor_++];
+    } else {
+      if (outer_done_ || !NextOuter()) {
+        outer_done_ = true;
+        return false;
+      }
+      if (probe_bound_) probe_hash_ = OuterKeyHash(tuple_);
+    }
+    chain_ = probe_bound_ ? heads_[probe_hash_ & (heads_.size() - 1)] : kEnd;
   }
+}
+
+bool HashJoinOp::NextHashedOuter(ExecTuple* out) {
+  while (true) {
+    while (chain_ != kEnd) {
+      const uint32_t j = chain_;
+      chain_ = entries_[j].next;
+      if (entries_[j].hash != probe_hash_) continue;
+      std::copy_n(&outer_slots_[j * level_], level_, tuple_.slots.begin());
+      std::copy_n(&outer_rids_[j * level_], level_, tuple_.rids.begin());
+      if (!Place(inner_rows_[cursor_ - 1], inner_rids_[cursor_ - 1])) {
+        continue;
+      }
+      Emit(out);
+      return true;
+    }
+    if (cursor_ == inner_rows_.size()) return false;
+    probe_hash_ = InnerKeyHash(*inner_rows_[cursor_++]);
+    chain_ = heads_[probe_hash_ & (heads_.size() - 1)];
+  }
+}
+
+bool HashJoinOp::DoNext(ExecTuple* out) {
+  if (hashed_ == Hashed::kNotYet && (outer_done_ || !Start())) return false;
+  return hashed_ == Hashed::kInner ? NextHashedInner(out)
+                                   : NextHashedOuter(out);
 }
 
 std::string HashJoinOp::detail() const {
@@ -100,7 +184,13 @@ std::string HashJoinOp::detail() const {
   for (size_t i = 0; i < join_cols_.size(); ++i) {
     keys.push_back(join_cols_[i] + " = " + join_sources_[i].ToString());
   }
-  return JoinOpBase::detail() + " on " + Join(keys, ", ");
+  std::string s = JoinOpBase::detail() + " on " + Join(keys, ", ");
+  if (hashed_ == Hashed::kInner) {
+    s += StrCat(" (hashed inner, ", inner_rows_.size(), " rows)");
+  } else if (hashed_ == Hashed::kOuter) {
+    s += StrCat(" (hashed outer, ", num_buffered(), " rows)");
+  }
+  return s;
 }
 
 // --- NestedLoopJoinOp ----------------------------------------------------

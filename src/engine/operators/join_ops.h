@@ -1,8 +1,8 @@
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "engine/operators/scan_ops.h"
@@ -89,15 +89,21 @@ class IndexNestedLoopJoinOp : public JoinOpBase {
   std::unique_ptr<IndexScanOp> inner_;
 };
 
-// Hash join: lazily builds a hash table over the filtered inner table (the
-// build side is a SeqScan so scan accounting lives there), then probes it
-// with join-key values resolved from each outer tuple. Matches are
-// re-checked exactly (hash collisions) via the join conditions.
+// Hash join over whichever input is smaller, decided at run time from
+// exact counts. On the first Next it drains the inner SeqScan (which pays
+// the scan counters once) and buffers outer tuples until they outnumber
+// the inner rows. If the outer runs out first, the outer tuples are
+// hashed and the inner rows stream past them in heap order; otherwise the
+// inner rows are hashed and the buffered outer tuples are replayed before
+// the rest are pulled, so output keeps the outer order with each tuple's
+// matches in heap order. Every hash-equal pair is rechecked exactly with
+// the join conditions (collisions, `1 = 1.0` keys, NULLs), so the counters
+// and results do not depend on which side was hashed.
 class HashJoinOp : public JoinOpBase {
  public:
   HashJoinOp(ExecContext* ctx, const std::vector<TablePlan>& tables,
              size_t level, std::unique_ptr<PhysicalOperator> outer,
-             std::unique_ptr<SeqScanOp> build,
+             std::unique_ptr<SeqScanOp> inner,
              std::vector<std::string> join_cols,
              std::vector<ColumnRef> join_sources);
 
@@ -105,30 +111,59 @@ class HashJoinOp : public JoinOpBase {
   bool DoNext(ExecTuple* out) override;
   void DoClose() override {
     outer_->Close();
-    build_->Close();
+    inner_->Close();
   }
 
   const char* name() const override { return "HashJoin"; }
   std::string detail() const override;
   const PhysicalOperator* child(size_t i) const override {
-    return i == 0 ? outer_.get() : static_cast<PhysicalOperator*>(build_.get());
+    return i == 0 ? outer_.get() : static_cast<PhysicalOperator*>(inner_.get());
   }
 
  private:
-  void BuildHashTable();
+  enum class Hashed { kNotYet, kInner, kOuter };
+  // One chained-table entry per hashed row or tuple, at that item's input
+  // index. `next` links the chain; kEnd terminates it.
+  struct Entry {
+    size_t hash = 0;
+    uint32_t next = 0;
+  };
+  static constexpr uint32_t kEnd = UINT32_MAX;
 
-  std::unique_ptr<SeqScanOp> build_;
+  // First Next: drains the inner side, buffers the outer side and hashes
+  // the smaller one. False when the outer side is empty (the inner scan is
+  // then never run).
+  bool Start();
+  // Hashes `n` items; item i's key hash is hash_of(i).
+  template <typename HashOf>
+  void BuildTable(size_t n, HashOf hash_of);
+  bool NextHashedInner(ExecTuple* out);
+  bool NextHashedOuter(ExecTuple* out);
+  size_t InnerKeyHash(const Row& row) const;
+  size_t OuterKeyHash(const ExecTuple& t) const;
+  size_t num_buffered() const { return outer_hashes_.size(); }
+
+  std::unique_ptr<SeqScanOp> inner_;
   std::vector<std::string> join_cols_;
   std::vector<ColumnRef> join_sources_;
-  std::vector<int> key_ords_;
-  std::vector<BoundValue> probe_;  // read from the outer slots
+  std::vector<int> key_ords_;      // inner key columns; -1 reads NULL
+  std::vector<BoundValue> probe_;  // outer key sources, same order
   bool probe_bound_ = true;
-  Row key_;
-  const HeapTable* table_;
-  std::unordered_map<size_t, std::vector<RowId>> hash_;
-  bool built_ = false;
-  const std::vector<RowId>* matches_ = nullptr;
-  size_t match_cursor_ = 0;
+
+  Hashed hashed_ = Hashed::kNotYet;
+  std::vector<const Row*> inner_rows_;
+  std::vector<RowId> inner_rids_;
+  // Buffered outer tuples: `level_` slots and RowIds each, and key hash.
+  std::vector<const Row*> outer_slots_;
+  std::vector<RowId> outer_rids_;
+  std::vector<size_t> outer_hashes_;
+  bool outer_done_ = false;
+
+  std::vector<uint32_t> heads_;  // power-of-two bucket array
+  std::vector<Entry> entries_;
+  size_t probe_hash_ = 0;
+  uint32_t chain_ = kEnd;  // next entry to test against probe_hash_
+  size_t cursor_ = 0;      // next buffered outer tuple / inner row
 };
 
 // Cartesian nested-loop join (no equality key): replays the materialized

@@ -1,5 +1,6 @@
 #include "storage/value.h"
 
+#include <cmath>
 #include <functional>
 
 #include "util/string_util.h"
@@ -69,20 +70,36 @@ size_t Value::ByteSize() const {
   return 8;
 }
 
+namespace {
+
+// Compare orders every pair of numbers as doubles, so a number hashes by
+// its double value: a whole one inside int64 range like the int of that
+// value (so `1 = 1.0` keys meet), anything else (fractions, ±inf, NaN,
+// |d| >= 2^63) by std::hash<double>. The range check also keeps the cast
+// defined.
+size_t HashNumber(double d) {
+  if (d >= -0x1p63 && d < 0x1p63 && d == std::trunc(d)) {
+    return std::hash<int64_t>()(static_cast<int64_t>(d));
+  }
+  return std::hash<double>()(d);
+}
+
+}  // namespace
+
 size_t Value::Hash() const {
   switch (type()) {
     case ValueType::kNull:
       return 0x9e3779b9;
-    case ValueType::kInt:
-      return std::hash<int64_t>()(AsInt());
-    case ValueType::kDouble: {
-      const double d = AsDouble();
-      // Hash integral doubles like their int counterparts so mixed-type
-      // equality keys land in the same bucket.
-      const int64_t as_int = static_cast<int64_t>(d);
-      if (static_cast<double>(as_int) == d) return std::hash<int64_t>()(as_int);
-      return std::hash<double>()(d);
+    case ValueType::kInt: {
+      // Ints a double holds exactly hash by identity; beyond ±2^53 several
+      // ints compare equal as doubles, so they hash as doubles.
+      constexpr int64_t kExact = int64_t{1} << 53;
+      const int64_t v = AsInt();
+      if (v >= -kExact && v <= kExact) return std::hash<int64_t>()(v);
+      return HashNumber(static_cast<double>(v));
     }
+    case ValueType::kDouble:
+      return HashNumber(AsDouble());
     case ValueType::kString:
       return std::hash<std::string>()(AsString());
   }
@@ -117,10 +134,8 @@ std::string Value::ToSqlLiteral() const {
 }
 
 size_t HashRow(const Row& row) {
-  size_t h = 0x345678;
-  for (const Value& v : row) {
-    h = h * 1000003 ^ v.Hash();
-  }
+  size_t h = kHashRowSeed;
+  for (const Value& v : row) h = HashCombine(h, v);
   return h;
 }
 

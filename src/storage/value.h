@@ -54,6 +54,8 @@ class Value {
   // Approximate in-memory footprint used for page accounting.
   size_t ByteSize() const;
 
+  // Agrees with Compare: values that compare equal hash equal, including
+  // an int and a double of the same numeric value.
   size_t Hash() const;
 
   std::string ToString() const;
@@ -67,7 +69,12 @@ class Value {
 
 using Row = std::vector<Value>;
 
-// Hash of a composite key; order-sensitive.
+// Hash of a composite key; order-sensitive. Callers that hash a key
+// without building a Row fold HashCombine over kHashRowSeed themselves.
+constexpr size_t kHashRowSeed = 0x345678;
+inline size_t HashCombine(size_t h, const Value& v) {
+  return h * 1000003 ^ v.Hash();
+}
 size_t HashRow(const Row& row);
 
 // Lexicographic comparison of two rows (shorter row is a prefix-smaller).

@@ -1,6 +1,7 @@
 #include "util/metrics.h"
 
 #include <algorithm>
+#include <thread>
 #include <utility>
 
 #include "util/string_util.h"
@@ -51,28 +52,42 @@ void LatencyHistogram::Record(uint64_t us) {
     return;
   }
   Shard& shard = ThisThreadShard();
-  shard.buckets[BucketFor(us)].fetch_add(1, std::memory_order_relaxed);
-  shard.sum_us.fetch_add(us, std::memory_order_relaxed);
+  // Announce the sample before any field changes. Every field write below
+  // is a release, so a snapshot whose acquire load sees one of them also
+  // sees this increment (no fences: TSan does not model them).
+  shard.begun.fetch_add(1, std::memory_order_relaxed);
+  shard.buckets[BucketFor(us)].fetch_add(1, std::memory_order_release);
+  shard.sum_us.fetch_add(us, std::memory_order_release);
   uint64_t prev_max = shard.max_us.load(std::memory_order_relaxed);
   while (us > prev_max &&
          !shard.max_us.compare_exchange_weak(prev_max, us,
+                                             std::memory_order_release,
                                              std::memory_order_relaxed)) {
   }
-  // Count last, with release: a snapshot that observes this increment
-  // (acquire) also observes the bucket increment above, making
-  // bucket_sum >= count an invariant even mid-race (see class comment).
+  // Count last: a snapshot that observes this increment (acquire) also
+  // observes every write above (see class comment).
   shard.count.fetch_add(1, std::memory_order_release);
 }
 
 HistogramSnapshot LatencyHistogram::Snapshot() const {
   HistogramSnapshot snap;
   for (const Shard& shard : shards_) {
-    snap.count += shard.count.load(std::memory_order_acquire);
-    snap.sum_us += shard.sum_us.load(std::memory_order_relaxed);
-    snap.max_us = std::max(snap.max_us,
-                           shard.max_us.load(std::memory_order_relaxed));
-    for (size_t b = 0; b < kNumBuckets; ++b) {
-      snap.buckets[b] += shard.buckets[b].load(std::memory_order_relaxed);
+    // Retry while a Record is in flight on this shard: `begun` read after
+    // the fields equal to `count` read before them means every sample
+    // whose writes were seen had finished, and all of them were seen.
+    while (true) {
+      HistogramSnapshot part;
+      part.count = shard.count.load(std::memory_order_acquire);
+      part.sum_us = shard.sum_us.load(std::memory_order_acquire);
+      part.max_us = shard.max_us.load(std::memory_order_acquire);
+      for (size_t b = 0; b < kNumBuckets; ++b) {
+        part.buckets[b] = shard.buckets[b].load(std::memory_order_acquire);
+      }
+      if (shard.begun.load(std::memory_order_relaxed) == part.count) {
+        snap.Merge(part);
+        break;
+      }
+      std::this_thread::yield();
     }
   }
   return snap;
@@ -80,7 +95,11 @@ HistogramSnapshot LatencyHistogram::Snapshot() const {
 
 void LatencyHistogram::Reset() {
   for (Shard& shard : shards_) {
-    shard.count.store(0, std::memory_order_relaxed);
+    // Lower `begun` by what `count` held rather than zeroing it: a Record
+    // racing the reset then still closes its own gap, and Snapshot cannot
+    // wait on a shard forever.
+    shard.begun.fetch_sub(shard.count.exchange(0, std::memory_order_relaxed),
+                          std::memory_order_relaxed);
     shard.sum_us.store(0, std::memory_order_relaxed);
     shard.max_us.store(0, std::memory_order_relaxed);
     for (auto& b : shard.buckets) b.store(0, std::memory_order_relaxed);

@@ -18,7 +18,7 @@ namespace util {
 // kinds — Counter, Gauge, LatencyHistogram — live in a global
 // MetricsRegistry keyed by dotted lowercase names
 // (`<subsystem>.<thing>`, e.g. "wal.fsync_us"). Hot-path updates are
-// lock-free relaxed atomics; the registry mutex is only taken on first
+// lock-free atomics; the registry mutex is only taken on first
 // lookup (call sites cache the returned pointer in a function-local
 // static) and on snapshot/render.
 //
@@ -118,16 +118,19 @@ struct HistogramSnapshot {
 };
 
 // Fixed-bucket exponential latency histogram with per-thread shards.
-// Record() touches only the calling thread's shard (relaxed atomics, no
-// locks); Snapshot() merges the shards. Microsecond domain, power-of-two
+// Record() touches only the calling thread's shard (atomics, no locks);
+// Snapshot() merges the shards. Microsecond domain, power-of-two
 // buckets: see HistogramSnapshot for the bucket scheme.
 //
-// Ordering contract: Record bumps the bucket first and the shard count
-// last (release), and Snapshot reads counts first (acquire); a racing
-// snapshot can therefore observe bucket_sum >= count but never
-// bucket_sum < count. The MetricsValidator checks exactly that one-sided
-// invariant so it stays sound while writers are live; quiescent
-// snapshots see strict equality.
+// Consistency contract: each shard carries a `begun` sequence number
+// that Record bumps before touching anything else, and Record bumps the
+// shard count last. Snapshot reads a shard's count, then its fields, then
+// `begun`, and retries the shard until the two agree: no Record was in
+// flight, so the shard's count, buckets, sum and max describe the same
+// set of samples (bucket_sum == count, and an empty shard has zero sum
+// and max). Record stays lock-free; only Snapshot waits. The
+// MetricsValidator's checks therefore hold on every snapshot, even one
+// taken mid-Record.
 class LatencyHistogram {
  public:
   static constexpr size_t kNumBuckets = HistogramSnapshot::kNumBuckets;
@@ -141,6 +144,7 @@ class LatencyHistogram {
   // shard's count without touching its buckets, breaking the
   // bucket_sum >= count invariant. Never call outside tests.
   void TestOnlyCorruptCount(uint64_t delta) {
+    shards_[0].begun.fetch_add(delta, std::memory_order_relaxed);
     shards_[0].count.fetch_add(delta, std::memory_order_relaxed);
   }
 
@@ -159,6 +163,7 @@ class LatencyHistogram {
     std::atomic<uint64_t> count{0};
     std::atomic<uint64_t> sum_us{0};
     std::atomic<uint64_t> max_us{0};
+    std::atomic<uint64_t> begun{0};  // Records started; == count when idle
   };
 
   Shard& ThisThreadShard();

@@ -38,7 +38,7 @@ class ScanOp {
 
  private:
   void EnsureMaterialized();
-  void BuildHashTable();
+  void BuildTable();
 
   const Catalog* catalog_ = nullptr;
   const Table* table_;
@@ -59,7 +59,7 @@ void ScanOp::EnsureMaterialized() {
   (void)t->schema().FindColumn("k");  // lint:expect(operator-name-lookup)
 }
 
-void ScanOp::BuildHashTable() {
+void ScanOp::BuildTable() {
   Tuple t;
   (void)Rebind(&t);  // a call, not a definition
 }

@@ -4,9 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "engine/database.h"
 #include "engine/session.h"
+#include "query_gen.h"
+#include "sql/parser.h"
 #include "util/random.h"
 
 namespace autoindex {
@@ -423,6 +428,220 @@ TEST_F(ColumnResolutionTest, IndexProbeKeyShadowedByPlacedTableYieldsNoRows) {
   ASSERT_TRUE(shadowed.ok()) << shadowed.status().ToString();
   EXPECT_TRUE(shadowed->rows.empty());
   EXPECT_EQ(NewestTable(*shadowed), "r");
+}
+
+// Hash-join edge cases. No join column is indexed, so every join below is
+// a HashJoin; each result is checked against the brute-force reference
+// evaluator as a row multiset.
+class HashJoinTest : public ::testing::Test {
+ protected:
+  // Creates `name`(k, k2, v) from rows holding (k, k2); v numbers them.
+  void Load(const std::string& name, std::vector<Row> rows) {
+    db_.CreateTable(name, Schema({{"k", ValueType::kInt},
+                                  {"k2", ValueType::kInt},
+                                  {"v", ValueType::kInt}}));
+    for (size_t i = 0; i < rows.size(); ++i) {
+      rows[i].emplace_back(static_cast<int64_t>(i));
+    }
+    ASSERT_TRUE(db_.BulkInsert(name, std::move(rows)).ok());
+  }
+  // n rows with k = k(i) and k2 = 0.
+  static std::vector<Row> Keys(int n, const std::function<Value(int)>& k) {
+    std::vector<Row> rows;
+    for (int i = 0; i < n; ++i) rows.push_back({k(i), Value(int64_t{0})});
+    return rows;
+  }
+
+  // Runs `sql` with operator details on, checks its rows against the
+  // reference evaluator, and returns the HashJoin's snapshot.
+  PlanNodeSnapshot RunChecked(const std::string& sql) {
+    db_.executor().set_plan_detail(true);
+    auto r = db_.Execute(sql);
+    db_.executor().set_plan_detail(false);
+    EXPECT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+    if (!r.ok()) return {};
+    auto stmt = ParseSql(sql);
+    EXPECT_TRUE(stmt.ok()) << sql;
+    EXPECT_EQ(querygen::Canonical(r->rows),
+              querygen::Canonical(querygen::ReferenceSelect(db_,
+                                                            *stmt->select)))
+        << sql;
+    rows_ = r->rows;
+    const PlanNodeSnapshot* join = FindOp(*r->plan, "HashJoin");
+    EXPECT_NE(join, nullptr) << sql;
+    return join == nullptr ? PlanNodeSnapshot{} : *join;
+  }
+  static const PlanNodeSnapshot* FindOp(const PlanNodeSnapshot& node,
+                                        const std::string& op) {
+    if (node.op == op) return &node;
+    for (const PlanNodeSnapshot& child : node.children) {
+      if (const PlanNodeSnapshot* found = FindOp(child, op)) return found;
+    }
+    return nullptr;
+  }
+
+  Database db_;
+  std::vector<Row> rows_;  // the last RunChecked result
+};
+
+TEST_F(HashJoinTest, OuterSideHashedWhenSmaller) {
+  Load("l", Keys(10, [](int i) { return Value(int64_t{i}); }));
+  Load("r", Keys(200, [](int i) { return Value(int64_t{i % 20}); }));
+  db_.Analyze();
+  const PlanNodeSnapshot join =
+      RunChecked("SELECT l.v, r.v FROM l, r WHERE l.k = r.k");
+  EXPECT_EQ(rows_.size(), 100u);
+  EXPECT_NE(join.detail.find("(hashed outer, 10 rows)"), std::string::npos)
+      << join.detail;
+  EXPECT_EQ(join.actual.rows_in, 10);
+  EXPECT_EQ(join.actual.rows_out, 100);
+}
+
+TEST_F(HashJoinTest, InnerSideHashedWhenOuterOutnumbersIt) {
+  // Stale statistics: ANALYZE saw l.k2 spread over ten values, then 290
+  // rows with k2 = 1 arrived. The planner expects l to be the smaller
+  // side (30 rows), but 291 rows come out of it: more than r's 100.
+  Load("l", Keys(10, [](int i) { return Value(int64_t{i}); }));
+  Load("r", Keys(100, [](int i) { return Value(int64_t{i % 50}); }));
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(db_.Execute("UPDATE l SET k2 = " + std::to_string(i) +
+                            " WHERE k = " + std::to_string(i))
+                    .ok());
+  }
+  db_.Analyze();
+  std::vector<Row> late;
+  for (int i = 0; i < 290; ++i) {
+    late.push_back({Value(int64_t{i % 60}), Value(int64_t{1}),
+                    Value(int64_t{1000 + i})});
+  }
+  ASSERT_TRUE(db_.BulkInsert("l", std::move(late)).ok());
+  const PlanNodeSnapshot join = RunChecked(
+      "SELECT l.v, r.v FROM l, r WHERE l.k = r.k AND l.k2 = 1");
+  EXPECT_NE(join.detail.find("(hashed inner, 100 rows)"), std::string::npos)
+      << join.detail;
+  EXPECT_EQ(join.actual.rows_in, 291);
+}
+
+TEST_F(HashJoinTest, EqualSizesHashTheOuterSide) {
+  Load("l", Keys(50, [](int i) { return Value(int64_t{i % 25}); }));
+  Load("r", Keys(50, [](int i) { return Value(int64_t{i % 10}); }));
+  db_.Analyze();
+  const PlanNodeSnapshot join =
+      RunChecked("SELECT l.v, r.v FROM l, r WHERE l.k = r.k");
+  EXPECT_EQ(rows_.size(), 10u * 2 * 5);
+  EXPECT_NE(join.detail.find("(hashed outer, 50 rows)"), std::string::npos)
+      << join.detail;
+}
+
+TEST_F(HashJoinTest, DuplicateKeysOnBothSides) {
+  Load("l", Keys(30, [](int i) { return Value(int64_t{i % 3}); }));
+  Load("r", Keys(60, [](int i) { return Value(int64_t{i % 4}); }));
+  db_.Analyze();
+  const PlanNodeSnapshot join =
+      RunChecked("SELECT l.v, r.v FROM l, r WHERE l.k = r.k");
+  EXPECT_EQ(rows_.size(), 3u * 10 * 15);
+  EXPECT_EQ(join.actual.comparisons, join.actual.rows_out);
+}
+
+TEST_F(HashJoinTest, NullKeysNeverMatch) {
+  auto keys = [](int n, int null_every) {
+    return Keys(n, [=](int i) {
+      return i % null_every == 0 ? Value() : Value(int64_t{i % 7});
+    });
+  };
+  Load("l", keys(20, 3));
+  Load("r", keys(40, 2));
+  db_.Analyze();
+  RunChecked("SELECT l.k, r.k FROM l, r WHERE l.k = r.k");
+  ASSERT_FALSE(rows_.empty());
+  for (const Row& row : rows_) {
+    EXPECT_FALSE(row[0].is_null());
+    EXPECT_FALSE(row[1].is_null());
+  }
+}
+
+TEST_F(HashJoinTest, IntKeysMeetEqualDoubles) {
+  Load("l", Keys(40, [](int i) { return Value(int64_t{i}); }));
+  db_.CreateTable("d", Schema({{"x", ValueType::kDouble}}));
+  ASSERT_TRUE(
+      db_.BulkInsert("d", {{Value(1.0)}, {Value(1.5)}, {Value(7.0)},
+                           {Value(-0.0)}, {Value(39.0)}, {Value(40.0)}})
+          .ok());
+  db_.Analyze();
+  const PlanNodeSnapshot join =
+      RunChecked("SELECT l.k, d.x FROM d, l WHERE l.k = d.x");
+  EXPECT_EQ(rows_.size(), 4u);  // 1, 7, 0 and 39
+  EXPECT_EQ(join.actual.comparisons, 4);
+}
+
+TEST_F(HashJoinTest, TwoColumnKeys) {
+  std::vector<Row> l_keys, r_keys;
+  for (int i = 0; i < 24; ++i) {
+    l_keys.push_back({Value(int64_t{i % 6}), Value(int64_t{i % 4})});
+  }
+  for (int i = 0; i < 48; ++i) {
+    r_keys.push_back({Value(int64_t{i % 8}), Value(int64_t{i % 3})});
+  }
+  Load("l", std::move(l_keys));
+  Load("r", std::move(r_keys));
+  db_.Analyze();
+  const PlanNodeSnapshot join = RunChecked(
+      "SELECT l.v, r.v FROM l, r WHERE l.k = r.k AND l.k2 = r.k2");
+  ASSERT_FALSE(rows_.empty());
+  EXPECT_NE(join.detail.find("on k = l.k, k2 = l.k2"), std::string::npos)
+      << join.detail;
+}
+
+TEST_F(HashJoinTest, BucketMatesAreNotRechecked) {
+  // Ints hash by identity, so in the 8-bucket table over l's 8 keys, k
+  // and k + 8 share a bucket (as do r's k + 16 and k + 24). Only equal
+  // hashes are rechecked: one comparison per match.
+  Load("l", Keys(8, [](int i) { return Value(int64_t{i < 4 ? i : i + 4}); }));
+  Load("r", Keys(32, [](int i) { return Value(int64_t{i}); }));
+  db_.Analyze();
+  const PlanNodeSnapshot join =
+      RunChecked("SELECT l.k, r.k FROM l, r WHERE l.k = r.k");
+  EXPECT_NE(join.detail.find("(hashed outer, 8 rows)"), std::string::npos)
+      << join.detail;
+  EXPECT_EQ(rows_.size(), 8u);
+  EXPECT_EQ(join.actual.comparisons, 8);
+}
+
+TEST_F(HashJoinTest, LimitOverJoin) {
+  Load("l", Keys(10, [](int i) { return Value(int64_t{i}); }));
+  Load("r", Keys(200, [](int i) { return Value(int64_t{i % 20}); }));
+  db_.Analyze();
+  RunChecked("SELECT l.v, r.v FROM l, r WHERE l.k = r.k");
+  std::multiset<std::string> all;
+  for (const Row& row : rows_) all.insert(querygen::Canonical({row}));
+  auto limited = db_.Execute("SELECT l.v, r.v FROM l, r WHERE l.k = r.k "
+                             "LIMIT 7");
+  ASSERT_TRUE(limited.ok());
+  ASSERT_EQ(limited->rows.size(), 7u);
+  for (const Row& row : limited->rows) {
+    auto it = all.find(querygen::Canonical({row}));
+    ASSERT_NE(it, all.end());
+    all.erase(it);
+  }
+}
+
+TEST_F(HashJoinTest, JoinAndGroupByAgreeWithFilterBeyondDoublePrecision) {
+  // 2^53 + 1 is not a double: compared as doubles it equals 2^53, so the
+  // filter, the hash join and GROUP BY must all treat the two as equal.
+  const int64_t k53 = int64_t{1} << 53;
+  Load("a", {{Value(k53 + 1), Value(int64_t{0})}});
+  Load("b", {{Value(k53), Value(int64_t{0})},
+             {Value(k53 + 1), Value(int64_t{0})}});
+  db_.Analyze();
+  auto filtered = db_.Execute("SELECT k FROM b WHERE k = 9007199254740993");
+  ASSERT_TRUE(filtered.ok());
+  EXPECT_EQ(filtered->rows.size(), 2u);
+  RunChecked("SELECT a.k, b.k FROM a, b WHERE a.k = b.k");
+  EXPECT_EQ(rows_.size(), 2u);
+  auto grouped = db_.Execute("SELECT k, COUNT(*) FROM b GROUP BY k");
+  ASSERT_TRUE(grouped.ok());
+  ASSERT_EQ(grouped->rows.size(), 1u);
+  EXPECT_EQ(grouped->rows[0][1].AsInt(), 2);
 }
 
 TEST_F(ExecutorTest, ErrorsSurfaceCleanly) {

@@ -133,7 +133,11 @@ TEST_F(ExplainTest, AnalyzeRendersOperatorDetails) {
       << *join;
   EXPECT_NE(join->find("-> SeqScan on d  (est."), std::string::npos) << *join;
   EXPECT_NE(join->find("-> SeqScan on t  (est."), std::string::npos) << *join;
-  EXPECT_NE(join->find("to t on b = d.k  (est."), std::string::npos) << *join;
+  // After execution the hash join names the side it hashed: the 3 rows
+  // of d, not the 30,000 of t.
+  EXPECT_NE(join->find("to t on b = d.k (hashed outer, 3 rows)  (est."),
+            std::string::npos)
+      << *join;
 
   auto probed = ExplainAnalyzeSql(
       db_, "SELECT d.v, t.b FROM d, t WHERE d.k = 1 AND t.a = 2");
@@ -147,6 +151,34 @@ TEST_F(ExplainTest, AnalyzeRendersOperatorDetails) {
   EXPECT_NE(cross->find("-> NestedLoopJoin to t (cartesian)  (est."),
             std::string::npos)
       << *cross;
+}
+
+TEST_F(ExplainTest, HashedSideShownOnlyAfterExecution) {
+  // Three-way join: the second hash join's outer side is the 3,000-row
+  // result of the first, its inner side the 100 rows of d2, so it hashes
+  // the inner side. The first join hashes its 100-row outer side.
+  db_.CreateTable("d2", Schema({{"k2", ValueType::kInt},
+                                {"w", ValueType::kInt}}));
+  std::vector<Row> rows;
+  for (int i = 0; i < 100; ++i) {
+    rows.push_back({Value(int64_t(i)), Value(int64_t(i))});
+  }
+  ASSERT_TRUE(db_.BulkInsert("d2", std::move(rows)).ok());
+  db_.Analyze();
+  const std::string sql =
+      "SELECT d2.w FROM d, t, d2 WHERE t.b = d.k AND t.a < 3000 AND "
+      "d2.k2 = t.b";
+  auto out = ExplainAnalyzeSql(db_, sql);
+  ASSERT_TRUE(out.ok());
+  EXPECT_NE(out->find("(hashed outer, 100 rows)"), std::string::npos)
+      << *out;
+  EXPECT_NE(out->find("(hashed inner, 100 rows)"), std::string::npos)
+      << *out;
+  // Plain EXPLAIN renders the planner's choice and executes nothing.
+  auto plan = ExplainSql(db_, sql);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_NE(plan->find("hash join to"), std::string::npos) << *plan;
+  EXPECT_EQ(plan->find("hashed"), std::string::npos) << *plan;
 }
 
 TEST_F(ExplainTest, AnalyzeExecutesWriteStatements) {

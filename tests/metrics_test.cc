@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 
+#include <atomic>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -280,6 +281,38 @@ TEST(MetricsValidator, FlagsCorruptHistogramCount) {
   CheckReport clean;
   RunMetricsValidator(&clean);
   EXPECT_TRUE(clean.ok()) << clean.ToString();
+}
+
+TEST(MetricsValidator, SilentWhileFirstRecordIsInFlight) {
+  if constexpr (!util::kMetricsEnabled) GTEST_SKIP();
+  // A fresh histogram's first Record races validator passes. No snapshot
+  // may show the sample half made (count 0 with sum_us or max_us set, or
+  // the reverse).
+  auto& registry = MetricsRegistry::Default();
+  registry.ResetForTest();
+  auto* hist = registry.GetHistogram("testval.race_us");
+  int reports = 0;
+  std::string first_report;
+  for (int race = 0; race < 3000; ++race) {
+    hist->Reset();
+    std::atomic<bool> go{false};
+    std::atomic<bool> done{false};
+    std::thread writer([&] {
+      while (!go.load(std::memory_order_acquire)) {
+      }
+      hist->Record(100);
+      done.store(true, std::memory_order_release);
+    });
+    go.store(true, std::memory_order_release);
+    do {
+      CheckReport report;
+      RunMetricsValidator(&report);
+      if (!report.ok() && reports++ == 0) first_report = report.ToString();
+    } while (!done.load(std::memory_order_acquire));
+    writer.join();
+  }
+  EXPECT_EQ(reports, 0) << first_report;
+  registry.ResetForTest();
 }
 
 MetricsRegistry::MetricValue CounterValue(const std::string& name,

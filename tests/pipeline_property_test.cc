@@ -5,10 +5,12 @@
 // the statement-level ExecStats — the invariant the PhysicalPlanValidator
 // enforces. 6 seeds x 40 queries = 240 deterministic queries, each checked
 // with a mixed index set built so IndexScan / IndexNestedLoopJoin paths are
-// exercised alongside SeqScan / HashJoin.
+// exercised alongside SeqScan / HashJoin, whose two build directions
+// (hashed outer, hashed inner) must both occur.
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -44,6 +46,19 @@ void ExpectCountersSumToStats(const PlanNodeSnapshot& plan,
       << sql;
 }
 
+// Counts the executed HashJoins of `plan` by the side they hashed.
+void CountHashedSides(const PlanNodeSnapshot& plan,
+                      std::map<std::string, int>* sides) {
+  for (const char* side : {"hashed outer", "hashed inner"}) {
+    if (plan.op == "HashJoin" && plan.detail.find(side) != std::string::npos) {
+      ++(*sides)[side];
+    }
+  }
+  for (const PlanNodeSnapshot& child : plan.children) {
+    CountHashedSides(child, sides);
+  }
+}
+
 class PipelinePropertyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(PipelinePropertyTest, PipelineMatchesReferenceAndCountersAreConsistent) {
@@ -66,6 +81,9 @@ TEST_P(PipelinePropertyTest, PipelineMatchesReferenceAndCountersAreConsistent) {
   }
 
   GenContext gen(seed + 1000);  // distinct stream from query_property_test
+  // Operator details name the side each HashJoin hashed.
+  db.executor().set_plan_detail(true);
+  std::map<std::string, int> hashed_sides;
   for (int i = 0; i < 40; ++i) {
     const std::string sql = gen.RandQuery();
     auto stmt = ParseSql(sql);
@@ -80,12 +98,16 @@ TEST_P(PipelinePropertyTest, PipelineMatchesReferenceAndCountersAreConsistent) {
     // Every SELECT runs a pipeline and must return its snapshot.
     ASSERT_NE(r->plan, nullptr) << sql;
     ExpectCountersSumToStats(*r->plan, r->stats, sql);
+    CountHashedSides(*r->plan, &hashed_sides);
 
     // The registered PhysicalPlanValidator re-checks the retained snapshot
     // (plus every storage structure) after each statement.
     const CheckReport report = CheckAll(db);
     EXPECT_TRUE(report.ok()) << sql << "\n" << report.ToString();
   }
+  // The queries exercise both build directions of the hash join.
+  EXPECT_GT(hashed_sides["hashed outer"], 0);
+  EXPECT_GT(hashed_sides["hashed inner"], 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PipelinePropertyTest,

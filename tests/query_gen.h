@@ -300,6 +300,18 @@ struct GenContext {
     std::string sql;
     const int kind = static_cast<int>(rng.Uniform(10));
     if (join) {
+      if (rng.Bernoulli(0.5)) {
+        // No index leads with t1.c or t2.y, so the join is a HashJoin
+        // unless t1's range takes an index. The t1 filter keeps about 60
+        // rows, as many as t2 holds, so whichever side turns out smaller
+        // at run time gets hashed: t1's or t2's. t1.c holds NULLs, which
+        // never match.
+        const int v = static_cast<int>(rng.Uniform(35));
+        return StrFormat(
+            "SELECT t1.a, t1.c, t2.x FROM t1, t2 WHERE t1.c = t2.y AND "
+            "t1.a BETWEEN %d AND %d",
+            v, v + 5);
+      }
       sql = "SELECT t1.a, t2.y FROM t1, t2 WHERE t1.b = t2.x";
       if (rng.Bernoulli(0.7)) sql += " AND " + RandExpr(1, false);
       return sql;

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
+#include <vector>
+
 #include "storage/catalog.h"
 #include "storage/schema.h"
 #include "storage/table.h"
@@ -48,6 +52,39 @@ TEST(Value, SqlLiteralQuoting) {
 
 TEST(Value, HashEqualForMixedNumericEquals) {
   EXPECT_EQ(Value(int64_t(7)).Hash(), Value(7.0).Hash());
+}
+
+TEST(Value, HashAgreesWithCompareAtTheEdgesOfDoublePrecision) {
+  constexpr int64_t k53 = int64_t{1} << 53;
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<Value> values = {
+      Value(int64_t{0}),    Value(0.0),          Value(-0.0),
+      Value(k53 - 1),       Value(k53),          Value(k53 + 1),
+      Value(k53 + 2),       Value(k53 + 3),      Value(-k53),
+      Value(-k53 - 1),      Value(-k53 - 2),     Value(0x1p53),
+      Value(0x1p53 + 2),    Value(-0x1p53),      Value(-0x1p53 - 2),
+      Value(kMax),          Value(kMax - 1),     Value(kMin),
+      Value(kMin + 1),      Value(0x1p63),       Value(-0x1p63),
+      Value(0x1p63 - 1024), Value(0x1p64),       Value(1e300),
+      Value(inf),           Value(-inf),         Value(0.5)};
+  int equal_pairs = 0;
+  for (const Value& a : values) {
+    for (const Value& b : values) {
+      if (a.Compare(b) != 0) continue;
+      ++equal_pairs;
+      EXPECT_EQ(a.Hash(), b.Hash())
+          << a.ToString() << " (" << ValueTypeName(a.type()) << ") vs "
+          << b.ToString() << " (" << ValueTypeName(b.type()) << ")";
+    }
+  }
+  // The list holds cross-type and cross-value equalities, not just each
+  // value against itself.
+  EXPECT_GT(equal_pairs, static_cast<int>(values.size()) + 20);
+  // Ints a double holds exactly keep their identity hash.
+  EXPECT_EQ(Value(int64_t{42}).Hash(), std::hash<int64_t>()(42));
+  EXPECT_EQ(Value(-k53).Hash(), std::hash<int64_t>()(-k53));
 }
 
 TEST(Row, CompareLexicographic) {
