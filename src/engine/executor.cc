@@ -1,19 +1,15 @@
 #include "engine/executor.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <utility>
 
 #include "obs/trace.h"
 #include "util/metrics.h"
-#include "util/string_util.h"
 
 namespace autoindex {
 namespace {
 
-// Executor observability (DESIGN.md §11): statement totals plus a
-// per-operator-type breakdown walked off the plan snapshot each
-// statement leaves behind.
+// Executor observability (DESIGN.md §11): statement totals.
 struct ExecutorMetrics {
   util::Counter* statements;
   util::Counter* rows_returned;
@@ -36,47 +32,6 @@ struct ExecutorMetrics {
     return metrics;
   }
 };
-
-uint64_t NonNegative(int64_t v) {
-  return v > 0 ? static_cast<uint64_t>(v) : 0;
-}
-
-// Per-operator-type series: executor.op.<name>.{invocations,rows_out,
-// pages_read}. Operator names are a small closed set, so each thread
-// resolves a name's handles on its first statement of that shape and
-// reuses them: no string building or registry mutex per plan node.
-struct OperatorSeries {
-  util::Counter* invocations;
-  util::Counter* rows_out;
-  util::Counter* pages_read;
-};
-
-const OperatorSeries& SeriesFor(const std::string& op) {
-  thread_local std::unordered_map<std::string, OperatorSeries> cache;
-  auto it = cache.find(op);
-  if (it == cache.end()) {
-    auto& registry = util::MetricsRegistry::Default();
-    const std::string base = StrCat("executor.op.", ToLower(op), ".");
-    it = cache
-             .emplace(op, OperatorSeries{
-                              registry.GetCounter(base + "invocations"),
-                              registry.GetCounter(base + "rows_out"),
-                              registry.GetCounter(base + "pages_read")})
-             .first;
-  }
-  return it->second;
-}
-
-void RecordOperatorMetrics(const PlanNodeSnapshot& node) {
-  const OperatorSeries& series = SeriesFor(node.op);
-  series.invocations->Add();
-  series.rows_out->Add(NonNegative(node.actual.rows_out));
-  series.pages_read->Add(NonNegative(node.actual.heap_pages_read) +
-                         NonNegative(node.actual.index_pages_read));
-  for (const PlanNodeSnapshot& child : node.children) {
-    RecordOperatorMetrics(child);
-  }
-}
 
 }  // namespace
 
@@ -109,8 +64,9 @@ StatusOr<ExecResult> Executor::Execute(const Statement& stmt) {
   return Status::Internal("unknown statement kind");
 }
 
-// Retains the statement's pipeline snapshot (shared, not copied) and final
-// stats for the plan validator, and records the executor metrics.
+// Retains the statement's pipeline snapshot (shared, not copied; INSERT's
+// null plan clears it) and final stats for the plan validator, and records
+// the executor metrics. Every statement kind ends here.
 void Executor::FinishStatement(const ExecResult& result) {
   last_plan_ = result.plan;
   last_plan_stats_ = result.stats;
@@ -122,7 +78,6 @@ void Executor::FinishStatement(const ExecResult& result) {
     metrics.index_pages_read->Add(result.stats.index_pages_read);
     metrics.tuples_examined->Add(result.stats.tuples_examined);
     metrics.index_tuples_read->Add(result.stats.index_tuples_read);
-    if (result.plan != nullptr) RecordOperatorMetrics(*result.plan);
   }
 }
 
@@ -253,10 +208,7 @@ StatusOr<ExecResult> Executor::ExecuteInsert(const InsertStatement& stmt) {
     result.stats.index_pages_written += inserted + splits;
   }
   result.stats.rows_returned = inserted;
-  // No read pipeline ran; clear the retained snapshot so the validator
-  // does not check a stale plan against this statement's stats.
-  last_plan_.reset();
-  last_plan_stats_ = result.stats;
+  FinishStatement(result);
   return result;
 }
 

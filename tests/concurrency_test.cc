@@ -1,5 +1,6 @@
 // Concurrency layer: LatchManager semantics, the LatchValidator audit,
-// session isolation, a readers+writers+tuning stress run (the test the
+// session isolation, a readers+writers+tuning stress run and TPC-C and
+// banking replays from several sessions under a live tuner (the tests the
 // TSan stage of scripts/check.sh gates on), regression tests for
 // single-thread bugs (LIMIT draining its child, the stale
 // benefit-estimator cost memo, SUM/AVG over strings), and TSan-gated
@@ -25,6 +26,8 @@
 #include "engine/durability.h"
 #include "engine/session.h"
 #include "storage/latch_manager.h"
+#include "workload/banking.h"
+#include "workload/tpcc.h"
 
 namespace autoindex {
 namespace {
@@ -320,6 +323,86 @@ TEST_F(ConcurrencyDbTest, ReadersWritersAndTunerRaceCleanly) {
   // Every latch was released: the stress must leave no residue.
   EXPECT_TRUE(db_.latches().Snapshot().latches.empty());
   InstallDebugChecks(&db_, /*install=*/false);
+}
+
+// --- End to end: workload sessions + an applying tuner -------------------
+
+// `clients` sessions replay interleaved shares of `trace` on `db` while a
+// tuner thread observes the same trace and applies management rounds, so
+// index builds and drops run online under live client threads. Then no
+// statement may have failed, the tuner must have changed the index set,
+// and the database must check clean with no latch left held.
+void ReplayUnderApplyingTuner(Database* db,
+                              const std::vector<std::string>& trace,
+                              size_t clients) {
+  AutoIndexConfig config;
+  config.mcts.iterations = 200;
+  AutoIndexManager manager(db, config);
+
+  constexpr size_t kObservationsPerRound = 100;
+  constexpr int kMaxRounds = 4;
+  std::atomic<size_t> failures{0};
+  std::atomic<bool> clients_done{false};
+
+  int rounds = 0;
+  size_t index_changes = 0;
+  std::thread tuner([&] {
+    size_t next = 0;
+    do {
+      for (size_t i = 0; i < kObservationsPerRound; ++i) {
+        manager.ObserveOnly(trace[next++ % trace.size()]);
+      }
+      const TuningResult result = manager.RunManagementRound(/*apply=*/true);
+      index_changes += result.added.size() + result.removed.size();
+      ++rounds;
+    } while (!clients_done.load() && rounds < kMaxRounds);
+  });
+  std::vector<std::thread> threads;
+  for (size_t c = 0; c < clients; ++c) {
+    threads.emplace_back([db, &trace, &failures, clients, c] {
+      std::unique_ptr<Session> session = db->CreateSession();
+      for (size_t i = c; i < trace.size(); i += clients) {
+        RunOrRecord(session.get(), trace[i], &failures);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  clients_done.store(true);
+  tuner.join();
+
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_GE(rounds, 1);
+  EXPECT_GT(index_changes, 0u);  // the tuner did build or drop indexes
+  const CheckReport report = CheckAll(*db);
+  EXPECT_TRUE(report.ok()) << report.ToString();
+  EXPECT_TRUE(db->latches().Snapshot().latches.empty());
+}
+
+// TPC-C: point reads, joins, updates and inserts across the ten tables,
+// from two sessions.
+TEST(TpccReplayTest, TpccSessionsAndTunerRaceCleanly) {
+  Database db;
+  const TpccConfig tpcc;
+  TpccWorkload::Populate(&db, tpcc);
+  db.Analyze();
+  ReplayUnderApplyingTuner(
+      &db, TpccWorkload::Generate(tpcc, 600, /*seed=*/7), /*clients=*/2);
+}
+
+// The banking hybrid (OLTP withdrawals plus OLAP summaries) over a schema
+// carrying a redundant manual index estate the tuner can drop, from four
+// sessions.
+TEST(BankingReplayTest, HybridSessionsAndTunerRaceCleanly) {
+  Database db;
+  BankingConfig banking;
+  banking.num_tables = 24;
+  banking.manual_indexes = 40;
+  BankingWorkload::Populate(&db, banking);
+  BankingWorkload::CreateManualIndexes(&db, banking);
+  db.Analyze();
+  ReplayUnderApplyingTuner(
+      &db, BankingWorkload::HybridService(banking, 400, /*seed=*/11),
+      /*clients=*/4);
 }
 
 // --- Regression: LIMIT stops pulling its child ---------------------------

@@ -1,14 +1,12 @@
 // Observability layer tests (DESIGN.md §11): histogram determinism, shard
 // merge equivalence, multi-writer stress (run under TSan by the
 // concurrency label), registry semantics, the MetricsValidator's
-// corruption drills, and the workload driver's coordinated-omission
-// correction.
+// corruption drills, and the engine and executor statement counters.
 
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 
 #include <atomic>
-#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,7 +19,6 @@
 #include "persist/wal.h"
 #include "util/metrics.h"
 #include "util/string_util.h"
-#include "workload/driver.h"
 
 namespace autoindex {
 namespace {
@@ -452,12 +449,9 @@ TEST(MetricsEndToEnd, MixedWorkloadPopulatesSubsystemSeries) {
   EXPECT_GT(CounterOf(snap, "tuning.observations"), 0u);
   EXPECT_GT(CounterOf(snap, "mcts.runs"), 0u);
 
-  // The per-operator breakdown exists for the scans the SELECTs ran.
-  bool has_operator_series = false;
-  for (const auto& m : snap) {
-    if (m.name.rfind("executor.op.", 0) == 0) has_operator_series = true;
-  }
-  EXPECT_TRUE(has_operator_series);
+  // The statement-level executor counters cover the scans the SELECTs ran.
+  EXPECT_GT(CounterOf(snap, "executor.tuples_examined"), 0u);
+  EXPECT_GT(CounterOf(snap, "executor.heap_pages_read"), 0u);
 
   // Full structural check (includes the MetricsValidator) stays green.
   const CheckReport report = CheckAll(db);
@@ -471,75 +465,38 @@ TEST(MetricsEndToEnd, MixedWorkloadPopulatesSubsystemSeries) {
   MetricsRegistry::Default().ResetForTest();
 }
 
-// --- driver latency accounting ------------------------------------------
-
-std::unique_ptr<Database> MakeDriverDb() {
-  auto db = std::make_unique<Database>();
-  EXPECT_TRUE(
-      db->CreateTable("t", Schema({{"a", ValueType::kInt}})).ok());
-  for (int i = 0; i < 50; ++i) {
-    EXPECT_TRUE(
-        db->Execute(StrFormat("INSERT INTO t VALUES (%d)", i)).ok());
-  }
-  db->Analyze();
-  return db;
-}
-
-TEST(DriverLatency, ClosedLoopResponseEqualsService) {
+TEST(MetricsEndToEnd, ExecutorCountsEveryStatementTheEngineRan) {
   if constexpr (!util::kMetricsEnabled) GTEST_SKIP();
-  std::unique_ptr<Database> db = MakeDriverDb();
-  AutoIndexManager manager(db.get());
-  DriverConfig config;
-  config.client_threads = 2;
-  config.background_tuning = false;
-  config.pace_us = 0;  // closed loop: no schedule, response == service
-  const std::vector<std::string> trace(200, "SELECT a FROM t WHERE a = 7");
-  const DriverReport report = RunConcurrentWorkload(&manager, trace, config);
-  EXPECT_EQ(report.Aggregate().queries, 200u);
-  EXPECT_EQ(report.service_latency.count, 200u);
-  EXPECT_EQ(report.response_latency.count, report.service_latency.count);
-  EXPECT_EQ(report.response_latency.sum_us, report.service_latency.sum_us);
-  EXPECT_EQ(report.response_latency.max_us, report.service_latency.max_us);
-  EXPECT_EQ(report.response_latency.buckets, report.service_latency.buckets);
-}
+  MetricsRegistry::Default().ResetForTest();
 
-TEST(DriverLatency, InjectedStallShiftsResponseNotService) {
-  if constexpr (!util::kMetricsEnabled) GTEST_SKIP();
-  // Open-loop replay on a fixed schedule while the main thread freezes the
-  // table under an exclusive latch mid-run. A closed-loop (service-time)
-  // measurement hides the stall — only the handful of queries issued
-  // during it wait; the response-time distribution charges the stall to
-  // every query that was *scheduled* during it (coordinated omission).
-  std::unique_ptr<Database> db = MakeDriverDb();
-  AutoIndexManager manager(db.get());
-  DriverConfig config;
-  config.client_threads = 1;
-  config.background_tuning = false;
-  config.pace_us = 500;  // 600 queries on a ~300 ms schedule
-  const std::vector<std::string> trace(600, "SELECT a FROM t WHERE a = 7");
-
-  DriverReport report;
-  std::thread runner([&] {
-    report = RunConcurrentWorkload(&manager, trace, config);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  {
-    LatchManager::Guard guard = db->latches().AcquireExclusive("t");
-    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  Database db;
+  ASSERT_TRUE(
+      db.CreateTable("t", Schema({{"a", ValueType::kInt},
+                                  {"b", ValueType::kInt}}))
+          .ok());
+  // Every statement kind, plus one that fails in the executor.
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(
+        db.Execute(StrFormat("INSERT INTO t VALUES (%d, %d)", i, i % 4))
+            .ok());
   }
-  runner.join();
+  ASSERT_TRUE(db.Execute("SELECT a FROM t WHERE b = 1").ok());
+  ASSERT_TRUE(db.Execute("UPDATE t SET b = 9 WHERE a = 3").ok());
+  ASSERT_TRUE(db.Execute("DELETE FROM t WHERE a = 4").ok());
+  ASSERT_FALSE(db.Execute("INSERT INTO missing VALUES (1, 2)").ok());
 
-  ASSERT_EQ(report.response_latency.count, 600u);
-  const uint64_t response_p50 = report.response_latency.P50Us();
-  const uint64_t service_p50 = report.service_latency.P50Us();
-  // Most of the schedule fell inside or behind the 200 ms stall, so the
-  // response median carries it...
-  EXPECT_GE(response_p50, 10000u);
-  // ...while the service median stays at the per-query execution time
-  // (only the one query actually blocked on the latch pays the stall).
-  EXPECT_GE(response_p50, 4 * std::max<uint64_t>(service_p50, 1000));
-  // The worst response saw most of the stall window.
-  EXPECT_GE(report.response_latency.max_us, 100000u);
+  const auto snap = db.MetricsSnapshot();
+  const uint64_t engine_statements = CounterOf(snap, "engine.statements");
+  const uint64_t engine_failures =
+      CounterOf(snap, "engine.statement_failures");
+  EXPECT_EQ(engine_statements, 24u);
+  EXPECT_EQ(engine_failures, 1u);
+  EXPECT_EQ(CounterOf(snap, "executor.statements"),
+            engine_statements - engine_failures);
+  // 20 inserted + 5 selected (b = 1) + 1 updated + 1 deleted.
+  EXPECT_EQ(CounterOf(snap, "executor.rows_returned"), 27u);
+
+  MetricsRegistry::Default().ResetForTest();
 }
 
 }  // namespace
