@@ -22,7 +22,7 @@ _SCOPE_RE = re.compile(r"(?:^|/)engine/operators/")
 PER_TUPLE_BODIES = ("DoNext", "Rebind", "EnsureMaterialized",
                     "EnsureSorted", "EnsureAggregated", "Start", "BuildTable",
                     "NextHashedInner", "NextHashedOuter", "InnerKeyHash",
-                    "OuterKeyHash")
+                    "OuterKeyHash", "Drain", "Eval", "EvalGeneric")
 
 _BODY_NAME_RE = re.compile(r"\b(%s)\s*\(" % "|".join(PER_TUPLE_BODIES))
 _LOOKUP_RE = re.compile(r"\b(GetTable|FindColumn|ToLower)\s*\(")

@@ -1,6 +1,11 @@
 #!/usr/bin/env python3
 """Append a wallbench result summary to the repo's BENCH_<workload>.json.
 
+    python3 scripts/bench_record.py --run 1-10 --label "what changed"
+
+runs `wallbench/spread.py --seeds 1-10 --log` for every workload that
+BENCHMARK.json lists, then records that log. To record runs made earlier:
+
     python3 wallbench/spread.py --workload tpcds_tune --seeds 1-10 --log runs.jsonl
     python3 scripts/bench_record.py runs.jsonl --label "what changed"
 
@@ -22,6 +27,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -56,6 +62,21 @@ def load_runs(path):
     return runs
 
 
+def run_listed_workloads(seeds, log):
+    """Runs spread.py over `seeds` for each listed workload, logging to `log`."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        workloads = [w["name"] for w in json.load(f)["workloads"]]
+    for workload in workloads:
+        print("running %s, seeds %s" % (workload, seeds), flush=True)
+        done = subprocess.run(
+            [sys.executable, os.path.join(ROOT, "wallbench", "spread.py"),
+             "--workload", workload, "--seeds", seeds, "--log", log],
+            cwd=ROOT, check=False)
+        if done.returncode != 0:
+            sys.exit("spread.py failed for %s (exit %d); not recording"
+                     % (workload, done.returncode))
+
+
 def entry_for(runs, commit, label):
     values = {}
     units = {}
@@ -74,14 +95,27 @@ def entry_for(runs, commit, label):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("log", help="JSONL written by spread.py --log")
+    parser.add_argument("log", nargs="?",
+                        help="JSONL written by spread.py --log")
+    parser.add_argument("--run", metavar="SEEDS",
+                        help="run every listed workload over SEEDS "
+                             "(e.g. 1-10) and record those runs")
     parser.add_argument("--label", required=True,
                         help="what the measured tree is, e.g. 'baseline'")
     parser.add_argument("--commit", help="default: git describe --dirty")
     args = parser.parse_args()
+    if (args.log is None) == (args.run is None):
+        parser.error("give either LOG or --run SEEDS")
 
     commit = args.commit or describe_head()
-    for workload, runs in sorted(load_runs(args.log).items()):
+    if args.run is not None:
+        with tempfile.TemporaryDirectory() as tmp:
+            log = os.path.join(tmp, "runs.jsonl")
+            run_listed_workloads(args.run, log)
+            runs_by_workload = load_runs(log)
+    else:
+        runs_by_workload = load_runs(args.log)
+    for workload, runs in sorted(runs_by_workload.items()):
         path = os.path.join(ROOT, "BENCH_%s.json" % workload)
         history = []
         if os.path.exists(path):

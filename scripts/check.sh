@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Correctness gate for AutoIndex: static analysis (lint framework +
 # analyzer self-test + clang-tidy + Clang thread-safety analysis), a
-# hardened (-Werror) build, and the tier-1 suite under
+# hardened (-Werror) build, the tier-1 suite on it and on a build with
+# metrics compiled out, and the tier-1 suite under
 # AddressSanitizer + UndefinedBehaviorSanitizer and ThreadSanitizer.
 #
 # Usage: scripts/check.sh [--fast]
@@ -83,6 +84,15 @@ ctest --test-dir build-werror -L recovery --output-on-failure
 
 step "net tests (wire protocol + server, plain build)"
 ctest --test-dir build-werror -L net --output-on-failure
+
+step "tier-1 tests (metrics compiled out, -DAUTOINDEX_METRICS=OFF)"
+# With metrics compiled out every metric update and trace span is a
+# no-op. Tier-1 must hold there too: tests assert recorded values only
+# when util::kMetricsEnabled, and check the empty recorder otherwise.
+cmake -B build-nometrics -S . -DAUTOINDEX_METRICS=OFF \
+  -DAUTOINDEX_WERROR=ON >/dev/null
+cmake --build build-nometrics -j "${JOBS}"
+ctest --test-dir build-nometrics -L tier1 --output-on-failure
 
 # Prints `count` point statements on TPC-C's customer table (SELECTs and
 # UPDATEs over the default population: warehouse 1, districts 1-5,

@@ -94,11 +94,7 @@ bool HashJoinOp::Start() {
     outer_done_ = true;
     return false;
   }
-  ExecTuple t;
-  while (inner_->Next(&t)) {
-    inner_rows_.push_back(t.slots[0]);
-    inner_rids_.push_back(t.rids[0]);
-  }
+  inner_->Drain(&inner_rows_, &inner_rids_);
   while (true) {
     outer_slots_.insert(outer_slots_.end(), tuple_.slots.begin(),
                         tuple_.slots.end() - 1);

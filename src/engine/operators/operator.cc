@@ -7,7 +7,130 @@ const Value& BoundValue::ReadOrNull(const ExecTuple& t) const {
   return bound() ? *Read(t) : kNull;
 }
 
+namespace {
+
+// EvaluateAtom's comparison of two numbers, which Value::Compare orders
+// as doubles (NaN compares equal to everything).
+bool NumbersHold(CompareOp op, double a, double b) {
+  const int c = a < b ? -1 : (a > b ? 1 : 0);
+  switch (op) {
+    case CompareOp::kEq:
+      return c == 0;
+    case CompareOp::kNe:
+      return c != 0;
+    case CompareOp::kLt:
+      return c < 0;
+    case CompareOp::kLe:
+      return c <= 0;
+    case CompareOp::kGt:
+      return c > 0;
+    case CompareOp::kGe:
+      return c >= 0;
+    case CompareOp::kLike:
+      return false;  // never tagged with a numeric kernel
+  }
+  return false;
+}
+
+// A kernel's column: bound to a slot at lowering, never a literal.
+const Value& Cell(const BoundValue& col, const ExecTuple& t) {
+  return (*t.slots[static_cast<size_t>(col.slot)])[static_cast<size_t>(
+      col.ord)];
+}
+
+bool IsNumber(const Value& v) {
+  return v.type() == ValueType::kInt || v.type() == ValueType::kDouble;
+}
+
+// Picks p's kernel from its atom's shape; the operands are already bound.
+// An unbound column keeps the generic path (EvaluateAtom: false).
+void ChooseKernel(BoundPredicate* p) {
+  const Expr& e = *p->expr;
+  using Kernel = BoundPredicate::Kernel;
+  auto column = [&](size_t i) {
+    return e.children[i]->kind == ExprKind::kColumn && p->operands[i].bound();
+  };
+  auto literal = [&](size_t i) -> const Value* {
+    return e.children[i]->kind == ExprKind::kLiteral ? &e.children[i]->literal
+                                                     : nullptr;
+  };
+  if (e.kind == ExprKind::kBetween && p->operands.size() == 3 && column(0) &&
+      literal(1) != nullptr && IsNumber(*literal(1)) &&
+      literal(2) != nullptr && IsNumber(*literal(2))) {
+    p->kernel = Kernel::kColumnBetween;
+    p->lhs = p->operands[0];
+    p->lo = literal(1)->AsDouble();
+    p->hi = literal(2)->AsDouble();
+    return;
+  }
+  if (e.kind != ExprKind::kCompare || p->operands.size() != 2 ||
+      e.op == CompareOp::kLike) {
+    return;
+  }
+  if (column(0) && column(1)) {
+    p->kernel = Kernel::kColumnColumn;
+    p->op = e.op;
+    p->lhs = p->operands[0];
+    p->rhs = p->operands[1];
+    return;
+  }
+  // column <op> literal, or literal <op> column read with the op swapped.
+  for (size_t c = 0; c < 2; ++c) {
+    const Value* lit = literal(1 - c);
+    if (!column(c) || lit == nullptr) continue;
+    const CompareOp op = c == 0 ? e.op : SwapCompareOp(e.op);
+    p->lhs = p->operands[c];
+    if (IsNumber(*lit)) {
+      p->kernel = Kernel::kColumnNumber;
+      p->op = op;
+      p->lo = lit->AsDouble();
+    } else if (lit->type() == ValueType::kString && op == CompareOp::kEq) {
+      p->kernel = Kernel::kColumnStringEq;
+      p->text = &lit->AsString();
+    }
+    return;
+  }
+}
+
+}  // namespace
+
 bool BoundPredicate::Eval(const ExecTuple& t) const {
+  switch (kernel) {
+    case Kernel::kColumnNumber: {
+      const Value& v = Cell(lhs, t);
+      double x;
+      if (v.AsNumber(&x)) return NumbersHold(op, x, lo);
+      if (v.is_null()) return false;
+      break;
+    }
+    case Kernel::kColumnBetween: {
+      const Value& v = Cell(lhs, t);
+      double x;
+      if (v.AsNumber(&x)) return !(x < lo) && !(x > hi);
+      if (v.is_null()) return false;
+      break;
+    }
+    case Kernel::kColumnColumn: {
+      const Value& a = Cell(lhs, t);
+      const Value& b = Cell(rhs, t);
+      double x, y;
+      if (a.AsNumber(&x) && b.AsNumber(&y)) return NumbersHold(op, x, y);
+      if (a.is_null() || b.is_null()) return false;
+      break;
+    }
+    case Kernel::kColumnStringEq: {
+      const Value& v = Cell(lhs, t);
+      if (const std::string* s = v.IfString()) return *s == *text;
+      if (v.is_null()) return false;
+      break;
+    }
+    case Kernel::kGeneric:
+      break;
+  }
+  return EvalGeneric(t);
+}
+
+bool BoundPredicate::EvalGeneric(const ExecTuple& t) const {
   switch (expr->kind) {
     case ExprKind::kAnd:
       for (const BoundPredicate& c : children) {
@@ -79,6 +202,7 @@ BoundPredicate ColumnBinder::Bind(const Expr& expr) const {
          ++i) {
       p.operands.push_back(source(*expr.children[i]));
     }
+    ChooseKernel(&p);
   }
   return p;
 }

@@ -66,12 +66,39 @@ struct BoundValue {
 // A predicate with its column references bound at lowering. Connectives
 // keep their children; atoms keep one operand per child (see sql's
 // EvaluateAtom, which gives them their meaning).
+//
+// Lowering also tags each atom with the kernel Eval runs it through. A
+// kernel reads the column's Value in place and decides the common cell
+// types itself: a NULL cell is false, numbers compare as doubles exactly
+// as Value::Compare does. A cell type the kernel does not handle (a
+// string in a numeric kernel, a number against a string literal) and
+// every untagged atom go to EvaluateAtom, which stays the one definition
+// of atom semantics; a differential test holds the kernels to it.
 struct BoundPredicate {
+  enum class Kernel : uint8_t {
+    kGeneric,         // EvaluateAtom over the operands
+    kColumnNumber,    // column <op> numeric literal, either way round
+    kColumnBetween,   // column BETWEEN numeric literal AND numeric literal
+    kColumnColumn,    // column <op> column
+    kColumnStringEq,  // column = string literal
+  };
+
   const Expr* expr = nullptr;
   std::vector<BoundPredicate> children;  // kAnd / kOr / kNot
   std::vector<BoundValue> operands;      // atoms
 
+  Kernel kernel = Kernel::kGeneric;
+  CompareOp op = CompareOp::kEq;  // read with the column on the left
+  BoundValue lhs;                 // the (left) column
+  BoundValue rhs;                 // kColumnColumn's right column
+  double lo = 0.0;                // the numeric literal; BETWEEN's low end
+  double hi = 0.0;                // BETWEEN's high end
+  const std::string* text = nullptr;  // kColumnStringEq's literal
+
   bool Eval(const ExecTuple& t) const;
+
+ private:
+  bool EvalGeneric(const ExecTuple& t) const;
 };
 
 // The engine's one column-resolution rule, applied once per reference at

@@ -177,8 +177,13 @@ void HashAggregateOp::EnsureAggregated() {
       } else {
         st.sums[k] += v.AsDouble();
       }
-      if (st.mins[k].is_null() || v.Compare(st.mins[k]) < 0) st.mins[k] = v;
-      if (st.maxs[k].is_null() || v.Compare(st.maxs[k]) > 0) st.maxs[k] = v;
+      if (item.agg == AggFunc::kMin &&
+          (st.mins[k].is_null() || v.Compare(st.mins[k]) < 0)) {
+        st.mins[k] = v;
+      } else if (item.agg == AggFunc::kMax &&
+                 (st.maxs[k].is_null() || v.Compare(st.maxs[k]) > 0)) {
+        st.maxs[k] = v;
+      }
     }
   }
   if (groups.empty() && group_by_->empty()) {

@@ -19,13 +19,19 @@ SeqScanOp::SeqScanOp(ExecContext* ctx, const std::vector<TablePlan>& tables,
 
 void SeqScanOp::EnsureMaterialized() {
   if (materialized_done_) return;
-  table_->Scan([&](RowId rid, const Row& row) {
-    ++stats_.tuples_examined;
-    candidate_.slots[level_] = &row;
-    if (AllHold(local_, candidate_, &stats_.comparisons)) {
-      materialized_.push_back(rid);
-    }
-  });
+  if (local_.empty()) {
+    materialized_.reserve(table_->num_rows());
+    table_->Scan([&](RowId rid, const Row&) { materialized_.push_back(rid); });
+    stats_.tuples_examined += static_cast<int64_t>(materialized_.size());
+  } else {
+    table_->Scan([&](RowId rid, const Row& row) {
+      ++stats_.tuples_examined;
+      candidate_.slots[level_] = &row;
+      if (AllHold(local_, candidate_, &stats_.comparisons)) {
+        materialized_.push_back(rid);
+      }
+    });
+  }
   stats_.heap_pages_read += static_cast<int64_t>(table_->NumPages());
   materialized_done_ = true;
 }
@@ -41,6 +47,18 @@ bool SeqScanOp::DoNext(ExecTuple* out) {
     return true;
   }
   return false;
+}
+
+void SeqScanOp::Drain(std::vector<const Row*>* rows,
+                      std::vector<RowId>* rids) {
+  EnsureMaterialized();
+  for (; cursor_ < materialized_.size(); ++cursor_) {
+    const RowId rid = materialized_[cursor_];
+    if (!table_->IsLive(rid)) continue;
+    rows->push_back(&table_->Get(rid));
+    rids->push_back(rid);
+    ++stats_.rows_out;
+  }
 }
 
 std::string SeqScanOp::detail() const {

@@ -28,6 +28,10 @@ class SeqScanOp : public PhysicalOperator {
 
   void Rewind() { cursor_ = 0; }
 
+  // Appends every row the remaining Next calls would emit, and its RowId,
+  // with the same counters; a hash join's build reads its input this way.
+  void Drain(std::vector<const Row*>* rows, std::vector<RowId>* rids);
+
   void AppendFeedback(const CostParams& params,
                       std::vector<AccessPathFeedback>* out) const override;
 

@@ -43,6 +43,26 @@ int CompareEntry(const Row& a_key, RowId a_rid, const Row& b_key,
   return 0;
 }
 
+// Index of the first entry of `node` for which `before` is false. Entries
+// are sorted on (key, rid), and every search below asks "does this entry
+// sort before the target?", so the answers are all true, then all false:
+// a binary search finds the same index a linear walk would.
+template <typename NodeT, typename Before>
+size_t FirstNotBefore(const NodeT& node, Before before) {
+  return static_cast<size_t>(
+      std::partition_point(node.entries.begin(), node.entries.end(), before) -
+      node.entries.begin());
+}
+
+// The child of an internal node that routes (key, rid): the first whose
+// separator exceeds it.
+template <typename NodeT>
+size_t ChildFor(const NodeT& node, const Row& key, RowId rid) {
+  return FirstNotBefore(node, [&](const auto& e) {
+    return CompareEntry(key, rid, e.key, e.rid) >= 0;
+  });
+}
+
 }  // namespace
 
 BTree::BTree(size_t leaf_capacity, size_t internal_capacity)
@@ -72,14 +92,7 @@ BTree::Node* BTree::FindLeaf(const Row& key, RowId rid,
   Node* node = root_.get();
   while (!node->is_leaf) {
     if (path) path->push_back(node);
-    // First child whose separator exceeds (key, rid).
-    size_t i = 0;
-    while (i < node->entries.size() &&
-           CompareEntry(key, rid, node->entries[i].key,
-                        node->entries[i].rid) >= 0) {
-      ++i;
-    }
-    node = node->children[i].get();
+    node = node->children[ChildFor(*node, key, rid)].get();
   }
   if (path) path->push_back(node);
   return node;
@@ -127,12 +140,7 @@ void BTree::SplitChild(Node* parent, size_t child_idx) {
 
 void BTree::InsertNonFull(Node* node, const Row& key, RowId rid) {
   while (!node->is_leaf) {
-    size_t i = 0;
-    while (i < node->entries.size() &&
-           CompareEntry(key, rid, node->entries[i].key,
-                        node->entries[i].rid) >= 0) {
-      ++i;
-    }
+    size_t i = ChildFor(*node, key, rid);
     Node* child = node->children[i].get();
     const size_t cap = child->is_leaf ? leaf_capacity_ : internal_capacity_;
     if (child->entries.size() >= cap) {
@@ -219,34 +227,37 @@ void BTree::Scan(const Row* lo, bool lo_inclusive, const Row* hi,
     }
   } else {
     while (!node->is_leaf) {
-      size_t i = 0;
       // Descend into the first child that can contain keys >= lo on the
       // prefix. Separator comparison uses the lo prefix length.
-      while (i < node->entries.size() &&
-             CompareRowPrefix(node->entries[i].key, *lo, lo->size()) < 0) {
-        ++i;
-      }
+      const size_t i = FirstNotBefore(*node, [&](const auto& e) {
+        return CompareRowPrefix(e.key, *lo, lo->size()) < 0;
+      });
       node = node->children[i].get();
       ++pages;
     }
   }
 
+  // An entry sorts before the lower bound when it is below lo on the
+  // prefix, or equal to it and the bound is exclusive.
+  auto below_lo = [&](const Entry& e) {
+    const int c = CompareRowPrefix(e.key, *lo, lo->size());
+    return c < 0 || (c == 0 && !lo_inclusive);
+  };
   const Node* leaf = node;
   // Position within the first leaf.
-  size_t idx = 0;
-  if (lo != nullptr) {
-    while (idx < leaf->entries.size()) {
-      const int c = CompareRowPrefix(leaf->entries[idx].key, *lo, lo->size());
-      if (c > 0 || (c == 0 && lo_inclusive)) break;
-      ++idx;
-    }
-  }
+  size_t idx = lo == nullptr ? 0 : FirstNotBefore(*leaf, below_lo);
+  // Entries still need the lower-bound check until the first one passes:
+  // when every entry of the first leaf sorts before lo, the next leaf may
+  // start with more of them. With an exclusive bound (x > 5) the descent
+  // lands on the leftmost leaf holding a 5, and 5s can continue into the
+  // leaves after it. Once one entry passes, every later one does.
+  bool past_lo = lo == nullptr || idx < leaf->entries.size();
   while (leaf != nullptr) {
     for (; idx < leaf->entries.size(); ++idx) {
       const Entry& e = leaf->entries[idx];
-      if (lo != nullptr) {
-        const int c = CompareRowPrefix(e.key, *lo, lo->size());
-        if (c < 0 || (c == 0 && !lo_inclusive)) continue;
+      if (!past_lo) {
+        if (below_lo(e)) continue;
+        past_lo = true;
       }
       if (hi != nullptr) {
         const int c = CompareRowPrefix(e.key, *hi, hi->size());

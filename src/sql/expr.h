@@ -110,7 +110,9 @@ inline constexpr size_t kMaxAtomOperands = 3;
 // Evaluates one atom (a non-connective node) over already-resolved operand
 // values, where a null pointer is an unbound operand: the single place the
 // comparison, LIKE, BETWEEN, IN and IS NULL semantics live. Both
-// EvaluatePredicate and the executor's lowering-bound predicates call it.
+// EvaluatePredicate and the executor's lowering-bound predicates call it;
+// the typed kernels BoundPredicate::Eval runs for common atom shapes fall
+// back to it and are tested against it (predicate_kernel_test).
 bool EvaluateAtom(const Expr& atom, const Value* const* operands);
 
 }  // namespace autoindex

@@ -42,19 +42,18 @@ int Value::Compare(const Value& other) const {
   if (a_null) return -1;
   if (b_null) return 1;
 
-  const bool a_num = type() != ValueType::kString;
-  const bool b_num = other.type() != ValueType::kString;
+  double a = 0.0;
+  double b = 0.0;
+  const bool a_num = AsNumber(&a);
+  const bool b_num = other.AsNumber(&b);
   if (a_num && b_num) {
-    const double a = AsDouble();
-    const double b = other.AsDouble();
     if (a < b) return -1;
     if (a > b) return 1;
     return 0;
   }
   if (a_num != b_num) return a_num ? -1 : 1;  // numbers sort before strings
-  return AsString().compare(other.AsString()) < 0
-             ? -1
-             : (AsString() == other.AsString() ? 0 : 1);
+  const int c = AsString().compare(other.AsString());
+  return c < 0 ? -1 : (c > 0 ? 1 : 0);
 }
 
 size_t Value::ByteSize() const {
@@ -86,18 +85,12 @@ size_t HashNumber(double d) {
 
 }  // namespace
 
-size_t Value::Hash() const {
+size_t Value::HashOther() const {
   switch (type()) {
     case ValueType::kNull:
       return 0x9e3779b9;
-    case ValueType::kInt: {
-      // Ints a double holds exactly hash by identity; beyond ±2^53 several
-      // ints compare equal as doubles, so they hash as doubles.
-      constexpr int64_t kExact = int64_t{1} << 53;
-      const int64_t v = AsInt();
-      if (v >= -kExact && v <= kExact) return std::hash<int64_t>()(v);
-      return HashNumber(static_cast<double>(v));
-    }
+    case ValueType::kInt:  // beyond ±2^53 (Hash takes the rest inline)
+      return HashNumber(static_cast<double>(AsInt()));
     case ValueType::kDouble:
       return HashNumber(AsDouble());
     case ValueType::kString:

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <variant>
 #include <vector>
@@ -40,6 +41,24 @@ class Value {
   double AsDouble() const;
   const std::string& AsString() const { return std::get<std::string>(data_); }
 
+  // In-place views for per-tuple kernels. AsNumber sets *out to an int's
+  // or a double's value as a double (what Compare compares) and returns
+  // false for NULL and strings; IfString is the string, or null.
+  bool AsNumber(double* out) const {
+    if (const int64_t* i = std::get_if<int64_t>(&data_)) {
+      *out = static_cast<double>(*i);
+      return true;
+    }
+    if (const double* d = std::get_if<double>(&data_)) {
+      *out = *d;
+      return true;
+    }
+    return false;
+  }
+  const std::string* IfString() const {
+    return std::get_if<std::string>(&data_);
+  }
+
   // Total ordering: NULL < ints/doubles (numeric) < strings (lexical).
   // Returns <0, 0, >0.
   int Compare(const Value& other) const;
@@ -55,8 +74,17 @@ class Value {
   size_t ByteSize() const;
 
   // Agrees with Compare: values that compare equal hash equal, including
-  // an int and a double of the same numeric value.
-  size_t Hash() const;
+  // an int and a double of the same numeric value. Ints a double holds
+  // exactly hash by identity, inline; beyond ±2^53 several ints compare
+  // equal as doubles, so they hash as doubles, out of line with the rest.
+  size_t Hash() const {
+    constexpr int64_t kExact = int64_t{1} << 53;
+    const int64_t* i = std::get_if<int64_t>(&data_);
+    if (i != nullptr && *i >= -kExact && *i <= kExact) {
+      return std::hash<int64_t>()(*i);
+    }
+    return HashOther();
+  }
 
   std::string ToString() const;
 
@@ -64,6 +92,8 @@ class Value {
   std::string ToSqlLiteral() const;
 
  private:
+  size_t HashOther() const;
+
   std::variant<std::monostate, int64_t, double, std::string> data_;
 };
 

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "check/validator.h"
@@ -181,6 +184,121 @@ TEST(BTree, StringKeys) {
   EXPECT_EQ(order[0], 2u);  // apple
   EXPECT_EQ(order[1], 1u);  // banana
   EXPECT_EQ(order[2], 3u);  // cherry
+}
+
+// --- Scan bounds against a brute-force filter ---
+
+// Entries of a sorted (key, rid) list that satisfy Scan's bounds, in order.
+std::vector<std::pair<Row, RowId>> BruteForceScan(
+    const std::vector<std::pair<Row, RowId>>& sorted, const Row* lo,
+    bool lo_inclusive, const Row* hi, bool hi_inclusive) {
+  std::vector<std::pair<Row, RowId>> out;
+  for (const auto& [key, rid] : sorted) {
+    if (lo != nullptr) {
+      const int c = CompareRowPrefix(key, *lo, lo->size());
+      if (c < 0 || (c == 0 && !lo_inclusive)) continue;
+    }
+    if (hi != nullptr) {
+      const int c = CompareRowPrefix(key, *hi, hi->size());
+      if (c > 0 || (c == 0 && !hi_inclusive)) continue;
+    }
+    out.emplace_back(key, rid);
+  }
+  return out;
+}
+
+std::vector<std::pair<Row, RowId>> TreeScan(const BTree& tree, const Row* lo,
+                                            bool lo_inclusive, const Row* hi,
+                                            bool hi_inclusive) {
+  std::vector<std::pair<Row, RowId>> out;
+  tree.Scan(lo, lo_inclusive, hi, hi_inclusive, [&](const Row& k, RowId rid) {
+    out.emplace_back(k, rid);
+    return true;
+  });
+  return out;
+}
+
+// Two-column keys over a handful of values, so every key has many
+// duplicates spread over several 4-entry leaves; some entries are deleted
+// again, leaving sparse and empty leaves in the chain. Every combination
+// of absent, inclusive and exclusive bounds, on one-column prefixes and
+// full keys (inside and outside the key range), must return exactly the
+// brute-force selection, in order.
+TEST(BTree, ScanBoundsMatchBruteForceWithHeavyDuplicates) {
+  BTree tree(4, 4);
+  Random rng(17);
+  std::vector<std::pair<Row, RowId>> entries;
+  for (RowId rid = 0; rid < 400; ++rid) {
+    Row key = Key2(static_cast<int64_t>(rng.Uniform(5)),
+                   static_cast<int64_t>(rng.Uniform(3)));
+    tree.Insert(key, rid);
+    entries.emplace_back(std::move(key), rid);
+  }
+  std::vector<std::pair<Row, RowId>> kept;
+  for (const auto& [key, rid] : entries) {
+    if (rid % 7 == 3) {
+      ASSERT_TRUE(tree.Delete(key, rid));
+    } else {
+      kept.emplace_back(key, rid);
+    }
+  }
+  std::sort(kept.begin(), kept.end(), [](const auto& a, const auto& b) {
+    const int c = CompareRows(a.first, b.first);
+    return c != 0 ? c < 0 : a.second < b.second;
+  });
+  ASSERT_TRUE(tree.CheckInvariants());
+
+  struct Bound {
+    std::optional<Row> key;
+    bool inclusive = true;
+  };
+  std::vector<Bound> bounds = {{std::nullopt, true}};
+  for (int64_t a = -1; a <= 5; ++a) {
+    for (bool inclusive : {true, false}) {
+      bounds.push_back({Key(a), inclusive});
+      for (int64_t b = -1; b <= 3; ++b) {
+        bounds.push_back({Key2(a, b), inclusive});
+      }
+    }
+  }
+  for (const Bound& lo : bounds) {
+    for (const Bound& hi : bounds) {
+      const Row* lo_key = lo.key ? &*lo.key : nullptr;
+      const Row* hi_key = hi.key ? &*hi.key : nullptr;
+      ASSERT_EQ(TreeScan(tree, lo_key, lo.inclusive, hi_key, hi.inclusive),
+                BruteForceScan(kept, lo_key, lo.inclusive, hi_key,
+                               hi.inclusive))
+          << "lo " << (lo_key ? lo_key->size() : 0) << " cols "
+          << (lo.inclusive ? "incl" : "excl") << ", hi "
+          << (hi_key ? hi_key->size() : 0) << " cols "
+          << (hi.inclusive ? "incl" : "excl");
+    }
+  }
+}
+
+// x > 5 where the 5s fill more than one leaf: the descent lands on the
+// leftmost leaf holding a 5, and the leaves after it start with more 5s
+// that the scan must still skip.
+TEST(BTree, ExclusiveLowerBoundSkipsDuplicatesPastTheFirstLeaf) {
+  BTree tree(4, 4);
+  RowId rid = 0;
+  for (int64_t v = 0; v < 10; ++v) {
+    const int copies = v == 5 ? 13 : 2;
+    for (int i = 0; i < copies; ++i) tree.Insert(Key(v), rid++);
+  }
+  size_t fives_pages = 0;
+  ASSERT_EQ(tree.PrefixLookup(Key(5), &fives_pages).size(), 13u);
+  ASSERT_GE(fives_pages, tree.height() + 2) << "the 5s fit in one leaf";
+
+  const Row five = Key(5);
+  std::vector<int64_t> seen;
+  tree.Scan(&five, false, nullptr, true, [&](const Row& k, RowId) {
+    seen.push_back(k[0].AsInt());
+    return true;
+  });
+  ASSERT_EQ(seen.size(), 8u);
+  EXPECT_EQ(seen.front(), 6);
+  EXPECT_EQ(seen.back(), 9);
 }
 
 // --- Differential property test against std::multimap ---

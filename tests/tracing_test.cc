@@ -30,6 +30,7 @@
 #include "obs/trace.h"
 #include "persist/snapshot.h"
 #include "persist/wal.h"
+#include "util/metrics.h"
 #include "util/random.h"
 
 namespace autoindex {
@@ -46,6 +47,21 @@ const obs::SpanRecord* FindSpan(const obs::TraceData& trace,
     if (name == span.name) return &span;
   }
   return nullptr;
+}
+
+// With metrics compiled out (AUTOINDEX_METRICS=OFF) ScopedTrace and
+// ScopedSpan record nothing. Then this checks that `snap` holds no trace
+// and returns true, so a test stops before its assertions on recorded
+// traces.
+bool CompiledOut(const obs::Tracer::Snapshot& snap) {
+  if constexpr (util::kMetricsEnabled) {
+    return false;
+  } else {
+    EXPECT_TRUE(snap.traces.empty());
+    EXPECT_EQ(snap.stats.started, 0u);
+    EXPECT_EQ(snap.stats.finished, 0u);
+    return true;
+  }
 }
 
 const obs::TraceData* FindTraceWithSpan(const obs::Tracer::Snapshot& snap,
@@ -157,14 +173,15 @@ TEST(Tracing, SpanTreeShape) {
   tracer.Configure(kKeepAll, 0.0);
   {
     obs::ScopedTrace trace("root", &tracer);
-    EXPECT_TRUE(trace.owns());
-    EXPECT_NE(trace.trace_id(), 0u);
+    EXPECT_EQ(trace.owns(), util::kMetricsEnabled);
+    EXPECT_EQ(trace.trace_id() != 0, util::kMetricsEnabled);
     EXPECT_EQ(obs::CurrentTraceId(), trace.trace_id());
     obs::ScopedSpan a("a");
     a.SetAttr("rows", 7);
     { obs::ScopedSpan b("b"); }
   }
   const obs::Tracer::Snapshot snap = tracer.TakeSnapshot();
+  if (CompiledOut(snap)) return;
   ASSERT_EQ(snap.traces.size(), 1u);
   const obs::TraceData& t = snap.traces[0];
   ASSERT_EQ(t.spans.size(), 3u);
@@ -200,6 +217,7 @@ TEST(Tracing, NestedTraceIsNoopAndOutermostWins) {
     EXPECT_EQ(obs::CurrentTraceId(), outer_id);
   }
   const obs::Tracer::Snapshot snap = tracer.TakeSnapshot();
+  if (CompiledOut(snap)) return;
   ASSERT_EQ(snap.traces.size(), 1u);
   EXPECT_STREQ(snap.traces[0].spans[0].name, "outer");
   EXPECT_NE(FindSpan(snap.traces[0], "from-inner-scope"), nullptr);
@@ -221,6 +239,7 @@ TEST(Tracing, CancelDiscardsAndKeepPolicyFilters) {
   { obs::ScopedTrace trace("sampled", &tracer); }
 
   const obs::Tracer::Snapshot snap = tracer.TakeSnapshot();
+  if (CompiledOut(snap)) return;
   EXPECT_EQ(snap.stats.started, 3u);
   EXPECT_EQ(snap.stats.cancelled, 1u);
   EXPECT_EQ(snap.stats.finished, 2u);
@@ -247,6 +266,7 @@ TEST(Tracing, SpanCapDropsAndCounts) {
     }
   }
   const obs::Tracer::Snapshot snap = tracer.TakeSnapshot();
+  if (CompiledOut(snap)) return;
   ASSERT_EQ(snap.traces.size(), 1u);
   EXPECT_EQ(snap.traces[0].spans.size(),
             size_t{obs::TraceContext::kMaxSpansPerTrace});
@@ -284,6 +304,7 @@ TEST(Tracing, RingWraparoundKeepsAttribution) {
   for (std::thread& t : threads) t.join();
 
   const obs::Tracer::Snapshot snap = tracer.TakeSnapshot();
+  if (CompiledOut(snap)) return;
   EXPECT_EQ(snap.stats.started, uint64_t{kThreads * kTracesPerThread});
   EXPECT_EQ(snap.stats.recorded, uint64_t{kThreads * kTracesPerThread});
   ASSERT_EQ(snap.traces.size(), 4u);
@@ -343,6 +364,19 @@ class TraceValidatorDrill : public ::testing::Test {
     }
   }
 
+  // Points *trace at the ring's first drill trace and says whether a drill
+  // can corrupt it. With metrics compiled out nothing was recorded, so
+  // the ring must be empty and there is no trace to corrupt.
+  bool FirstTrace(obs::TraceData** trace) {
+    *trace = tracer_.TestOnlyMutableTrace(0);
+    if constexpr (!util::kMetricsEnabled) {
+      EXPECT_EQ(*trace, nullptr);
+      return false;
+    }
+    EXPECT_NE(*trace, nullptr);
+    return *trace != nullptr;
+  }
+
   // Runs the validator and returns the concatenated issue text ("" = ok).
   std::string Issues() {
     CheckReport report;
@@ -362,45 +396,59 @@ TEST_F(TraceValidatorDrill, CleanBaselinePasses) {
 }
 
 TEST_F(TraceValidatorDrill, EmptySpanList) {
-  tracer_.TestOnlyMutableTrace(0)->spans.clear();
+  obs::TraceData* trace;
+  if (!FirstTrace(&trace)) return;
+  trace->spans.clear();
   EXPECT_NE(Issues().find("no spans"), std::string::npos);
 }
 
 TEST_F(TraceValidatorDrill, NonDenseIds) {
-  tracer_.TestOnlyMutableTrace(0)->spans[1].id = 5;
+  obs::TraceData* trace;
+  if (!FirstTrace(&trace)) return;
+  trace->spans[1].id = 5;
   EXPECT_NE(Issues().find("dense"), std::string::npos);
 }
 
 TEST_F(TraceValidatorDrill, RootWithParent) {
-  tracer_.TestOnlyMutableTrace(0)->spans[0].parent = 1;
+  obs::TraceData* trace;
+  if (!FirstTrace(&trace)) return;
+  trace->spans[0].parent = 1;
   EXPECT_NE(Issues().find("root span has parent"), std::string::npos);
 }
 
 TEST_F(TraceValidatorDrill, SecondRoot) {
-  tracer_.TestOnlyMutableTrace(0)->spans[1].parent = 0;
+  obs::TraceData* trace;
+  if (!FirstTrace(&trace)) return;
+  trace->spans[1].parent = 0;
   EXPECT_NE(Issues().find("second root"), std::string::npos);
 }
 
 TEST_F(TraceValidatorDrill, ParentNotBeforeChild) {
-  tracer_.TestOnlyMutableTrace(0)->spans[1].parent = 2;
+  obs::TraceData* trace;
+  if (!FirstTrace(&trace)) return;
+  trace->spans[1].parent = 2;
   EXPECT_NE(Issues().find("parents must start first"), std::string::npos);
 }
 
 TEST_F(TraceValidatorDrill, ChildEscapesParentInterval) {
-  obs::TraceData* trace = tracer_.TestOnlyMutableTrace(0);
+  obs::TraceData* trace;
+  if (!FirstTrace(&trace)) return;
   trace->spans[1].start_us =
       trace->spans[0].start_us + trace->spans[0].duration_us + 1000;
   EXPECT_NE(Issues().find("escapes its parent"), std::string::npos);
 }
 
 TEST_F(TraceValidatorDrill, TotalDisagreesWithRoot) {
-  obs::TraceData* trace = tracer_.TestOnlyMutableTrace(0);
+  obs::TraceData* trace;
+  if (!FirstTrace(&trace)) return;
   trace->total_us = trace->spans[0].duration_us + 5;
   EXPECT_NE(Issues().find("root span duration"), std::string::npos);
 }
 
 TEST_F(TraceValidatorDrill, DropsWithoutFullTrace) {
-  tracer_.TestOnlyMutableTrace(0)->spans_dropped = 3;
+  obs::TraceData* trace;
+  if (!FirstTrace(&trace)) return;
+  trace->spans_dropped = 3;
   EXPECT_NE(Issues().find("drops only happen at the cap"),
             std::string::npos);
 }
@@ -448,6 +496,7 @@ TEST(Tracing, LocalStatementTracesAndChromeExport) {
   CheckOk(db.Execute("SELECT * FROM orders WHERE v = 3").status());
 
   const obs::Tracer::Snapshot snap = tracer.TakeSnapshot();
+  if (CompiledOut(snap)) return;
   const obs::TraceData* select =
       FindTraceWithSpan(snap, "statement", "plan");
   ASSERT_NE(select, nullptr);
@@ -512,8 +561,9 @@ TEST(Tracing, ParseFailureTracedAlikeOnEveryEntryPoint) {
     client.Close();
   }
   server.Stop();
-  EXPECT_NE(FindTraceWithSpan(tracer.TakeSnapshot(), "net.request", "parse"),
-            nullptr);
+  EXPECT_EQ(FindTraceWithSpan(tracer.TakeSnapshot(), "net.request", "parse") !=
+                nullptr,
+            util::kMetricsEnabled);
 
   reset();
   ASSERT_FALSE(db.Execute(bad).ok());
@@ -524,8 +574,8 @@ TEST(Tracing, ParseFailureTracedAlikeOnEveryEntryPoint) {
   ASSERT_FALSE(session->Execute(bad).ok());
   const auto via_session = TraceShapes(tracer.TakeSnapshot());
 
-  const std::vector<std::vector<std::string>> expected = {
-      {"statement", "parse"}};
+  std::vector<std::vector<std::string>> expected = {{"statement", "parse"}};
+  if constexpr (!util::kMetricsEnabled) expected.clear();  // none recorded
   EXPECT_EQ(via_database, expected);
   EXPECT_EQ(via_session, expected);
   tracer.ResetForTest();
@@ -559,6 +609,7 @@ TEST(Tracing, TuningRoundProducesPhaseSpans) {
   manager.RunManagementRound();
 
   const obs::Tracer::Snapshot snap = tracer.TakeSnapshot();
+  if (CompiledOut(snap)) return;
   const obs::TraceData* round =
       FindTraceWithSpan(snap, "tuning.round", "tuning.candidate_gen");
   ASSERT_NE(round, nullptr);
@@ -617,8 +668,8 @@ TEST(Tracing, RemoteStatementDuringBuildDecomposesEndToEnd) {
     StatusOr<net::QueryResult> ins =
         client.Query("INSERT INTO orders VALUES (90001, 7)");
     ASSERT_TRUE(ins.ok()) << ins.status().ToString();
-    EXPECT_NE(ins->server_trace_id, 0u);
-    EXPECT_GT(ins->server_span_count, 0u);
+    EXPECT_EQ(ins->server_trace_id != 0, util::kMetricsEnabled);
+    EXPECT_EQ(ins->server_span_count > 0, util::kMetricsEnabled);
     insert_server_trace = ins->server_trace_id;
     StatusOr<net::QueryResult> sel =
         client.Query("SELECT * FROM orders WHERE v = 3");
@@ -631,9 +682,13 @@ TEST(Tracing, RemoteStatementDuringBuildDecomposesEndToEnd) {
   server.Stop();
 
   const obs::Tracer::Snapshot snap = tracer.TakeSnapshot();
+  tracer.ResetForTest();
+  db.set_durability_log(nullptr);
+  std::remove(persist::WalPath(dir).c_str());
   CheckReport report;
   TraceValidator::CheckSnapshot(snap, &report);
   EXPECT_TRUE(report.ok()) << report.ToString();
+  if (CompiledOut(snap)) return;
 
   // The INSERT's server-side trace, found by the propagated identity.
   const obs::TraceData* insert_trace = nullptr;
@@ -686,10 +741,6 @@ TEST(Tracing, RemoteStatementDuringBuildDecomposesEndToEnd) {
   EXPECT_NE(FindSpan(*build, "build.register"), nullptr);
   EXPECT_NE(FindSpan(*build, "build.catchup"), nullptr);
   EXPECT_NE(FindSpan(*build, "build.publish"), nullptr);
-
-  db.set_durability_log(nullptr);
-  std::remove(persist::WalPath(dir).c_str());
-  tracer.ResetForTest();
 }
 
 // --- Build identity + uptime gauges (DESIGN.md §11) --------------------
@@ -702,7 +753,9 @@ TEST(Tracing, BuildInfoAndUptimeExported) {
   EXPECT_NE(text.find("autoindex_build_info{version=\""), std::string::npos);
   EXPECT_NE(text.find("git_hash=\""), std::string::npos);
   EXPECT_NE(text.find("sanitizer=\""), std::string::npos);
-  EXPECT_NE(text.find("} 1\n"), std::string::npos);
+  // Gauge updates are no-ops with metrics compiled out.
+  EXPECT_NE(text.find(util::kMetricsEnabled ? "} 1\n" : "} 0\n"),
+            std::string::npos);
   EXPECT_NE(text.find("autoindex_uptime_seconds"), std::string::npos);
   // The labels ride only on the sample line — the TYPE line stays bare.
   EXPECT_EQ(text.find("# TYPE autoindex_build_info{"), std::string::npos);
