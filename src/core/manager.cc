@@ -35,8 +35,6 @@ struct TuningMetrics {
 
 AutoIndexManager::AutoIndexManager(Database* db, AutoIndexConfig config)
     : db_(db), config_(config), sample_rng_(0xA11CE) {
-  obs::Tracer::Default().Configure(config_.trace_slow_us,
-                                   config_.trace_sample_rate);
   templates_ = std::make_unique<TemplateStore>(config_.template_capacity);
   estimator_ = std::make_unique<IndexBenefitEstimator>(db_);
   generator_ =
@@ -59,7 +57,6 @@ AutoIndexManager::AutoIndexManager(Database* db, AutoIndexConfig config)
 }
 
 AutoIndexManager::~AutoIndexManager() {
-  ShutdownApplyWorker();
   // The hook borrows estimator_, which dies with this manager; the
   // database outlives it and keeps executing statements.
   if (config_.learn_cost_model) db_->set_execution_feedback_hook(nullptr);
@@ -93,66 +90,6 @@ AutoIndexManager::DdlOutcome AutoIndexManager::ApplyDdlNow(
   }
   estimator_->InvalidateCache();
   return outcome;
-}
-
-void AutoIndexManager::EnqueueApply(ApplyTask task) {
-  {
-    util::MutexLock lock(apply_mu_);
-    apply_queue_.push_back(std::move(task));
-    if (!apply_worker_started_) {
-      apply_worker_ = std::thread([this] { ApplyWorkerLoop(); });
-      apply_worker_started_ = true;
-    }
-  }
-  apply_cv_.NotifyAll();
-}
-
-void AutoIndexManager::ApplyWorkerLoop() {
-  for (;;) {
-    ApplyTask task;
-    {
-      util::MutexLock lock(apply_mu_);
-      while (apply_queue_.empty() && !apply_shutdown_) {
-        apply_cv_.Wait(apply_mu_);
-      }
-      if (apply_queue_.empty()) return;  // shutdown with a drained queue
-      task = std::move(apply_queue_.front());
-      apply_queue_.pop_front();
-      apply_inflight_ = true;
-    }
-    DdlOutcome outcome = ApplyDdlNow(task.drops, task.adds);
-    {
-      util::MutexLock lock(apply_mu_);
-      for (ApplyError& error : outcome.errors) {
-        apply_errors_.push_back(std::move(error));
-      }
-      apply_inflight_ = false;
-    }
-    apply_cv_.NotifyAll();
-  }
-}
-
-std::vector<ApplyError> AutoIndexManager::WaitForApply() {
-  util::MutexLock lock(apply_mu_);
-  while (!apply_queue_.empty() || apply_inflight_) {
-    apply_cv_.Wait(apply_mu_);
-  }
-  std::vector<ApplyError> errors = std::move(apply_errors_);
-  apply_errors_.clear();
-  return errors;
-}
-
-void AutoIndexManager::ShutdownApplyWorker() {
-  {
-    util::MutexLock lock(apply_mu_);
-    if (!apply_worker_started_) return;
-    apply_shutdown_ = true;
-  }
-  apply_cv_.NotifyAll();
-  apply_worker_.join();
-  util::MutexLock lock(apply_mu_);
-  apply_worker_started_ = false;
-  apply_shutdown_ = false;
 }
 
 void AutoIndexManager::set_storage_budget(size_t bytes) {
@@ -280,19 +217,11 @@ TuningResult AutoIndexManager::RunManagementRound(bool apply) {
 
   if (apply) {
     obs::ScopedSpan apply_span("tuning.apply");
-    if (config_.async_apply) {
-      // Stage and return: the background worker publishes the DDL while
-      // the workload keeps running. added/removed keep reporting the
-      // recommendation; failures surface from WaitForApply().
-      EnqueueApply(ApplyTask{result.removed, result.added});
-      result.staged = true;
-    } else {
-      DdlOutcome outcome = ApplyDdlNow(result.removed, result.added);
-      result.removed = std::move(outcome.dropped);
-      result.added = std::move(outcome.built);
-      result.apply_errors = std::move(outcome.errors);
-      result.applied = true;
-    }
+    DdlOutcome outcome = ApplyDdlNow(result.removed, result.added);
+    result.removed = std::move(outcome.dropped);
+    result.added = std::move(outcome.built);
+    result.apply_errors = std::move(outcome.errors);
+    result.applied = true;
   }
 
   ++rounds_run_;

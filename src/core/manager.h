@@ -1,9 +1,7 @@
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/benefit_estimator.h"
@@ -13,7 +11,6 @@
 #include "core/mcts.h"
 #include "core/query_template.h"
 #include "engine/database.h"
-#include "util/mutex.h"
 
 namespace autoindex {
 
@@ -47,18 +44,6 @@ struct AutoIndexConfig {
   // Sample rate for collecting training observations (the paper samples
   // 0.01% of a 2.2M-query workload; we default denser for small runs).
   double observation_sample_rate = 0.05;
-  // Request-scoped tracing (DESIGN.md §13): statements slower than
-  // trace_slow_us always land in the flight recorder's ring buffer; a
-  // trace_sample_rate fraction of the remaining traces is head-sampled.
-  // Pushed into obs::Tracer::Default() at manager construction.
-  uint64_t trace_slow_us = 10'000;
-  double trace_sample_rate = 0.01;
-  // Apply recommended DDL on a background worker thread: the round stages
-  // its adds/drops onto the apply queue and returns immediately, so the
-  // tuning loop never blocks behind index builds. Join with WaitForApply()
-  // (which also returns any failures). Off by default: the synchronous
-  // path keeps single-threaded tests and examples deterministic.
-  bool async_apply = false;
 };
 
 // One failed create/drop from an apply pass (the Status the database
@@ -81,13 +66,9 @@ struct TuningResult {
   double elapsed_ms = 0.0;        // total index-management overhead
   double candidate_gen_ms = 0.0;  // template matching + candidate extraction
   double search_ms = 0.0;         // MCTS selection
-  // Synchronous apply ran: added/removed report what actually happened.
+  // The DDL ran: added/removed report what actually happened.
   bool applied = false;
-  // Async apply: the DDL was staged onto the background queue and
-  // added/removed report the *recommendation*; publication (and any
-  // failures) surface from WaitForApply().
-  bool staged = false;
-  // Per-definition failures from the synchronous apply path.
+  // Per-definition failures from the apply pass.
   std::vector<ApplyError> apply_errors;
 };
 
@@ -98,8 +79,7 @@ struct TuningResult {
 class AutoIndexManager {
  public:
   AutoIndexManager(Database* db, AutoIndexConfig config = {});
-  // Drains and joins the background apply worker (staged DDL still lands)
-  // and uninstalls the execution feedback hook it installed.
+  // Uninstalls the execution feedback hook the constructor installed.
   ~AutoIndexManager();
 
   AutoIndexManager(const AutoIndexManager&) = delete;
@@ -117,9 +97,10 @@ class AutoIndexManager {
 
   // One full management round: template snapshot -> candidate generation
   // -> MCTS search -> apply adds/drops to the database.
-  // `apply` = false computes the recommendation without touching indexes.
-  // With config().async_apply the DDL is staged onto the background apply
-  // queue instead of running inline (result.staged, see TuningResult).
+  // `apply` = false computes the recommendation without touching indexes;
+  // otherwise the DDL runs on the calling thread through the online build,
+  // so writers keep running while it builds. A caller that wants tuning
+  // off its statement thread runs the round on a thread of its own.
   TuningResult RunManagementRound(bool apply = true);
 
   // Outcome of one immediate apply pass.
@@ -131,15 +112,10 @@ class AutoIndexManager {
 
   // Applies drops then creates on the calling thread (each through the
   // database's latched DDL path), resets per-round usage counters, and
-  // invalidates the estimator cache. Shared by the synchronous round path
-  // and the background worker; exposed so tests can drive it directly.
+  // invalidates the estimator cache. The round's apply step; exposed so
+  // tests can drive it directly.
   DdlOutcome ApplyDdlNow(const std::vector<IndexDef>& drops,
                          const std::vector<IndexDef>& adds);
-
-  // Blocks until the background apply queue is empty and nothing is in
-  // flight, then returns (and clears) the failures accumulated since the
-  // last call. Immediate no-op when no DDL was ever staged.
-  std::vector<ApplyError> WaitForApply() EXCLUDES(apply_mu_);
 
   // The current workload model (templates weighted by frequency).
   WorkloadModel CurrentWorkload() const;
@@ -159,18 +135,6 @@ class AutoIndexManager {
   Status LoadTuningState(persist::Reader* r);
 
  private:
-  // One staged apply: drops run before adds, mirroring the sync path.
-  struct ApplyTask {
-    std::vector<IndexDef> drops;
-    std::vector<IndexDef> adds;
-  };
-
-  void EnqueueApply(ApplyTask task) EXCLUDES(apply_mu_);
-  // Background worker: pops tasks until shutdown, then drains the queue
-  // before exiting so staged DDL is never silently dropped.
-  void ApplyWorkerLoop() EXCLUDES(apply_mu_);
-  void ShutdownApplyWorker() EXCLUDES(apply_mu_);
-
   Database* db_;
   AutoIndexConfig config_;
   std::unique_ptr<TemplateStore> templates_;
@@ -180,19 +144,6 @@ class AutoIndexManager {
   std::unique_ptr<IndexDiagnoser> diagnoser_;
   Random sample_rng_;
   size_t rounds_run_ = 0;
-
-  // Async apply state. The worker thread is started lazily on the first
-  // staged task and joined (never detached) by ShutdownApplyWorker.
-  mutable util::Mutex apply_mu_;
-  util::CondVar apply_cv_;
-  std::deque<ApplyTask> apply_queue_ GUARDED_BY(apply_mu_);
-  std::vector<ApplyError> apply_errors_ GUARDED_BY(apply_mu_);
-  bool apply_inflight_ GUARDED_BY(apply_mu_) = false;
-  bool apply_shutdown_ GUARDED_BY(apply_mu_) = false;
-  bool apply_worker_started_ GUARDED_BY(apply_mu_) = false;
-  // Owned by the constructor/destructor thread; started under apply_mu_
-  // (apply_worker_started_ is the guarded truth about its liveness).
-  std::thread apply_worker_;
 };
 
 }  // namespace autoindex

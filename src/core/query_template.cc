@@ -13,41 +13,21 @@ TemplateStore::TemplateStore(size_t capacity)
     : capacity_(std::max<size_t>(1, capacity)) {}
 
 QueryTemplate* TemplateStore::Observe(const std::string& sql) {
-  const std::string fp = FingerprintSql(sql);
-  ++total_observed_;
-  ++observed_since_reset_;
-  auto it = templates_.find(fp);
-  if (it != templates_.end()) {
-    ++matched_since_reset_;
-    QueryTemplate* t = it->second.get();
-    t->frequency += 1.0;
-    ++t->total_matches;
-    t->last_seen_round = round_;
-    return t;
-  }
-  StatusOr<Statement> stmt = ParseSql(sql);
-  if (!stmt.ok()) return nullptr;
-  if (templates_.size() >= capacity_) EvictLowestFrequency();
-  auto tmpl = std::make_unique<QueryTemplate>();
-  tmpl->id = next_id_++;
-  tmpl->fingerprint = fp;
-  tmpl->representative = std::move(*stmt);
-  tmpl->frequency = 1.0;
-  tmpl->total_matches = 1;
-  tmpl->last_seen_round = round_;
-  tmpl->is_write = tmpl->representative.IsWrite();
-  QueryTemplate* raw = tmpl.get();
-  templates_.emplace(fp, std::move(tmpl));
-  return raw;
+  return FindOrInsert(sql, nullptr);
 }
 
 QueryTemplate* TemplateStore::Observe(const Statement& stmt,
                                       const std::string& sql) {
-  const std::string fp = FingerprintSql(sql);
-  ++total_observed_;
-  ++observed_since_reset_;
+  return FindOrInsert(sql, &stmt);
+}
+
+QueryTemplate* TemplateStore::FindOrInsert(const std::string& sql,
+                                           const Statement* parsed) {
+  std::string fp = FingerprintSql(sql);
   auto it = templates_.find(fp);
   if (it != templates_.end()) {
+    ++total_observed_;
+    ++observed_since_reset_;
     ++matched_since_reset_;
     QueryTemplate* t = it->second.get();
     t->frequency += 1.0;
@@ -55,17 +35,29 @@ QueryTemplate* TemplateStore::Observe(const Statement& stmt,
     t->last_seen_round = round_;
     return t;
   }
+  Statement stmt;
+  if (parsed != nullptr) {
+    stmt = parsed->Clone();
+  } else {
+    StatusOr<Statement> fresh = ParseSql(sql);
+    // Unparseable SQL is no observation: counting it would lower the
+    // match rate and fake workload drift.
+    if (!fresh.ok()) return nullptr;
+    stmt = std::move(*fresh);
+  }
+  ++total_observed_;
+  ++observed_since_reset_;
   if (templates_.size() >= capacity_) EvictLowestFrequency();
   auto tmpl = std::make_unique<QueryTemplate>();
   tmpl->id = next_id_++;
   tmpl->fingerprint = fp;
-  tmpl->representative = stmt.Clone();
+  tmpl->representative = std::move(stmt);
   tmpl->frequency = 1.0;
   tmpl->total_matches = 1;
   tmpl->last_seen_round = round_;
   tmpl->is_write = tmpl->representative.IsWrite();
   QueryTemplate* raw = tmpl.get();
-  templates_.emplace(fp, std::move(tmpl));
+  templates_.emplace(std::move(fp), std::move(tmpl));
   return raw;
 }
 

@@ -43,7 +43,8 @@ class TemplateStore {
 
   // Records one query occurrence. Parses only when the fingerprint is new
   // (the hot path for repeated queries is a hash lookup). Returns the
-  // matched/created template, or nullptr for unparseable SQL.
+  // matched/created template, or nullptr for unparseable SQL, which is
+  // not counted as an observation.
   QueryTemplate* Observe(const std::string& sql);
 
   // Same, given a pre-parsed statement (skips parsing entirely).
@@ -77,6 +78,9 @@ class TemplateStore {
   void Load(persist::Reader* r);
 
  private:
+  // The one body of both Observe overloads: counts a match on `sql`'s
+  // template, or inserts a new one from `parsed` (parsing `sql` when null).
+  QueryTemplate* FindOrInsert(const std::string& sql, const Statement* parsed);
   void EvictLowestFrequency();
 
   size_t capacity_;

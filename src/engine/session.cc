@@ -29,12 +29,7 @@ StatusOr<ExecResult> Session::Execute(const std::string& sql) {
 }
 
 StatusOr<ExecResult> Session::Execute(const Statement& stmt) {
-  StatusOr<ExecResult> result = db_->ExecuteOn(executor_.get(), stmt);
-  if (result.ok()) {
-    cumulative_stats_ += result->stats;
-    ++statements_executed_;
-  }
-  return result;
+  return db_->ExecuteOn(executor_.get(), stmt);
 }
 
 }  // namespace autoindex

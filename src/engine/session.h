@@ -14,8 +14,7 @@ class Database;
 
 // One client connection. Each session owns a private Executor — the
 // executor keeps mutable per-statement state (the retained plan snapshot)
-// that must not be shared between threads — and accumulates
-// per-connection ExecStats across statements. Every statement, including
+// that must not be shared between threads. Every statement, including
 // Database::Execute's (which forwards to the database's built-in session),
 // runs through Session::Execute.
 //
@@ -43,11 +42,6 @@ class Session {
   // Executes a pre-parsed statement (avoids re-parsing in replay loops).
   StatusOr<ExecResult> Execute(const Statement& stmt);
 
-  // Sum of ExecStats over every successful statement on this session —
-  // the per-connection cost accounting the driver reports.
-  const ExecStats& cumulative_stats() const { return cumulative_stats_; }
-  size_t statements_executed() const { return statements_executed_; }
-
   // This session's private executor (retained plan snapshot etc.).
   Executor& executor() { return *executor_; }
   const Executor& executor() const { return *executor_; }
@@ -58,8 +52,6 @@ class Session {
   Database* db_;
   uint64_t id_;
   std::unique_ptr<Executor> executor_;
-  ExecStats cumulative_stats_;
-  size_t statements_executed_ = 0;
 };
 
 }  // namespace autoindex

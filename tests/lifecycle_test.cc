@@ -2,9 +2,9 @@
 // with writer sessions publishes an index entry-for-entry identical to a
 // from-scratch rebuild; in-flight builds stay invisible to the planner
 // and to checkpoints (crash mid-build recovers to "index absent");
-// aborted builds leak nothing; the async tuning apply path stages DDL and
-// publishes it in the background; and the LifecycleValidator actually
-// fires on injected lifecycle corruption.
+// aborted builds leak nothing; the tuning apply pass reports each failed
+// definition; and the LifecycleValidator actually fires on injected
+// lifecycle corruption.
 
 #include <gtest/gtest.h>
 #include <sys/stat.h>
@@ -22,8 +22,6 @@
 #include "engine/database.h"
 #include "engine/session.h"
 #include "persist/snapshot.h"
-#include "workload/epidemic.h"
-#include "workload/workload.h"
 
 namespace autoindex {
 namespace {
@@ -240,45 +238,17 @@ TEST_F(LifecycleTest, DuplicateCreateRefusedBeforeScan) {
   EXPECT_EQ(db_.index_manager().AllIndexesAnyState().size(), 1u);
 }
 
-// --- Async tuning apply -------------------------------------------------
+// --- Tuning apply -----------------------------------------------------
 
-AutoIndexConfig FastAsyncConfig() {
-  AutoIndexConfig config;
-  config.mcts.iterations = 80;
-  config.mcts.patience = 40;
-  config.learn_cost_model = false;
-  config.async_apply = true;
-  return config;
-}
-
-TEST(LifecycleAsyncApplyTest, RoundStagesAndWorkerPublishes) {
-  Database db;
-  EpidemicConfig epidemic;
-  EpidemicWorkload::Populate(&db, epidemic);
-  AutoIndexManager manager(&db, FastAsyncConfig());
-  RunWorkloadObserved(&manager, EpidemicWorkload::PhaseW1(epidemic, 150, 1));
-
-  TuningResult result = manager.RunManagementRound();
-  EXPECT_TRUE(result.staged);
-  EXPECT_FALSE(result.applied);
-  EXPECT_FALSE(result.added.empty());
-
-  const std::vector<ApplyError> errors = manager.WaitForApply();
-  EXPECT_TRUE(errors.empty());
-  EXPECT_EQ(db.index_manager().num_indexes(),
-            db.CurrentConfig().defs().size());
-  EXPECT_GT(db.index_manager().num_indexes(), 0u);
-  const CheckReport report = CheckAll(db);
-  EXPECT_TRUE(report.ok()) << report.ToString();
-}
-
-TEST(LifecycleAsyncApplyTest, ApplyErrorsAreRecordedPerDefinition) {
+TEST(LifecycleApplyTest, ApplyErrorsAreRecordedPerDefinition) {
   Database db;
   auto created = db.CreateTable("t", Schema({{"a", ValueType::kInt}}));
   ASSERT_TRUE(created.ok());
-  AutoIndexManager manager(&db, FastAsyncConfig());
+  AutoIndexConfig config;
+  config.learn_cost_model = false;
+  AutoIndexManager manager(&db, config);
 
-  // Immediate path: one bogus drop + one bogus create, each reported.
+  // One bogus drop + one bogus create, each reported.
   const IndexDef missing("t", {"nope"});
   AutoIndexManager::DdlOutcome outcome =
       manager.ApplyDdlNow({missing}, {missing});
@@ -288,10 +258,6 @@ TEST(LifecycleAsyncApplyTest, ApplyErrorsAreRecordedPerDefinition) {
   EXPECT_FALSE(outcome.errors[0].message.empty());
   EXPECT_TRUE(outcome.dropped.empty());
   EXPECT_TRUE(outcome.built.empty());
-
-  // With no staged work, WaitForApply returns immediately and empty.
-  const std::vector<ApplyError> none = manager.WaitForApply();
-  EXPECT_TRUE(none.empty());
 }
 
 // --- Validator corruption coverage --------------------------------------

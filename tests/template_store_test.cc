@@ -115,6 +115,22 @@ TEST(TemplateStore, MatchRateSignalsDrift) {
   EXPECT_LT(store.MatchRate(), 0.2);
 }
 
+// Garbage is no observation: a burst of unparseable statements must not
+// pull the match rate under the drift threshold and trigger decay.
+TEST(TemplateStore, UnparseableSqlIsNotCountedAsDrift) {
+  TemplateStore store(100);
+  store.Observe("SELECT a FROM t WHERE a = 1");
+  store.ResetMatchStats();
+  for (int i = 0; i < 4; ++i) store.Observe("SELECT a FROM t WHERE a = 2");
+  EXPECT_DOUBLE_EQ(store.MatchRate(), 1.0);
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(store.Observe("NOT SQL AT ALL !!"), nullptr);
+  }
+  EXPECT_DOUBLE_EQ(store.MatchRate(), 1.0);
+  EXPECT_EQ(store.total_observed(), 5u);
+  EXPECT_EQ(store.size(), 1u);
+}
+
 TEST(TemplateStore, RoundTracking) {
   TemplateStore store(10);
   EXPECT_EQ(store.round(), 0u);

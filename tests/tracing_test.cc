@@ -584,6 +584,7 @@ TEST(Tracing, ParseFailureTracedAlikeOnEveryEntryPoint) {
 TEST(Tracing, TuningRoundProducesPhaseSpans) {
   obs::Tracer& tracer = obs::Tracer::Default();
   tracer.ResetForTest();
+  tracer.Configure(kKeepAll, 0.0);
 
   Database db;
   CheckOk(db.CreateTable("t", Schema({{"a", ValueType::kInt},
@@ -599,7 +600,6 @@ TEST(Tracing, TuningRoundProducesPhaseSpans) {
 
   AutoIndexConfig config;
   config.mcts.iterations = 30;
-  config.trace_slow_us = 0;  // manager ctor configures the tracer
   AutoIndexManager manager(&db, config);
   for (int i = 0; i < 40; ++i) {
     CheckOk(manager.ExecuteAndObserve("SELECT a FROM t WHERE b = " +
@@ -618,6 +618,21 @@ TEST(Tracing, TuningRoundProducesPhaseSpans) {
   TraceValidator::CheckSnapshot(snap, &report);
   EXPECT_TRUE(report.ok()) << report.ToString();
   tracer.ResetForTest();
+}
+
+// The tracer owns its keep policy: building and destroying a manager
+// leaves what the operator configured in place.
+TEST(Tracing, ManagerLeavesTracerPolicyAlone) {
+  obs::Tracer& tracer = obs::Tracer::Default();
+  tracer.Configure(kKeepAll, 1.0);
+  {
+    Database db;
+    AutoIndexManager manager(&db);
+    EXPECT_EQ(tracer.slow_threshold_us(), kKeepAll);
+  }
+  EXPECT_EQ(tracer.slow_threshold_us(), kKeepAll);
+  tracer.Configure(obs::Tracer::kDefaultSlowUs,
+                   obs::Tracer::kDefaultSampleRate);
 }
 
 // --- The acceptance path: remote statement during an online build ------
