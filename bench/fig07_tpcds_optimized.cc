@@ -67,7 +67,7 @@ int main() {
   AutoIndexConfig ai;
   ai.learn_cost_model = false;  // both methods share the static Sec.-V estimator (paper fairness)
   ai.mcts.iterations = 300;
-  ai.storage_budget_bytes = budget;
+  ai.mcts.storage_budget_bytes = budget;
   AutoIndexManager manager(&auto_db, ai);
   RunAutoIndexTuning(&manager, tuning_workload, 3);
   const auto auto_costs = PerTemplateCosts(&auto_db, config, kDraws);

@@ -53,7 +53,7 @@ int main() {
     AutoIndexConfig ai;
   ai.learn_cost_model = false;  // both methods share the static Sec.-V estimator (paper fairness)
     ai.mcts.iterations = 250;
-    ai.storage_budget_bytes = budget.bytes;
+    ai.mcts.storage_budget_bytes = budget.bytes;
     AutoIndexManager manager(&auto_db, ai);
     RunAutoIndexTuning(&manager, TpccWorkload::Generate(config, 500, 7), 2);
     RunMetrics auto_m =
@@ -77,7 +77,7 @@ int main() {
   ai.learn_cost_model = false;  // both methods share the static Sec.-V estimator (paper fairness)
     ai.mcts.iterations = 250;
     ai.mcts.gamma = gamma;
-    ai.storage_budget_bytes = 4u << 20;
+    ai.mcts.storage_budget_bytes = 4u << 20;
     AutoIndexManager manager(&db, ai);
     RunAutoIndexTuning(&manager, TpccWorkload::Generate(config, 500, 7), 2);
     RunMetrics m = RunWorkload(&db, TpccWorkload::Generate(config, 700, 99));

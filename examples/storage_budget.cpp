@@ -24,7 +24,7 @@ int main() {
 
     AutoIndexConfig ai;
     ai.mcts.iterations = 200;
-    ai.storage_budget_bytes = budgets[b];
+    ai.mcts.storage_budget_bytes = budgets[b];
     AutoIndexManager manager(&db, ai);
 
     const auto workload = TpccWorkload::Generate(config, 600, 7);

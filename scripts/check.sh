@@ -76,7 +76,7 @@ ctest --test-dir build-werror -L tier1 --output-on-failure
 step "index lifecycle tests (plain build)"
 ctest --test-dir build-werror -L lifecycle --output-on-failure
 
-step "bench smoke (micro benchmarks, short deterministic mode)"
+step "bench smoke (micro benchmarks in short mode, paper benches)"
 ctest --test-dir build-werror -L bench-smoke --output-on-failure
 
 step "recovery tests (snapshot/WAL crash matrix, plain build)"

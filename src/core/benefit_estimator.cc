@@ -1,8 +1,6 @@
 #include "core/benefit_estimator.h"
 
 #include <algorithm>
-#include <functional>
-#include <map>
 
 #include "persist/serde.h"
 #include "util/metrics.h"
@@ -189,75 +187,14 @@ double IndexBenefitEstimator::CrossValidateRmse() const {
   return SigmoidRegression::CrossValidate(features_, targets_, 9);
 }
 
-namespace {
-
-std::string PathKey(const std::string& table, const std::string& index) {
-  return table + '\x01' + index;
-}
-
-}  // namespace
-
-void IndexBenefitEstimator::RecordExecutionFeedback(
-    const std::vector<AccessPathFeedback>& batch) {
-  util::MutexLock lock(feedback_mu_);
-  for (const AccessPathFeedback& fb : batch) {
-    PathFeedback& agg = path_feedback_[PathKey(fb.table, fb.index)];
-    agg.est_cost_sum += fb.est_cost;
-    agg.actual_cost_sum += fb.actual_cost;
-    agg.est_rows_sum += fb.est_rows;
-    agg.actual_rows_sum += fb.actual_rows;
-    ++agg.count;
-    ++num_feedback_pairs_;
-  }
-}
-
-size_t IndexBenefitEstimator::num_feedback_pairs() const {
-  util::MutexLock lock(feedback_mu_);
-  return num_feedback_pairs_;
-}
-
-bool IndexBenefitEstimator::HasFeedbackFor(const std::string& table,
-                                           const std::string& index) const {
-  util::MutexLock lock(feedback_mu_);
-  return path_feedback_.find(PathKey(table, index)) != path_feedback_.end();
-}
-
-double IndexBenefitEstimator::FeedbackCostRatio(
-    const std::string& table, const std::string& index) const {
-  util::MutexLock lock(feedback_mu_);
-  auto it = path_feedback_.find(PathKey(table, index));
-  if (it == path_feedback_.end()) return 1.0;
-  const PathFeedback& agg = it->second;
-  if (agg.est_cost_sum <= 0.0) return 1.0;
-  return agg.actual_cost_sum / agg.est_cost_sum;
-}
-
 void IndexBenefitEstimator::Save(persist::Writer* w) const {
-  {
-    util::MutexLock lock(obs_mu_);
-    model_.Save(w);
-    w->PutU32(static_cast<uint32_t>(features_.size()));
-    for (size_t i = 0; i < features_.size(); ++i) {
-      w->PutU32(static_cast<uint32_t>(features_[i].size()));
-      for (double v : features_[i]) w->PutDouble(v);
-      w->PutDouble(targets_[i]);
-    }
-  }
-  {
-    util::MutexLock lock(feedback_mu_);
-    // std::map sorts the path keys for byte-stable snapshots.
-    const std::map<std::string, PathFeedback> sorted(path_feedback_.begin(),
-                                                     path_feedback_.end());
-    w->PutU32(static_cast<uint32_t>(sorted.size()));
-    for (const auto& [key, agg] : sorted) {
-      w->PutString(key);
-      w->PutDouble(agg.est_cost_sum);
-      w->PutDouble(agg.actual_cost_sum);
-      w->PutDouble(agg.est_rows_sum);
-      w->PutDouble(agg.actual_rows_sum);
-      w->PutU64(agg.count);
-    }
-    w->PutU64(num_feedback_pairs_);
+  util::MutexLock lock(obs_mu_);
+  model_.Save(w);
+  w->PutU32(static_cast<uint32_t>(features_.size()));
+  for (size_t i = 0; i < features_.size(); ++i) {
+    w->PutU32(static_cast<uint32_t>(features_[i].size()));
+    for (double v : features_[i]) w->PutDouble(v);
+    w->PutDouble(targets_[i]);
   }
 }
 
@@ -278,23 +215,6 @@ void IndexBenefitEstimator::Load(persist::Reader* r) {
       features_.push_back(std::move(row));
       targets_.push_back(r->GetDouble());
     }
-  }
-  {
-    util::MutexLock lock(feedback_mu_);
-    path_feedback_.clear();
-    const uint32_t npaths = r->GetU32();
-    for (uint32_t i = 0; i < npaths && r->ok(); ++i) {
-      const std::string key = r->GetString();
-      PathFeedback agg;
-      agg.est_cost_sum = r->GetDouble();
-      agg.actual_cost_sum = r->GetDouble();
-      agg.est_rows_sum = r->GetDouble();
-      agg.actual_rows_sum = r->GetDouble();
-      agg.count = r->GetU64();
-      if (!r->ok()) break;
-      path_feedback_[key] = agg;
-    }
-    num_feedback_pairs_ = r->GetU64();
   }
   // The memo was computed by a different process at a different epoch.
   InvalidateCache();

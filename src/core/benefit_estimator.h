@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -90,51 +89,22 @@ class IndexBenefitEstimator {
   // Memo entries currently held (tests).
   size_t cache_size() const EXCLUDES(cache_mu_);
 
-  // --- execution feedback (the EXPLAIN ANALYZE loop) ---
-  // Records the per-access-path (estimated, observed) pairs the executor
-  // collected for one statement. Aggregated per (table, index) so the
-  // planner's systematic estimation error on each path is measurable.
-  // Kept separate from AddObservation: feedback calibrates access paths,
-  // the observation history trains the statement-level cost model.
-  void RecordExecutionFeedback(const std::vector<AccessPathFeedback>& batch)
-      EXCLUDES(feedback_mu_);
-  // Total pairs ever recorded.
-  size_t num_feedback_pairs() const EXCLUDES(feedback_mu_);
-  // Whether at least one pair was recorded for the path. `index` is the
-  // display name; empty means the sequential-scan path.
-  bool HasFeedbackFor(const std::string& table,
-                      const std::string& index) const EXCLUDES(feedback_mu_);
-  // Mean observed/estimated cost ratio of the path: >1 means the planner
-  // underestimates it. 1.0 when unseen or the estimate is degenerate.
-  double FeedbackCostRatio(const std::string& table,
-                           const std::string& index) const
-      EXCLUDES(feedback_mu_);
-
-  // Snapshot serialization (src/persist/): the learned model, the
-  // observation history, and the per-path feedback aggregates round-trip;
-  // the epoch-guarded cost memo is deliberately not saved (it rebuilds
-  // lazily and its epoch would be stale anyway).
-  void Save(persist::Writer* w) const EXCLUDES(obs_mu_, feedback_mu_);
-  void Load(persist::Reader* r)
-      EXCLUDES(obs_mu_, feedback_mu_, cache_mu_);
+  // Snapshot serialization (src/persist/): the learned model and the
+  // observation history round-trip; the epoch-guarded cost memo is
+  // deliberately not saved (it rebuilds lazily and its epoch would be
+  // stale anyway).
+  void Save(persist::Writer* w) const EXCLUDES(obs_mu_);
+  void Load(persist::Reader* r) EXCLUDES(obs_mu_, cache_mu_);
 
  private:
-  struct PathFeedback {
-    double est_cost_sum = 0.0;
-    double actual_cost_sum = 0.0;
-    double est_rows_sum = 0.0;
-    double actual_rows_sum = 0.0;
-    size_t count = 0;
-  };
-
   double CombineFeatures(const CostBreakdown& breakdown) const
       EXCLUDES(obs_mu_);
 
   Database* db_;
 
   // Guards the learned model and the observation history it trains on
-  // (client feedback hooks append while the tuning thread trains/reads;
-  // estimation reads the model from whichever thread runs the tuner).
+  // (statement threads append observations while the tuning thread
+  // trains; estimation reads the model from whichever thread tunes).
   mutable util::Mutex obs_mu_;
   SigmoidRegression model_ GUARDED_BY(obs_mu_);
   std::vector<std::vector<double>> features_ GUARDED_BY(obs_mu_);
@@ -146,14 +116,6 @@ class IndexBenefitEstimator {
   mutable std::unordered_map<uint64_t, double> cache_ GUARDED_BY(cache_mu_);
   // Database data version the memo entries were computed at.
   mutable uint64_t cache_epoch_ GUARDED_BY(cache_mu_) = 0;
-
-  // Guards the per-access-path aggregates (written from client threads
-  // via the execution-feedback hook, read by the tuning thread).
-  mutable util::Mutex feedback_mu_;
-  // Keyed "<table>\x01<index display name>".
-  std::unordered_map<std::string, PathFeedback> path_feedback_
-      GUARDED_BY(feedback_mu_);
-  size_t num_feedback_pairs_ GUARDED_BY(feedback_mu_) = 0;
 };
 
 // Stable hash of a configuration (order-independent).

@@ -10,6 +10,18 @@
 namespace autoindex {
 namespace {
 
+// Predicates selecting more than this fraction of the table are not worth
+// an index (the paper's 1/3 rule, Sec. IV-A: "if its selectivity is higher
+// than a threshold" — higher selectivity meaning a sharper filter).
+constexpr double kMaxSelectedFraction = 1.0 / 3.0;
+// Cap on index width; composite predicates wider than this are truncated
+// to their most selective columns.
+constexpr size_t kMaxIndexColumns = 3;
+// Hard cap on emitted candidates (highest-frequency templates win).
+constexpr size_t kMaxCandidates = 64;
+// Tables smaller than this are not worth indexing.
+constexpr size_t kMinTableRows = 64;
+
 // Which FROM entry does this column belong to? Returns the real table name
 // or "" when unresolved.
 std::string TableOfColumn(const ColumnRef& col,
@@ -107,7 +119,7 @@ void CandidateGenerator::EmitFromConjunction(
     const std::string& table, const std::vector<const Expr*>& atoms,
     std::vector<IndexDef>* out) const {
   const HeapTable* t = db_->catalog().GetTable(table);
-  if (t == nullptr || t->num_rows() < config_.min_table_rows) return;
+  if (t == nullptr || t->num_rows() < kMinTableRows) return;
 
   // Partition columns into equality-bound and range-bound; estimate the
   // conjunct's selected fraction on this table.
@@ -140,7 +152,7 @@ void CandidateGenerator::EmitFromConjunction(
   if (cols.empty()) return;
   // The 1/3 rule: predicates keeping more than the threshold fraction of
   // the table do not pay for an index probe.
-  if (fraction > config_.max_selected_fraction) return;
+  if (fraction > kMaxSelectedFraction) return;
 
   // Order: equality columns first (most selective first), then range
   // columns — the canonical composite-index column order.
@@ -149,8 +161,8 @@ void CandidateGenerator::EmitFromConjunction(
                      if (a.equality != b.equality) return a.equality;
                      return a.selectivity < b.selectivity;
                    });
-  if (cols.size() > config_.max_index_columns) {
-    cols.resize(config_.max_index_columns);
+  if (cols.size() > kMaxIndexColumns) {
+    cols.resize(kMaxIndexColumns);
   }
   std::vector<std::string> names;
   names.reserve(cols.size());
@@ -196,10 +208,10 @@ void CandidateGenerator::FromWhere(const Expr* where,
       if (lt.empty() || rt.empty() || lt == rt) continue;
       const HeapTable* ltab = db_->catalog().GetTable(lt);
       const HeapTable* rtab = db_->catalog().GetTable(rt);
-      if (ltab != nullptr && ltab->num_rows() >= config_.min_table_rows) {
+      if (ltab != nullptr && ltab->num_rows() >= kMinTableRows) {
         out->push_back(IndexDef(lt, {left.column}));
       }
-      if (rtab != nullptr && rtab->num_rows() >= config_.min_table_rows) {
+      if (rtab != nullptr && rtab->num_rows() >= kMinTableRows) {
         out->push_back(IndexDef(rt, {right.column}));
       }
     }
@@ -224,7 +236,7 @@ void CandidateGenerator::FromSelect(const SelectStatement& stmt,
     }
     for (auto& [table, names] : per_table) {
       const HeapTable* t = db_->catalog().GetTable(table);
-      if (t == nullptr || t->num_rows() < config_.min_table_rows) continue;
+      if (t == nullptr || t->num_rows() < kMinTableRows) continue;
       out->push_back(IndexDef(table, names));
     }
   };
@@ -288,7 +300,7 @@ std::vector<IndexDef> CandidateGenerator::Generate(
     std::vector<IndexDef> per = FromStatement(t->representative);
     all.insert(all.end(), std::make_move_iterator(per.begin()),
                std::make_move_iterator(per.end()));
-    if (all.size() > config_.max_candidates * 8) break;  // soft guard
+    if (all.size() > kMaxCandidates * 8) break;  // soft guard
   }
   std::vector<IndexDef> merged = MergeCandidates(std::move(all));
   // Index type selection for partitioned tables (Sec. III): each candidate
@@ -309,8 +321,8 @@ std::vector<IndexDef> CandidateGenerator::Generate(
   for (IndexDef& def : expanded) {
     if (!existing.Contains(def)) fresh.push_back(std::move(def));
   }
-  if (fresh.size() > config_.max_candidates) {
-    fresh.resize(config_.max_candidates);
+  if (fresh.size() > kMaxCandidates) {
+    fresh.resize(kMaxCandidates);
   }
   return fresh;
 }

@@ -9,21 +9,6 @@
 
 namespace autoindex {
 
-struct CandidateGenConfig {
-  // Predicates selecting more than this fraction of the table are not
-  // worth an index (the paper's 1/3 rule, Sec. IV-A: "if its selectivity
-  // is higher than a threshold" — higher selectivity meaning a sharper
-  // filter).
-  double max_selected_fraction = 1.0 / 3.0;
-  // Cap on index width; composite predicates wider than this are truncated
-  // to their most selective columns.
-  size_t max_index_columns = 3;
-  // Hard cap on emitted candidates (highest-frequency templates win).
-  size_t max_candidates = 64;
-  // Tables smaller than this are not worth indexing.
-  size_t min_table_rows = 64;
-};
-
 // Template-based candidate index generation (Sec. IV-A):
 //  1. expression extraction per clause (filter / join / GROUP / ORDER),
 //  2. DNF rewrite of boolean predicates, per-conjunct factorization,
@@ -32,8 +17,7 @@ struct CandidateGenConfig {
 //  3. dedup + leftmost-prefix merge + removal of already-built indexes.
 class CandidateGenerator {
  public:
-  CandidateGenerator(Database* db, CandidateGenConfig config = {})
-      : db_(db), config_(config) {}
+  explicit CandidateGenerator(Database* db) : db_(db) {}
 
   // Generates candidates for a set of templates (typically the store's
   // TemplatesByFrequency()). `existing` filters out indexes that are
@@ -57,7 +41,6 @@ class CandidateGenerator {
                            std::vector<IndexDef>* out) const;
 
   Database* db_;
-  CandidateGenConfig config_;
 };
 
 // Dedup + leftmost-prefix merge (Sec. IV-A step 3): drops exact duplicates

@@ -3,6 +3,18 @@
 #include <algorithm>
 
 namespace autoindex {
+namespace {
+
+// An index with fewer planner uses than this (since the last round) is
+// "rarely used".
+constexpr size_t kRareUseThreshold = 1;
+// Tuning is triggered when the problem-index ratio exceeds this (Sec. III
+// Index Diagnosis).
+constexpr double kTriggerRatio = 0.2;
+// Max unbuilt candidates to probe for positive benefit.
+constexpr size_t kMaxProbeCandidates = 32;
+
+}  // namespace
 
 DiagnosisReport IndexDiagnoser::Diagnose(
     const WorkloadModel& workload,
@@ -15,7 +27,7 @@ DiagnosisReport IndexDiagnoser::Diagnose(
   // (i) Beneficial but unbuilt candidates.
   size_t probed = 0;
   for (const IndexDef& def : candidates) {
-    if (probed >= config_.max_probe_candidates) break;
+    if (probed >= kMaxProbeCandidates) break;
     if (current.Contains(def)) continue;
     ++probed;
     IndexConfig with = current;
@@ -29,7 +41,7 @@ DiagnosisReport IndexDiagnoser::Diagnose(
   // (ii) Rarely-used built indexes (planner usage counters).
   for (const BuiltIndex* index : db_->index_manager().AllIndexes()) {
     ++report.built_indexes;
-    if (index->uses() < config_.rare_use_threshold) {
+    if (index->uses() < kRareUseThreshold) {
       report.rarely_used.push_back(index->def());
     }
   }
@@ -67,7 +79,7 @@ DiagnosisReport IndexDiagnoser::Diagnose(
     if (!dup) problems += 1;
   }
   report.problem_ratio = static_cast<double>(problems) / denom;
-  report.should_tune = report.problem_ratio > config_.trigger_ratio;
+  report.should_tune = report.problem_ratio > kTriggerRatio;
   return report;
 }
 

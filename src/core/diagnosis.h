@@ -7,17 +7,6 @@
 
 namespace autoindex {
 
-struct DiagnosisConfig {
-  // An index with fewer planner uses than this (since the last round) is
-  // "rarely used".
-  size_t rare_use_threshold = 1;
-  // Tuning is triggered when the problem-index ratio exceeds this
-  // (Sec. III Index Diagnosis).
-  double trigger_ratio = 0.2;
-  // Max unbuilt candidates to probe for positive benefit.
-  size_t max_probe_candidates = 32;
-};
-
 // Classification of the current index estate against the live workload
 // (Sec. III): (i) beneficial indexes not yet built, (ii) rarely-used
 // indexes, (iii) built indexes with negative net benefit (maintenance
@@ -28,14 +17,13 @@ struct DiagnosisReport {
   std::vector<IndexDef> negative_benefit;
   size_t built_indexes = 0;
   double problem_ratio = 0.0;
-  bool should_tune = false;
+  bool should_tune = false;  // problem_ratio above the 0.2 trigger
 };
 
 class IndexDiagnoser {
  public:
-  IndexDiagnoser(Database* db, IndexBenefitEstimator* estimator,
-                 DiagnosisConfig config = {})
-      : db_(db), estimator_(estimator), config_(config) {}
+  IndexDiagnoser(Database* db, IndexBenefitEstimator* estimator)
+      : db_(db), estimator_(estimator) {}
 
   // Diagnoses the built index set against the workload model.
   // `candidates` are unbuilt candidate indexes to probe for class (i).
@@ -45,7 +33,6 @@ class IndexDiagnoser {
  private:
   Database* db_;
   IndexBenefitEstimator* estimator_;
-  DiagnosisConfig config_;
 };
 
 }  // namespace autoindex

@@ -3,6 +3,13 @@
 #include <algorithm>
 
 namespace autoindex {
+namespace {
+
+// Stop adding when the benefit falls below this fraction of the base
+// workload cost.
+constexpr double kMinBenefitFraction = 1e-4;
+
+}  // namespace
 
 bool GreedySelector::WithinBudget(const IndexConfig& config) const {
   if (config_.storage_budget_bytes == 0) return true;
@@ -17,68 +24,37 @@ GreedyResult GreedySelector::Run(const IndexConfig& existing,
   result.base_cost = estimator_->EstimateWorkloadCost(workload, existing);
   ++result.evaluations;
   double current_cost = result.base_cost;
-  const double min_gain = config_.min_benefit_fraction * result.base_cost;
+  const double min_gain = kMinBenefitFraction * result.base_cost;
 
-  if (config_.strategy == GreedyConfig::kTopK) {
-    // Rank by individual benefit against the *existing* set, then add in
-    // that fixed order while the budget allows.
-    struct Scored {
-      const IndexDef* def;
-      double benefit;
-    };
-    std::vector<Scored> scored;
-    for (const IndexDef& def : candidates) {
-      IndexConfig with = existing;
-      with.Add(def);
-      const double cost = estimator_->EstimateWorkloadCost(workload, with);
-      ++result.evaluations;
-      scored.push_back({&def, result.base_cost - cost});
-    }
-    std::sort(scored.begin(), scored.end(),
-              [](const Scored& a, const Scored& b) {
-                return a.benefit > b.benefit;
-              });
-    for (const Scored& s : scored) {
-      if (s.benefit <= min_gain) break;
-      IndexConfig next = result.config;
-      next.Add(*s.def);
-      if (!WithinBudget(next)) continue;  // skip what does not fit
-      const double cost = estimator_->EstimateWorkloadCost(workload, next);
-      ++result.evaluations;
-      if (cost >= current_cost) continue;  // no combined gain; skip
-      result.config = std::move(next);
-      result.to_add.push_back(*s.def);
-      current_cost = cost;
-    }
-  } else {
-    // Hill-climbing: re-evaluate every remaining candidate each round.
-    std::vector<const IndexDef*> remaining;
-    for (const IndexDef& def : candidates) remaining.push_back(&def);
-    while (!remaining.empty()) {
-      double best_gain = min_gain;
-      size_t best_i = remaining.size();
-      IndexConfig best_next;
-      double best_cost = current_cost;
-      for (size_t i = 0; i < remaining.size(); ++i) {
-        IndexConfig next = result.config;
-        next.Add(*remaining[i]);
-        if (!WithinBudget(next)) continue;
-        const double cost = estimator_->EstimateWorkloadCost(workload, next);
-        ++result.evaluations;
-        const double gain = current_cost - cost;
-        if (gain > best_gain) {
-          best_gain = gain;
-          best_i = i;
-          best_next = std::move(next);
-          best_cost = cost;
-        }
-      }
-      if (best_i == remaining.size()) break;
-      result.config = std::move(best_next);
-      result.to_add.push_back(*remaining[best_i]);
-      current_cost = best_cost;
-      remaining.erase(remaining.begin() + best_i);
-    }
+  // Rank by individual benefit against the *existing* set, then add in
+  // that fixed order while the budget allows.
+  struct Scored {
+    const IndexDef* def;
+    double benefit;
+  };
+  std::vector<Scored> scored;
+  for (const IndexDef& def : candidates) {
+    IndexConfig with = existing;
+    with.Add(def);
+    const double cost = estimator_->EstimateWorkloadCost(workload, with);
+    ++result.evaluations;
+    scored.push_back({&def, result.base_cost - cost});
+  }
+  std::sort(scored.begin(), scored.end(),
+            [](const Scored& a, const Scored& b) {
+              return a.benefit > b.benefit;
+            });
+  for (const Scored& s : scored) {
+    if (s.benefit <= min_gain) break;
+    IndexConfig next = result.config;
+    next.Add(*s.def);
+    if (!WithinBudget(next)) continue;  // skip what does not fit
+    const double cost = estimator_->EstimateWorkloadCost(workload, next);
+    ++result.evaluations;
+    if (cost >= current_cost) continue;  // no combined gain; skip
+    result.config = std::move(next);
+    result.to_add.push_back(*s.def);
+    current_cost = cost;
   }
   result.final_cost = current_cost;
   return result;

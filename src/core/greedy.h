@@ -9,15 +9,6 @@ namespace autoindex {
 
 struct GreedyConfig {
   size_t storage_budget_bytes = 0;  // 0 = unlimited
-  // kTopK: the paper's baseline — rank candidates by their *individual*
-  //   benefit over the existing set and add the best until the budget is
-  //   hit. Misses combined index effects (Sec. VI-B, Table I).
-  // kHillClimb: stronger variant re-evaluating marginal benefit each step;
-  //   kept as an ablation.
-  enum Strategy { kTopK, kHillClimb } strategy = kTopK;
-  // Stop adding when the marginal benefit falls below this fraction of the
-  // base workload cost.
-  double min_benefit_fraction = 1e-4;
 };
 
 struct GreedyResult {
@@ -29,10 +20,12 @@ struct GreedyResult {
 };
 
 // The heuristic baseline used throughout the paper's evaluation ("Greedy",
-// cf. [2],[3],[26]). It shares AutoIndex's benefit estimator so the
-// comparison isolates the search strategy — exactly the paper's setup
-// ("To ensure the fairness, Greedy and AutoIndex utilized the same cost
-// estimation method").
+// cf. [2],[3],[26]): rank candidates by their *individual* benefit over
+// the existing set and add the best until the budget is hit, so it misses
+// combined index effects (Sec. VI-B, Table I). It shares AutoIndex's
+// benefit estimator so the comparison isolates the search strategy —
+// exactly the paper's setup ("To ensure the fairness, Greedy and AutoIndex
+// utilized the same cost estimation method").
 class GreedySelector {
  public:
   GreedySelector(Database* db, IndexBenefitEstimator* estimator,

@@ -31,35 +31,35 @@ struct TuningMetrics {
   }
 };
 
+// Bound on distinct templates the store keeps (Sec. IV-C).
+constexpr size_t kTemplateCapacity = 5000;
+// Sec. IV-C drift handling: when the template match rate since the last
+// round falls below kDriftMatchThreshold, frequencies are multiplied by
+// kDecayFactor and stale templates dropped.
+constexpr double kDriftMatchThreshold = 0.5;
+constexpr double kDecayFactor = 0.5;
+// Retirement pass (Sec. III / Fig. 1): after index selection, a built
+// index with fewer planner uses than this since the last round whose
+// removal does not increase the estimated workload cost is dropped
+// (redundant or dead indexes, e.g. prefix-shadowed ones or indexes on
+// tables the workload never touches).
+constexpr size_t kUnusedDropThreshold = 1;
+// Training pairs needed before a round fits the learned cost model.
+constexpr size_t kMinTrainingObservations = 64;
+// Sample rate for training pairs (the paper samples 0.01% of a 2.2M-query
+// workload; denser here for small runs).
+constexpr double kObservationSampleRate = 0.05;
+
 }  // namespace
 
 AutoIndexManager::AutoIndexManager(Database* db, AutoIndexConfig config)
     : db_(db), config_(config), sample_rng_(0xA11CE) {
-  templates_ = std::make_unique<TemplateStore>(config_.template_capacity);
+  templates_ = std::make_unique<TemplateStore>(kTemplateCapacity);
   estimator_ = std::make_unique<IndexBenefitEstimator>(db_);
-  generator_ =
-      std::make_unique<CandidateGenerator>(db_, config_.candidate_gen);
-  MctsConfig mcts = config_.mcts;
-  if (config_.storage_budget_bytes != 0) {
-    mcts.storage_budget_bytes = config_.storage_budget_bytes;
-  }
-  selector_ = std::make_unique<MctsIndexSelector>(db_, estimator_.get(), mcts);
-  diagnoser_ = std::make_unique<IndexDiagnoser>(db_, estimator_.get(),
-                                                config_.diagnosis);
-  if (config_.learn_cost_model) {
-    // EXPLAIN ANALYZE feedback loop: every executed statement streams its
-    // per-access-path (estimated, observed) pairs into the estimator.
-    db_->set_execution_feedback_hook(
-        [est = estimator_.get()](const std::vector<AccessPathFeedback>& fb) {
-          est->RecordExecutionFeedback(fb);
-        });
-  }
-}
-
-AutoIndexManager::~AutoIndexManager() {
-  // The hook borrows estimator_, which dies with this manager; the
-  // database outlives it and keeps executing statements.
-  if (config_.learn_cost_model) db_->set_execution_feedback_hook(nullptr);
+  generator_ = std::make_unique<CandidateGenerator>(db_);
+  selector_ = std::make_unique<MctsIndexSelector>(db_, estimator_.get(),
+                                                  config_.mcts);
+  diagnoser_ = std::make_unique<IndexDiagnoser>(db_, estimator_.get());
 }
 
 AutoIndexManager::DdlOutcome AutoIndexManager::ApplyDdlNow(
@@ -93,7 +93,7 @@ AutoIndexManager::DdlOutcome AutoIndexManager::ApplyDdlNow(
 }
 
 void AutoIndexManager::set_storage_budget(size_t bytes) {
-  config_.storage_budget_bytes = bytes;
+  config_.mcts.storage_budget_bytes = bytes;
   selector_->set_storage_budget(bytes);
 }
 
@@ -103,7 +103,7 @@ StatusOr<ExecResult> AutoIndexManager::ExecuteAndObserve(
   TuningMetrics::Get().observations->Add();
   StatusOr<ExecResult> result = db_->Execute(sql);
   if (result.ok() && config_.learn_cost_model &&
-      sample_rng_.Bernoulli(config_.observation_sample_rate)) {
+      sample_rng_.Bernoulli(kObservationSampleRate)) {
     // Historical training pair: estimated cost features under the current
     // built configuration vs. the measured execution cost.
     StatusOr<Statement> stmt = ParseSql(sql);
@@ -142,9 +142,8 @@ TuningResult AutoIndexManager::RunManagementRound(bool apply) {
 
   // Drift handling (Sec. IV-C): decay template frequencies when the match
   // rate collapsed since the last round.
-  if (templates_->MatchRate() < config_.drift_match_threshold &&
-      rounds_run_ > 0) {
-    templates_->Decay(config_.decay_factor);
+  if (templates_->MatchRate() < kDriftMatchThreshold && rounds_run_ > 0) {
+    templates_->Decay(kDecayFactor);
     metrics.decays->Add();
   }
   templates_->ResetMatchStats();
@@ -155,7 +154,7 @@ TuningResult AutoIndexManager::RunManagementRound(bool apply) {
   db_->Analyze();
   estimator_->InvalidateCache();
   if (config_.learn_cost_model && !estimator_->model_trained()) {
-    estimator_->TrainModel(config_.min_training_observations);
+    estimator_->TrainModel(kMinTrainingObservations);
   }
 
   const std::vector<const QueryTemplate*> templates =
@@ -174,7 +173,7 @@ TuningResult AutoIndexManager::RunManagementRound(bool apply) {
   result.candidates_generated = candidates.size();
 
   phase_watch.Restart();
-  MctsResult mcts = [&] {
+  const MctsResult mcts = [&] {
     obs::ScopedSpan search_span("tuning.search");
     return selector_->Run(existing, candidates, workload);
   }();
@@ -190,29 +189,25 @@ TuningResult AutoIndexManager::RunManagementRound(bool apply) {
   // objective, so they are cleaned up by diagnosis instead (Fig. 1): an
   // index the planner never used whose removal does not raise the
   // estimated workload cost is dropped.
-  if (config_.drop_unused_indexes) {
-    IndexConfig probe = mcts.best_config;
-    double current_cost =
-        estimator_->EstimateWorkloadCost(workload, probe);
-    for (const BuiltIndex* index : db_->index_manager().AllIndexes()) {
-      if (index->uses() >= config_.unused_drop_threshold) continue;
-      if (!probe.Contains(index->def())) continue;  // already removed
-      bool planned_add = false;
-      for (const IndexDef& def : mcts.to_add) {
-        if (def == index->def()) planned_add = true;
-      }
-      if (planned_add) continue;
-      IndexConfig without = probe;
-      without.Remove(index->def());
-      const double cost_without =
-          estimator_->EstimateWorkloadCost(workload, without);
-      if (cost_without <= current_cost * (1.0 + 1e-9)) {
-        probe = std::move(without);
-        current_cost = cost_without;
-        result.removed.push_back(index->def());
-      }
+  IndexConfig probe = mcts.best_config;
+  double current_cost = estimator_->EstimateWorkloadCost(workload, probe);
+  for (const BuiltIndex* index : db_->index_manager().AllIndexes()) {
+    if (index->uses() >= kUnusedDropThreshold) continue;
+    if (!probe.Contains(index->def())) continue;  // already removed
+    bool planned_add = false;
+    for (const IndexDef& def : mcts.to_add) {
+      if (def == index->def()) planned_add = true;
     }
-    mcts.best_config = std::move(probe);
+    if (planned_add) continue;
+    IndexConfig without = probe;
+    without.Remove(index->def());
+    const double cost_without =
+        estimator_->EstimateWorkloadCost(workload, without);
+    if (cost_without <= current_cost * (1.0 + 1e-9)) {
+      probe = std::move(without);
+      current_cost = cost_without;
+      result.removed.push_back(index->def());
+    }
   }
 
   if (apply) {
@@ -221,7 +216,6 @@ TuningResult AutoIndexManager::RunManagementRound(bool apply) {
     result.removed = std::move(outcome.dropped);
     result.added = std::move(outcome.built);
     result.apply_errors = std::move(outcome.errors);
-    result.applied = true;
   }
 
   ++rounds_run_;

@@ -20,30 +20,14 @@ class Writer;
 }  // namespace persist
 
 struct AutoIndexConfig {
-  size_t template_capacity = 5000;
-  size_t storage_budget_bytes = 0;  // 0 = unlimited
-  CandidateGenConfig candidate_gen;
+  // The index search (Sec. IV-B); `mcts.storage_budget_bytes` bounds the
+  // whole index set (0 = unlimited).
   MctsConfig mcts;
-  DiagnosisConfig diagnosis;
-  // Sec. IV-C drift handling: when the template match rate since the last
-  // round falls below `drift_match_threshold`, frequencies are multiplied
-  // by `decay_factor` and stale templates dropped.
-  double drift_match_threshold = 0.5;
-  double decay_factor = 0.5;
-  // Retirement pass (Sec. III / Fig. 1): after index selection, drop built
-  // indexes that the planner has not used since the last round AND whose
-  // removal does not increase the estimated workload cost (redundant or
-  // dead indexes — e.g. prefix-shadowed ones or indexes on tables the
-  // workload never touches).
-  bool drop_unused_indexes = true;
-  size_t unused_drop_threshold = 1;  // planner uses below this = unused
-  // Learn the estimator model from execution history (Sec. V-B). When
-  // false the estimator keeps classical static weights.
+  // Learn the estimator model from execution history (Sec. V-B): executed
+  // statements are sampled as (features, measured cost) pairs, and a round
+  // trains the regression once enough have accumulated. When false the
+  // estimator keeps classical static weights.
   bool learn_cost_model = true;
-  size_t min_training_observations = 64;
-  // Sample rate for collecting training observations (the paper samples
-  // 0.01% of a 2.2M-query workload; we default denser for small runs).
-  double observation_sample_rate = 0.05;
 };
 
 // One failed create/drop from an apply pass (the Status the database
@@ -56,6 +40,8 @@ struct ApplyError {
 
 // The outcome of one management round (Sec. III workflow).
 struct TuningResult {
+  // A round that applies reports what its DDL actually did; a dry run
+  // reports the recommendation.
   std::vector<IndexDef> added;
   std::vector<IndexDef> removed;
   double est_base_cost = 0.0;
@@ -66,8 +52,6 @@ struct TuningResult {
   double elapsed_ms = 0.0;        // total index-management overhead
   double candidate_gen_ms = 0.0;  // template matching + candidate extraction
   double search_ms = 0.0;         // MCTS selection
-  // The DDL ran: added/removed report what actually happened.
-  bool applied = false;
   // Per-definition failures from the apply pass.
   std::vector<ApplyError> apply_errors;
 };
@@ -79,8 +63,6 @@ struct TuningResult {
 class AutoIndexManager {
  public:
   AutoIndexManager(Database* db, AutoIndexConfig config = {});
-  // Uninstalls the execution feedback hook the constructor installed.
-  ~AutoIndexManager();
 
   AutoIndexManager(const AutoIndexManager&) = delete;
   AutoIndexManager& operator=(const AutoIndexManager&) = delete;
@@ -128,8 +110,8 @@ class AutoIndexManager {
   void set_storage_budget(size_t bytes);
 
   // Snapshot serialization (src/persist/): the complete tuning state —
-  // template store, estimator (model, history, feedback), MCTS policy
-  // tree, sampling rng, and round counter — so a restarted manager resumes
+  // template store, estimator (model and history), MCTS policy tree,
+  // sampling rng, and round counter — so a restarted manager resumes
   // tuning exactly where the saved one stopped.
   void SaveTuningState(persist::Writer* w) const;
   Status LoadTuningState(persist::Reader* r);

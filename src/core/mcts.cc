@@ -12,6 +12,11 @@
 namespace autoindex {
 namespace {
 
+// K random rollouts when evaluating a node's benefit (Sec. IV-B step 2).
+constexpr size_t kRollouts = 5;
+// Seed of the selector's rng; a snapshot carries the rng state onward.
+constexpr uint64_t kSeed = 7;
+
 struct MctsMetrics {
   util::Counter* runs;
   util::Counter* iterations;
@@ -59,7 +64,7 @@ size_t MctsIndexSelector::CountNodes(const Node* node) {
 MctsIndexSelector::MctsIndexSelector(Database* db,
                                      IndexBenefitEstimator* estimator,
                                      MctsConfig config)
-    : db_(db), estimator_(estimator), config_(config), rng_(config.seed) {}
+    : db_(db), estimator_(estimator), config_(config), rng_(kSeed) {}
 
 MctsIndexSelector::~MctsIndexSelector() = default;
 
@@ -201,8 +206,8 @@ double MctsIndexSelector::EvaluateNode(
   // the candidate pool) is exhausted, evaluating the leaf each time
   // (Sec. IV-B step 2: "randomly explore K descendants ... or descendant
   // nodes that arrive the storage constraint").
-  MctsMetrics::Get().rollouts->Add(config_.rollouts);
-  for (size_t r = 0; r < config_.rollouts; ++r) {
+  MctsMetrics::Get().rollouts->Add(kRollouts);
+  for (size_t r = 0; r < kRollouts; ++r) {
     IndexConfig rollout = node->config;
     // Random order over candidates.
     std::vector<const IndexDef*> pool;

@@ -25,8 +25,6 @@ struct MctsConfig {
   // (benefits are normalized to fractions of the base workload cost, so
   // gamma ~ 0.3-2 is a sensible range).
   double gamma = 0.7;
-  // K random rollouts when evaluating a node's benefit (Sec. IV-B step 2).
-  size_t rollouts = 5;
   // Storage budget for the whole index set; 0 = unlimited.
   size_t storage_budget_bytes = 0;
   // Cap on children generated per expansion (actions beyond the cap are
@@ -35,7 +33,6 @@ struct MctsConfig {
   // Stop early when this many consecutive iterations fail to improve the
   // best benefit (0 disables early stop).
   size_t patience = 64;
-  uint64_t seed = 7;
 };
 
 // One edge of the policy tree: add a candidate index or remove an index

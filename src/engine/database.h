@@ -157,9 +157,9 @@ class Database {
   // --- Execution feedback ---
   // Receives the per-access-path (estimated, observed) pairs of every
   // successful statement that ran a read pipeline, on any session, while
-  // that statement still holds its latches. Installed by AutoIndexManager
-  // when cost-model learning is enabled (and removed by its destructor);
-  // may be (re)installed while sessions are executing. Null uninstalls.
+  // that statement still holds its latches. The tuner installs none; the
+  // hook belongs to whoever set it, and may be (re)installed while
+  // sessions are executing. Null uninstalls.
   using FeedbackHook =
       std::function<void(const std::vector<AccessPathFeedback>&)>;
   void set_execution_feedback_hook(FeedbackHook hook) EXCLUDES(feedback_mu_);

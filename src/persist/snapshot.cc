@@ -16,7 +16,7 @@ namespace persist {
 namespace {
 
 constexpr char kSnapshotMagic[] = "AIXSNAP1";
-constexpr uint32_t kSnapshotVersion = 1;
+constexpr uint32_t kSnapshotVersion = 2;
 
 // Section ids. kTuning is optional; the rest are required.
 constexpr uint32_t kMeta = 1;

@@ -33,11 +33,10 @@ class CandidateGenTest : public ::testing::Test {
     db_.Analyze();
   }
 
-  std::vector<IndexDef> FromSql(const std::string& sql,
-                                CandidateGenConfig config = {}) {
+  std::vector<IndexDef> FromSql(const std::string& sql) {
     auto stmt = ParseSql(sql);
     EXPECT_TRUE(stmt.ok()) << sql;
-    CandidateGenerator gen(&db_, config);
+    CandidateGenerator gen(&db_);
     return gen.FromStatement(*stmt);
   }
 
@@ -130,13 +129,15 @@ TEST_F(CandidateGenTest, SmallTablesSkipped) {
 }
 
 TEST_F(CandidateGenTest, MaxColumnsRespected) {
-  CandidateGenConfig config;
-  config.max_index_columns = 2;
+  // Four predicate columns against the cap of three: the candidate keeps
+  // the three most selective (equality columns first).
   auto defs = FromSql(
-      "SELECT a FROM t WHERE a = 1 AND b = 2 AND c = 3", config);
+      "SELECT a FROM t WHERE a = 1 AND b = 2 AND c = 3 AND flag = 1");
+  ASSERT_FALSE(defs.empty());
   for (const IndexDef& def : defs) {
-    EXPECT_LE(def.columns.size(), 2u);
+    EXPECT_LE(def.columns.size(), 3u);
   }
+  EXPECT_TRUE(Has(defs, IndexDef("t", {"a", "b", "c"})));
 }
 
 TEST(MergeCandidates, DropsExactDuplicates) {
@@ -167,8 +168,7 @@ TEST_F(CandidateGenTest, GenerateFiltersExistingAndCaps) {
   TemplateStore store(100);
   store.Observe("SELECT c FROM t WHERE a = 5");
   store.Observe("SELECT c FROM t WHERE b = 50 AND c = 3");
-  CandidateGenConfig config;
-  CandidateGenerator gen(&db_, config);
+  CandidateGenerator gen(&db_);
 
   IndexConfig existing;
   auto all = gen.Generate(store.TemplatesByFrequency(), existing);
@@ -183,17 +183,36 @@ TEST_F(CandidateGenTest, GenerateFiltersExistingAndCaps) {
 }
 
 TEST_F(CandidateGenTest, GenerateHonorsMaxCandidates) {
-  TemplateStore store(100);
-  for (int i = 0; i < 30; ++i) {
-    // Many distinct shapes.
-    store.Observe("SELECT a FROM t WHERE b = " + std::to_string(i) +
-                  " AND c = " + std::to_string(i % 7) + " AND a = 1");
+  // Every pair of twelve selective columns is its own template and its own
+  // two-column candidate: 66 distinct candidates against the cap of 64.
+  constexpr int kColumns = 12;
+  std::vector<Column> columns;
+  for (int c = 0; c < kColumns; ++c) {
+    columns.push_back({"k" + std::to_string(c), ValueType::kInt});
   }
-  CandidateGenConfig config;
-  config.max_candidates = 2;
-  CandidateGenerator gen(&db_, config);
+  db_.CreateTable("wide", Schema(columns));
+  std::vector<Row> rows;
+  for (int i = 0; i < 5000; ++i) {
+    Row row;
+    for (int c = 0; c < kColumns; ++c) {
+      row.emplace_back(int64_t(i % (100 + c)));
+    }
+    rows.push_back(std::move(row));
+  }
+  ASSERT_TRUE(db_.BulkInsert("wide", std::move(rows)).ok());
+  db_.Analyze();
+
+  TemplateStore store(200);
+  for (int i = 0; i < kColumns; ++i) {
+    for (int j = i + 1; j < kColumns; ++j) {
+      store.Observe("SELECT k0 FROM wide WHERE k" + std::to_string(i) +
+                    " = 1 AND k" + std::to_string(j) + " = 2");
+    }
+  }
+  ASSERT_EQ(store.size(), 66u);
+  CandidateGenerator gen(&db_);
   auto defs = gen.Generate(store.TemplatesByFrequency(), IndexConfig());
-  EXPECT_LE(defs.size(), 2u);
+  EXPECT_EQ(defs.size(), 64u);
 }
 
 }  // namespace

@@ -99,19 +99,49 @@ TEST_F(DiagnosisTest, HealthyEstateDoesNotTrigger) {
       << "problem ratio " << report.problem_ratio;
 }
 
-TEST_F(DiagnosisTest, TriggerRatioConfigurable) {
-  ASSERT_TRUE(db_.CreateIndex(IndexDef("t", {"c"})).ok());
-  WorkloadModel w = MakeWorkload({{"SELECT b FROM t WHERE a = 7", 10.0}});
-  DiagnosisConfig strict;
-  strict.trigger_ratio = 0.0;  // any problem triggers
-  DiagnosisConfig lax;
-  lax.trigger_ratio = 10.0;  // nothing triggers
-  DiagnosisReport strict_report =
-      IndexDiagnoser(&db_, estimator_.get(), strict).Diagnose(w, {});
-  DiagnosisReport lax_report =
-      IndexDiagnoser(&db_, estimator_.get(), lax).Diagnose(w, {});
-  EXPECT_TRUE(strict_report.should_tune);
-  EXPECT_FALSE(lax_report.should_tune);
+TEST_F(DiagnosisTest, TriggersOnlyAboveProblemRatio) {
+  // Five selective columns, each with an index the workload uses, plus
+  // one index nothing touches: the unused index is the only problem.
+  constexpr int kUsed = 5;
+  std::vector<Column> columns = {{"cold", ValueType::kInt}};
+  for (int c = 0; c < kUsed; ++c) {
+    columns.push_back({"k" + std::to_string(c), ValueType::kInt});
+  }
+  db_.CreateTable("w", Schema(columns));
+  std::vector<Row> rows;
+  for (int i = 0; i < 5000; ++i) {
+    Row row;  // cold, then k0..k4: every column holds i
+    for (int c = 0; c <= kUsed; ++c) row.emplace_back(int64_t(i));
+    rows.push_back(std::move(row));
+  }
+  ASSERT_TRUE(db_.BulkInsert("w", std::move(rows)).ok());
+  db_.Analyze();
+  ASSERT_TRUE(db_.CreateIndex(IndexDef("w", {"cold"})).ok());
+  std::vector<std::pair<std::string, double>> queries;
+  for (int c = 0; c < kUsed; ++c) {
+    const std::string col = "k" + std::to_string(c);
+    ASSERT_TRUE(db_.CreateIndex(IndexDef("w", {col})).ok());
+    const std::string sql = "SELECT cold FROM w WHERE " + col + " = 7";
+    ASSERT_TRUE(db_.Execute(sql).ok());
+    queries.push_back({sql, 10.0});
+  }
+  WorkloadModel w = MakeWorkload(queries);
+  IndexDiagnoser diagnoser(&db_, estimator_.get());
+
+  // One problem among six built indexes: 0.17, below the 0.2 trigger.
+  DiagnosisReport below = diagnoser.Diagnose(w, {});
+  ASSERT_EQ(below.built_indexes, 6u);
+  EXPECT_TRUE(Has(below.rarely_used, IndexDef("w", {"cold"})));
+  EXPECT_LT(below.problem_ratio, 0.2);
+  EXPECT_FALSE(below.should_tune);
+
+  // Drop two used indexes: one problem among four, 0.25, above it.
+  ASSERT_TRUE(db_.DropIndex(IndexDef("w", {"k3"}).Key()).ok());
+  ASSERT_TRUE(db_.DropIndex(IndexDef("w", {"k4"}).Key()).ok());
+  DiagnosisReport above = diagnoser.Diagnose(w, {});
+  ASSERT_EQ(above.built_indexes, 4u);
+  EXPECT_GT(above.problem_ratio, 0.2);
+  EXPECT_TRUE(above.should_tune);
 }
 
 }  // namespace

@@ -82,24 +82,6 @@ TEST_F(GreedyTest, BudgetStopsSelection) {
             config.storage_budget_bytes);
 }
 
-TEST_F(GreedyTest, HillClimbAtLeastAsGoodAsTopK) {
-  WorkloadModel w = MakeWorkload(
-      {{"SELECT b FROM t WHERE a = 7", 60.0},
-       {"SELECT a FROM t WHERE b = 5", 40.0},
-       {"SELECT c FROM t WHERE a = 3 AND b = 9", 30.0}});
-  const std::vector<IndexDef> candidates = {
-      IndexDef("t", {"a"}), IndexDef("t", {"b"}), IndexDef("t", {"a", "b"})};
-  GreedyConfig topk;
-  topk.strategy = GreedyConfig::kTopK;
-  GreedyConfig hill;
-  hill.strategy = GreedyConfig::kHillClimb;
-  GreedyResult r_topk = GreedySelector(&db_, estimator_.get(), topk)
-                            .Run(IndexConfig(), candidates, w);
-  GreedyResult r_hill = GreedySelector(&db_, estimator_.get(), hill)
-                            .Run(IndexConfig(), candidates, w);
-  EXPECT_LE(r_hill.final_cost, r_topk.final_cost * 1.0001);
-}
-
 TEST_F(GreedyTest, CountsEvaluations) {
   WorkloadModel w = MakeWorkload({{"SELECT b FROM t WHERE a = 7", 10.0}});
   GreedySelector greedy(&db_, estimator_.get());

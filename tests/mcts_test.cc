@@ -217,7 +217,6 @@ TEST_F(MctsTest, DeterministicForFixedSeed) {
   WorkloadModel w = MakeWorkload({{"SELECT b FROM t WHERE a = 123", 10.0}});
   MctsConfig config;
   config.iterations = 40;
-  config.seed = 99;
   MctsIndexSelector s1(&db_, estimator_.get(), config);
   MctsIndexSelector s2(&db_, estimator_.get(), config);
   MctsResult r1 = s1.Run(IndexConfig(), {IndexDef("t", {"a"})}, w);

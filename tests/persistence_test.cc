@@ -239,7 +239,7 @@ TEST(Snapshot, CheckpointBytesAreStableAcrossReload) {
 
 // The restored tuning state must drive MCTS to the same recommendation the
 // live manager would produce — policy tree, template store, estimator
-// feedback, and rng all resume exactly.
+// history, and rng all resume exactly.
 TEST(Snapshot, MctsRecommendationSurvivesReload) {
   const std::string dir = FreshDir("snap_mcts");
   Database db;

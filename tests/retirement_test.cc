@@ -90,34 +90,29 @@ TEST_F(RetirementTest, DropsPrefixShadowedIndex) {
       << "prefix-shadowed index should be retired";
 }
 
-TEST_F(RetirementTest, DisabledFlagLeavesRetirementToSearchOnly) {
+TEST_F(RetirementTest, RetirementPassAloneDropsDeadIndex) {
   // With zero MCTS iterations, the search cannot remove anything; only
-  // the retirement pass could. Disabling it must keep the dead index,
-  // enabling it must drop it — this isolates the pass itself.
-  for (bool drop : {false, true}) {
-    Database db;
-    db.CreateTable("hot", Schema({{"a", ValueType::kInt}}));
-    db.CreateTable("cold", Schema({{"x", ValueType::kInt}}));
-    std::vector<Row> rows;
-    for (int i = 0; i < 5000; ++i) rows.push_back({Value(int64_t(i))});
-    ASSERT_TRUE(db.BulkInsert("hot", std::move(rows)).ok());
-    rows.clear();
-    for (int i = 0; i < 5000; ++i) rows.push_back({Value(int64_t(i))});
-    ASSERT_TRUE(db.BulkInsert("cold", std::move(rows)).ok());
-    db.Analyze();
-    ASSERT_TRUE(db.CreateIndex(IndexDef("cold", {"x"})).ok());
+  // the retirement pass can, so the dead index going isolates the pass.
+  Database db;
+  db.CreateTable("hot", Schema({{"a", ValueType::kInt}}));
+  db.CreateTable("cold", Schema({{"x", ValueType::kInt}}));
+  std::vector<Row> rows;
+  for (int i = 0; i < 5000; ++i) rows.push_back({Value(int64_t(i))});
+  ASSERT_TRUE(db.BulkInsert("hot", std::move(rows)).ok());
+  rows.clear();
+  for (int i = 0; i < 5000; ++i) rows.push_back({Value(int64_t(i))});
+  ASSERT_TRUE(db.BulkInsert("cold", std::move(rows)).ok());
+  db.Analyze();
+  ASSERT_TRUE(db.CreateIndex(IndexDef("cold", {"x"})).ok());
 
-    AutoIndexConfig config = FastConfig();
-    config.mcts.iterations = 0;
-    config.drop_unused_indexes = drop;
-    AutoIndexManager manager(&db, config);
-    for (int i = 0; i < 30; ++i) {
-      manager.ExecuteAndObserve("SELECT a FROM hot WHERE a = 5");
-    }
-    manager.RunManagementRound();
-    EXPECT_EQ(db.index_manager().HasIndex(IndexDef("cold", {"x"})), !drop)
-        << "drop_unused_indexes=" << drop;
+  AutoIndexConfig config = FastConfig();
+  config.mcts.iterations = 0;
+  AutoIndexManager manager(&db, config);
+  for (int i = 0; i < 30; ++i) {
+    manager.ExecuteAndObserve("SELECT a FROM hot WHERE a = 5");
   }
+  manager.RunManagementRound();
+  EXPECT_FALSE(db.index_manager().HasIndex(IndexDef("cold", {"x"})));
 }
 
 TEST_F(RetirementTest, FreshlyAddedIndexSurvivesItsOwnRound) {
