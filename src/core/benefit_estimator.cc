@@ -49,22 +49,27 @@ uint64_t Mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
+// FNV-1a of the def's key, mixed.
+uint64_t HashIndexDef(const IndexDef& def) {
+  const std::string key = def.Key();
+  uint64_t d = 14695981039346656037ULL;
+  for (unsigned char c : key) {
+    d ^= c;
+    d *= 1099511628211ULL;
+  }
+  return Mix64(d);
+}
+
+// A config hashes order-independently as the *sum* of its mixed def
+// hashes. An XOR combine would cancel duplicate defs (a ^ a == 0), making
+// {d1, d1, d2} collide with {d2}; addition keeps multiplicity visible.
+constexpr uint64_t kConfigHashSeed = 0x12345678;
+
 }  // namespace
 
 uint64_t HashConfig(const IndexConfig& config) {
-  // Order-independent combine via *summation* of mixed per-def hashes.
-  // The previous XOR combine cancelled duplicate defs (a ^ a == 0), making
-  // {d1, d1, d2} collide with {d2}; addition keeps multiplicity visible.
-  uint64_t h = 0x12345678;
-  for (const IndexDef& def : config.defs()) {
-    const std::string key = def.Key();
-    uint64_t d = 14695981039346656037ULL;
-    for (unsigned char c : key) {
-      d ^= c;
-      d *= 1099511628211ULL;
-    }
-    h += Mix64(d);
-  }
+  uint64_t h = kConfigHashSeed;
+  for (const IndexDef& def : config.defs()) h += HashIndexDef(def);
   return Mix64(h);
 }
 
@@ -84,15 +89,28 @@ double IndexBenefitEstimator::EstimateStatementCost(
 
 double IndexBenefitEstimator::EstimateWorkloadCost(
     const WorkloadModel& workload, const IndexConfig& config) const {
-  const uint64_t config_hash = HashConfig(config);
+  const std::vector<IndexDef>& defs = config.defs();
+  std::vector<uint64_t> def_hashes;
+  def_hashes.reserve(defs.size());
+  for (const IndexDef& def : defs) def_hashes.push_back(HashIndexDef(def));
   const uint64_t epoch = db_->data_version();
+  std::vector<size_t> usable;
   double total = 0.0;
   for (const WorkloadModel::Entry& entry : workload.entries) {
-    // Full-avalanche combine of (template id, config hash). The old
-    // `id * K ^ config_hash` key let (id, config) pairs collide whenever
-    // id*K differences matched config-hash differences; mixing after the
-    // combine removes that linear structure.
-    const uint64_t key = Mix64(Mix64(entry.tmpl->id) ^ config_hash);
+    // The template's cost depends only on the defs it can read, so configs
+    // that differ elsewhere share its entry. Duplicates stay in: writes
+    // charge maintenance per copy.
+    usable.clear();
+    uint64_t usable_hash = kConfigHashSeed;
+    for (size_t i = 0; i < defs.size(); ++i) {
+      if (!entry.tmpl->relevance.CanRead(defs[i])) continue;
+      usable.push_back(i);
+      usable_hash += def_hashes[i];
+    }
+    // Full-avalanche combine of (template id, usable-config hash): a linear
+    // `id * K ^ hash` key would let (id, config) pairs collide whenever id
+    // differences matched hash differences.
+    const uint64_t key = Mix64(Mix64(entry.tmpl->id) ^ Mix64(usable_hash));
     double cost;
     bool hit = false;
     {
@@ -116,7 +134,13 @@ double IndexBenefitEstimator::EstimateWorkloadCost(
     } else {
       EstimatorMetrics::Get().cache_misses->Add();
       // Compute outside the lock: the what-if model is the expensive part.
-      cost = EstimateStatementCost(entry.tmpl->representative, config);
+      // The defs keep the config's order, so planner ties break the same
+      // way as on the full config.
+      std::vector<IndexDef> usable_defs;
+      usable_defs.reserve(usable.size());
+      for (size_t i : usable) usable_defs.push_back(defs[i]);
+      cost = EstimateStatementCost(entry.tmpl->representative,
+                                   IndexConfig(std::move(usable_defs)));
       util::MutexLock lock(cache_mu_);
       if (cache_epoch_ == epoch) cache_.emplace(key, cost);
     }
@@ -135,8 +159,24 @@ double IndexBenefitEstimator::EstimateBenefit(const WorkloadModel& workload,
 void IndexBenefitEstimator::AddObservation(const std::vector<double>& features,
                                            double measured_cost) {
   util::MutexLock lock(obs_mu_);
-  features_.push_back(features);
-  targets_.push_back(measured_cost);
+  if (features_.size() < kMaxTrainingPairs) {
+    features_.push_back(features);
+    targets_.push_back(measured_cost);
+    return;
+  }
+  features_[oldest_] = features;
+  targets_[oldest_] = measured_cost;
+  oldest_ = (oldest_ + 1) % kMaxTrainingPairs;
+}
+
+void IndexBenefitEstimator::ChronologicalPairs(
+    std::vector<std::vector<double>>* features,
+    std::vector<double>* targets) const {
+  *features = features_;
+  *targets = targets_;
+  const auto pivot = static_cast<std::ptrdiff_t>(oldest_);
+  std::rotate(features->begin(), features->begin() + pivot, features->end());
+  std::rotate(targets->begin(), targets->begin() + pivot, targets->end());
 }
 
 size_t IndexBenefitEstimator::num_observations() const {
@@ -163,8 +203,7 @@ double IndexBenefitEstimator::TrainModel(size_t min_observations) {
   {
     util::MutexLock lock(obs_mu_);
     if (features_.size() < min_observations) return -1.0;
-    features = features_;
-    targets = targets_;
+    ChronologicalPairs(&features, &targets);
   }
   // Train on the copy without holding obs_mu_ (training is by far the
   // most expensive step and Train() reinitializes all state itself), then
@@ -183,15 +222,22 @@ double IndexBenefitEstimator::TrainModel(size_t min_observations) {
 }
 
 double IndexBenefitEstimator::CrossValidateRmse() const {
-  util::MutexLock lock(obs_mu_);
-  return SigmoidRegression::CrossValidate(features_, targets_, 9);
+  std::vector<std::vector<double>> features;
+  std::vector<double> targets;
+  {
+    util::MutexLock lock(obs_mu_);
+    ChronologicalPairs(&features, &targets);
+  }
+  return SigmoidRegression::CrossValidate(features, targets, 9);
 }
 
 void IndexBenefitEstimator::Save(persist::Writer* w) const {
   util::MutexLock lock(obs_mu_);
   model_.Save(w);
-  w->PutU32(static_cast<uint32_t>(features_.size()));
-  for (size_t i = 0; i < features_.size(); ++i) {
+  const size_t n = features_.size();
+  w->PutU32(static_cast<uint32_t>(n));
+  for (size_t k = 0; k < n; ++k) {
+    const size_t i = (oldest_ + k) % n;
     w->PutU32(static_cast<uint32_t>(features_[i].size()));
     for (double v : features_[i]) w->PutDouble(v);
     w->PutDouble(targets_[i]);
@@ -204,6 +250,7 @@ void IndexBenefitEstimator::Load(persist::Reader* r) {
     model_ = SigmoidRegression::Load(r);
     features_.clear();
     targets_.clear();
+    oldest_ = 0;
     const uint32_t nobs = r->GetU32();
     for (uint32_t i = 0; i < nobs && r->ok(); ++i) {
       std::vector<double> row;
@@ -214,6 +261,14 @@ void IndexBenefitEstimator::Load(persist::Reader* r) {
       }
       features_.push_back(std::move(row));
       targets_.push_back(r->GetDouble());
+    }
+    // A snapshot written before the ring existed may hold more pairs; keep
+    // the newest.
+    if (features_.size() > kMaxTrainingPairs) {
+      const auto excess =
+          static_cast<std::ptrdiff_t>(features_.size() - kMaxTrainingPairs);
+      features_.erase(features_.begin(), features_.begin() + excess);
+      targets_.erase(targets_.begin(), targets_.begin() + excess);
     }
   }
   // The memo was computed by a different process at a different epoch.

@@ -48,12 +48,16 @@ class IndexBenefitEstimator {
                                const IndexConfig& config) const
       EXCLUDES(obs_mu_);
 
-  // Estimated total workload cost. Memoized per (template, config) — MCTS
-  // evaluates thousands of configs over the same templates. The memo is
-  // epoch-guarded: it self-flushes whenever the database's data version
-  // (bumped by writes, bulk loads, DDL, and ANALYZE) has moved since the
-  // entries were computed, so costs can never be served against stale
-  // table contents or statistics.
+  // Estimated total workload cost. Memoized per (template, usable config):
+  // each template's cost is keyed by its id and an order-independent hash
+  // of the config's defs that the template's what-if cost can read (its
+  // IndexRelevance, duplicates kept), so MCTS configs that differ only in
+  // indexes a template cannot use share that template's entry. Costs are
+  // computed on that restricted config, which gives the full config's cost
+  // bit for bit. The memo is epoch-guarded: it self-flushes whenever the
+  // database's data version (bumped by writes, bulk loads, DDL and
+  // ANALYZE) has moved since the entries were computed, so costs are
+  // never served against stale table contents, statistics or indexes.
   double EstimateWorkloadCost(const WorkloadModel& workload,
                               const IndexConfig& config) const
       EXCLUDES(obs_mu_, cache_mu_);
@@ -63,8 +67,12 @@ class IndexBenefitEstimator {
                          const IndexConfig& from, const IndexConfig& to) const;
 
   // --- learned model (Sec. V-B) ---
+  // Training pairs kept: the newest ones, in a ring.
+  static constexpr size_t kMaxTrainingPairs = 4096;
+
   // Records one historical observation: the cost features of a statement
-  // (estimated under the then-current config) and its measured cost.
+  // (estimated under the then-current config) and its measured cost. Once
+  // kMaxTrainingPairs are held, it replaces the oldest one.
   void AddObservation(const std::vector<double>& features,
                       double measured_cost) EXCLUDES(obs_mu_);
   // Trains when enough observations exist; returns final training MSE or
@@ -82,9 +90,9 @@ class IndexBenefitEstimator {
   // 9-fold cross-validated RMSE over the collected history.
   double CrossValidateRmse() const EXCLUDES(obs_mu_);
 
-  // Explicitly flushes the (template, config) memo. Usually unnecessary —
-  // the epoch guard (see EstimateWorkloadCost) invalidates automatically
-  // on data/stats change — but kept for model swaps and tests.
+  // Flushes the cost memo. Changes to data, statistics and indexes need no
+  // call (the epoch guard of EstimateWorkloadCost sees them); a new learned
+  // model does, and TrainModel and Load make it themselves.
   void InvalidateCache() const EXCLUDES(cache_mu_);
   // Memo entries currently held (tests).
   size_t cache_size() const EXCLUDES(cache_mu_);
@@ -99,6 +107,10 @@ class IndexBenefitEstimator {
  private:
   double CombineFeatures(const CostBreakdown& breakdown) const
       EXCLUDES(obs_mu_);
+  // The held training pairs, oldest first.
+  void ChronologicalPairs(std::vector<std::vector<double>>* features,
+                          std::vector<double>* targets) const
+      REQUIRES(obs_mu_);
 
   Database* db_;
 
@@ -109,10 +121,12 @@ class IndexBenefitEstimator {
   SigmoidRegression model_ GUARDED_BY(obs_mu_);
   std::vector<std::vector<double>> features_ GUARDED_BY(obs_mu_);
   std::vector<double> targets_ GUARDED_BY(obs_mu_);
+  // Slot of the oldest pair once the ring is full (0 until then).
+  size_t oldest_ GUARDED_BY(obs_mu_) = 0;
 
   // Guards the cost memo and its data-version epoch.
   mutable util::Mutex cache_mu_;
-  // Memo: hash-combined (template id, config hash) -> cost.
+  // Memo: hash-combined (template id, usable-config hash) -> cost.
   mutable std::unordered_map<uint64_t, double> cache_ GUARDED_BY(cache_mu_);
   // Database data version the memo entries were computed at.
   mutable uint64_t cache_epoch_ GUARDED_BY(cache_mu_) = 0;

@@ -88,7 +88,6 @@ AutoIndexManager::DdlOutcome AutoIndexManager::ApplyDdlNow(
   for (BuiltIndex* index : db_->index_manager().AllIndexes()) {
     index->ResetUses();
   }
-  estimator_->InvalidateCache();
   return outcome;
 }
 
@@ -152,7 +151,6 @@ TuningResult AutoIndexManager::RunManagementRound(bool apply) {
   // Refresh statistics & train the learned estimator when enough history
   // has accumulated.
   db_->Analyze();
-  estimator_->InvalidateCache();
   if (config_.learn_cost_model && !estimator_->model_trained()) {
     estimator_->TrainModel(kMinTrainingObservations);
   }

@@ -52,6 +52,7 @@ QueryTemplate* TemplateStore::FindOrInsert(const std::string& sql,
   tmpl->id = next_id_++;
   tmpl->fingerprint = fp;
   tmpl->representative = std::move(stmt);
+  tmpl->relevance = IndexRelevance(tmpl->representative);
   tmpl->frequency = 1.0;
   tmpl->total_matches = 1;
   tmpl->last_seen_round = round_;
@@ -155,6 +156,7 @@ void TemplateStore::Load(persist::Reader* r) {
     t->id = r->GetU64();
     t->fingerprint = r->GetString();
     t->representative = persist::GetStatement(r);
+    t->relevance = IndexRelevance(t->representative);
     t->frequency = r->GetDouble();
     t->total_matches = r->GetU64();
     t->last_seen_round = r->GetU64();

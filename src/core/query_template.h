@@ -5,6 +5,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "engine/what_if.h"
 #include "sql/statement.h"
 
 namespace autoindex {
@@ -22,6 +23,9 @@ struct QueryTemplate {
   uint64_t id = 0;
   std::string fingerprint;
   Statement representative;
+  // The indexes the representative's what-if cost can read; the benefit
+  // estimator's memo keys this template's costs by them.
+  IndexRelevance relevance;
   // Decayed match count — the template's weight in the workload model.
   double frequency = 0.0;
   // Undecayed lifetime count.

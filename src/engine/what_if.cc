@@ -3,7 +3,70 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/string_util.h"
+
 namespace autoindex {
+
+namespace {
+
+void AddUnique(std::vector<std::string>* names, std::string name) {
+  if (std::find(names->begin(), names->end(), name) == names->end()) {
+    names->push_back(std::move(name));
+  }
+}
+
+void CollectColumns(const Expr& expr, std::vector<std::string>* columns) {
+  if (expr.kind == ExprKind::kColumn) AddUnique(columns, expr.column.column);
+  for (const ExprPtr& child : expr.children) CollectColumns(*child, columns);
+}
+
+bool Contains(const std::vector<std::string>& names, const std::string& name) {
+  return std::find(names.begin(), names.end(), name) != names.end();
+}
+
+}  // namespace
+
+IndexRelevance::IndexRelevance(const Statement& stmt)
+    : reads_everything_(false) {
+  const auto add_table = [this](const std::string& table) {
+    AddUnique(&tables_, table);
+    AddUnique(&tables_, ToLower(table));
+  };
+  switch (stmt.kind) {
+    case StatementKind::kSelect:
+      for (const TableRef& ref : stmt.select->from) add_table(ref.table);
+      break;
+    case StatementKind::kInsert:
+      add_table(stmt.insert->table);
+      reads_all_on_table_ = true;
+      break;
+    case StatementKind::kUpdate:
+      add_table(stmt.update->table);
+      for (const auto& [col, _] : stmt.update->assignments) {
+        AddUnique(&assigned_columns_, col);
+      }
+      break;
+    case StatementKind::kDelete:
+      add_table(stmt.del->table);
+      break;
+  }
+  if (const Expr* where = stmt.where(); where != nullptr) {
+    CollectColumns(*where, &where_columns_);
+  }
+}
+
+bool IndexRelevance::CanRead(const IndexDef& def) const {
+  if (reads_everything_) return true;
+  if (!Contains(tables_, def.table)) return false;
+  if (reads_all_on_table_) return true;
+  if (!def.columns.empty() && Contains(where_columns_, def.columns[0])) {
+    return true;
+  }
+  for (const std::string& col : def.columns) {
+    if (Contains(assigned_columns_, col)) return true;
+  }
+  return false;
+}
 
 IndexConfig::IndexConfig(std::vector<IndexDef> defs) : defs_(std::move(defs)) {}
 

@@ -36,6 +36,36 @@ class IndexConfig {
   std::vector<IndexDef> defs_;
 };
 
+// Which indexes a statement's what-if cost can read: a superset, fixed by
+// the statement's shape alone, of every def EstimateStatement (planner and
+// EstimateWrite alike) looks at. Dropping the other defs from a config
+// leaves the statement's cost bit-identical, so a memo may key the cost by
+// the defs this admits. A def on a table the statement names is readable
+//   - by a SELECT, DELETE or UPDATE when its leading column appears anywhere
+//     in the WHERE (the planner only uses an index through an equality or
+//     range atom on that column; joins are WHERE atoms, and it never uses
+//     an index for GROUP BY, ORDER BY or IN);
+//   - by an UPDATE also when it holds an assigned column (maintenance);
+//   - by an INSERT always (every index on the table is maintained).
+// DELETE charges no index maintenance. Built once per template; a
+// default-constructed one admits every def.
+class IndexRelevance {
+ public:
+  IndexRelevance() = default;
+  explicit IndexRelevance(const Statement& stmt);
+
+  bool CanRead(const IndexDef& def) const;
+
+ private:
+  // Target tables as written and lowercased: the planner matches a SELECT's
+  // tables verbatim, writes by lowercased name.
+  std::vector<std::string> tables_;
+  std::vector<std::string> where_columns_;
+  std::vector<std::string> assigned_columns_;
+  bool reads_all_on_table_ = false;
+  bool reads_everything_ = true;
+};
+
 // Prices statements under arbitrary index configurations without executing
 // them — the substrate equivalent of hypopg + EXPLAIN. Read costs come from
 // the planner's access-path estimates; write costs apply the paper's

@@ -5,33 +5,47 @@
 
 namespace autoindex {
 
+namespace {
+
+// A non-null numeric cell as ANALYZE sorts it: by its value as a double,
+// which is what Value::Compare orders numbers by. `cell` keeps the int or
+// double the statistics copy out.
+struct NumberKey {
+  double number;
+  const Value* cell;
+};
+
+}  // namespace
+
 ColumnStats ColumnStats::Build(const HeapTable& table, size_t ordinal,
                                size_t num_buckets) {
   ColumnStats stats;
-  std::vector<Value> values;
-  values.reserve(table.num_rows());
+  // One compact key per non-null cell: Compare puts every number before
+  // every string, so the sorted column is `numbers` then `strings`.
+  std::vector<NumberKey> numbers;
+  std::vector<const std::string*> strings;
+  numbers.reserve(table.num_rows());
   // Accumulators for physical-order correlation (numeric columns).
   double sum_x = 0, sum_y = 0, sum_xx = 0, sum_yy = 0, sum_xy = 0;
-  size_t numeric_n = 0;
   table.Scan([&](RowId, const Row& row) {
     const Value& v = row[ordinal];
     ++stats.num_rows_;
-    if (v.is_null()) {
-      ++stats.num_nulls_;
+    double y = 0.0;
+    if (v.AsNumber(&y)) {
+      const double x = static_cast<double>(numbers.size());
+      sum_x += x;
+      sum_y += y;
+      sum_xx += x * x;
+      sum_yy += y * y;
+      sum_xy += x * y;
+      numbers.push_back({y, &v});
+    } else if (const std::string* str = v.IfString()) {
+      strings.push_back(str);
     } else {
-      if (v.type() != ValueType::kString) {
-        const double x = static_cast<double>(numeric_n);
-        const double y = v.AsDouble();
-        sum_x += x;
-        sum_y += y;
-        sum_xx += x * x;
-        sum_yy += y * y;
-        sum_xy += x * y;
-        ++numeric_n;
-      }
-      values.push_back(v);
+      ++stats.num_nulls_;
     }
   });
+  const size_t numeric_n = numbers.size();
   if (numeric_n > 2) {
     const double n = static_cast<double>(numeric_n);
     const double cov = sum_xy - sum_x * sum_y / n;
@@ -42,27 +56,36 @@ ColumnStats ColumnStats::Build(const HeapTable& table, size_t ordinal,
           std::clamp(cov / std::sqrt(var_x * var_y), -1.0, 1.0);
     }
   }
-  if (values.empty()) return stats;
+  const size_t count = numeric_n + strings.size();
+  if (count == 0) return stats;
 
-  std::sort(values.begin(), values.end(),
-            [](const Value& a, const Value& b) { return a.Compare(b) < 0; });
-  stats.min_ = values.front();
-  stats.max_ = values.back();
+  std::sort(numbers.begin(), numbers.end(),
+            [](const NumberKey& a, const NumberKey& b) {
+              return a.number < b.number;
+            });
+  std::sort(strings.begin(), strings.end(),
+            [](const std::string* a, const std::string* b) { return *a < *b; });
+  // The i-th smallest cell, copied.
+  const auto value_at = [&](size_t i) {
+    return i < numeric_n ? *numbers[i].cell : Value(*strings[i - numeric_n]);
+  };
+  stats.min_ = value_at(0);
+  stats.max_ = value_at(count - 1);
 
-  size_t distinct = 1;
-  for (size_t i = 1; i < values.size(); ++i) {
-    if (values[i].Compare(values[i - 1]) != 0) ++distinct;
+  size_t distinct = 0;
+  for (size_t i = 0; i < numeric_n; ++i) {
+    if (i == 0 || numbers[i].number != numbers[i - 1].number) ++distinct;
+  }
+  for (size_t i = 0; i < strings.size(); ++i) {
+    if (i == 0 || *strings[i] != *strings[i - 1]) ++distinct;
   }
   stats.num_distinct_ = distinct;
 
-  const size_t buckets = std::max<size_t>(1, std::min(num_buckets,
-                                                      values.size()));
+  const size_t buckets = std::max<size_t>(1, std::min(num_buckets, count));
   stats.bucket_bounds_.reserve(buckets);
   for (size_t b = 1; b <= buckets; ++b) {
-    const size_t idx =
-        std::min(values.size() - 1, b * values.size() / buckets);
     stats.bucket_bounds_.push_back(
-        values[idx == 0 ? 0 : idx - (b == buckets ? 0 : 0)]);
+        value_at(std::min(count - 1, b * count / buckets)));
   }
   // Ensure the last bound is the max.
   stats.bucket_bounds_.back() = stats.max_;

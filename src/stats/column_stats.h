@@ -31,6 +31,8 @@ class ColumnStats {
   size_t num_distinct() const { return num_distinct_; }
   const Value& min() const { return min_; }
   const Value& max() const { return max_; }
+  // Equi-depth bucket upper bounds, ascending; the last is max().
+  const std::vector<Value>& bucket_bounds() const { return bucket_bounds_; }
 
   // Pearson correlation in [-1, 1] between physical row order and column
   // value (pg_stats.correlation). |corr| ≈ 1 means an index range scan

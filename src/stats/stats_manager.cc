@@ -2,25 +2,59 @@
 
 #include <algorithm>
 
+#include "util/metrics.h"
 #include "util/string_util.h"
 
 namespace autoindex {
+
+namespace {
+
+struct AnalyzeMetrics {
+  util::Counter* tables_built;
+  util::Counter* tables_skipped;
+
+  static const AnalyzeMetrics& Get() {
+    static const AnalyzeMetrics metrics = [] {
+      auto& registry = util::MetricsRegistry::Default();
+      return AnalyzeMetrics{
+          registry.GetCounter("stats.analyze.tables_built"),
+          registry.GetCounter("stats.analyze.tables_skipped")};
+    }();
+    return metrics;
+  }
+};
+
+}  // namespace
 
 void StatsManager::Analyze(const std::string& table) {
   const HeapTable* t = catalog_->GetTable(table);
   if (t == nullptr) return;
   // Scan under a shared latch (no-op when the calling statement already
   // holds this table), then publish the snapshot under the cache mutex.
+  // Writers bump the modification count under the exclusive latch, so it
+  // is stable while the shared one is held.
   LatchManager::Guard guard;
   if (latches_ != nullptr) guard = latches_->AcquireShared({table});
-  std::unordered_map<std::string, std::shared_ptr<const ColumnStats>> built;
+  const std::string key = ToLower(table);
+  const uint64_t modifications = t->modifications();
+  {
+    util::MutexLock lock(mu_);
+    const auto it = cache_.find(key);
+    if (it != cache_.end() && it->second.table_id == t->id() &&
+        it->second.modifications == modifications) {
+      AnalyzeMetrics::Get().tables_skipped->Add();
+      return;
+    }
+  }
+  TableStats built{t->id(), modifications, {}};
   for (size_t i = 0; i < t->schema().num_columns(); ++i) {
-    built[t->schema().column(i).name] =
+    built.columns[t->schema().column(i).name] =
         std::make_shared<const ColumnStats>(ColumnStats::Build(*t, i));
   }
   guard.Release();
+  AnalyzeMetrics::Get().tables_built->Add();
   util::MutexLock lock(mu_);
-  cache_[ToLower(table)] = std::move(built);
+  cache_[key] = std::move(built);
 }
 
 void StatsManager::AnalyzeAll() {
@@ -39,16 +73,16 @@ std::shared_ptr<const ColumnStats> StatsManager::GetColumnStats(
     util::MutexLock lock(mu_);
     auto it = cache_.find(tkey);
     if (it != cache_.end()) {
-      auto cit = it->second.find(ToLower(column));
-      return cit == it->second.end() ? nullptr : cit->second;
+      auto cit = it->second.columns.find(ToLower(column));
+      return cit == it->second.columns.end() ? nullptr : cit->second;
     }
   }
   Analyze(table);
   util::MutexLock lock(mu_);
   auto it = cache_.find(tkey);
   if (it == cache_.end()) return nullptr;
-  auto cit = it->second.find(ToLower(column));
-  return cit == it->second.end() ? nullptr : cit->second;
+  auto cit = it->second.columns.find(ToLower(column));
+  return cit == it->second.columns.end() ? nullptr : cit->second;
 }
 
 namespace {

@@ -15,7 +15,11 @@ namespace autoindex {
 
 // Caches per-table, per-column statistics and estimates predicate
 // selectivities. Stats go stale as tables mutate; callers re-ANALYZE via
-// Invalidate()/Analyze() (the workload runner does this between rounds).
+// Invalidate()/Analyze() (Database::Analyze, which every management round
+// of AutoIndexManager starts with). Analyze skips a table whose rows have
+// not changed since its stats were built (same HeapTable::id(), same
+// HeapTable::modifications()); registry counters stats.analyze.tables_built
+// and stats.analyze.tables_skipped count both outcomes.
 //
 // Thread safety: the cache is mutex-guarded and hands out shared_ptr
 // snapshots, so a concurrent re-ANALYZE can swap a table's stats without
@@ -35,7 +39,8 @@ class StatsManager {
   // construction).
   void set_latch_manager(LatchManager* latches) { latches_ = latches; }
 
-  // (Re)builds statistics for one table.
+  // (Re)builds statistics for one table, unless it is unchanged since its
+  // cached statistics were built.
   void Analyze(const std::string& table) EXCLUDES(mu_);
   // (Re)builds statistics for every table in the catalog.
   void AnalyzeAll() EXCLUDES(mu_);
@@ -68,11 +73,18 @@ class StatsManager {
   Catalog* catalog_;
   LatchManager* latches_ = nullptr;
   mutable util::Mutex mu_;
-  // table -> column -> immutable stats snapshot
-  std::unordered_map<
-      std::string,
-      std::unordered_map<std::string, std::shared_ptr<const ColumnStats>>>
-      cache_ GUARDED_BY(mu_);
+  struct TableStats {
+    // The HeapTable the stats were built from and its modification count
+    // at that time; id 0 (never a table's) for stats loaded from a
+    // snapshot, which the next Analyze rebuilds.
+    uint64_t table_id = 0;
+    uint64_t modifications = 0;
+    // column -> immutable stats snapshot
+    std::unordered_map<std::string, std::shared_ptr<const ColumnStats>>
+        columns;
+  };
+  // table -> its statistics
+  std::unordered_map<std::string, TableStats> cache_ GUARDED_BY(mu_);
 };
 
 }  // namespace autoindex

@@ -42,8 +42,8 @@ void StatsManager::Save(persist::Writer* w) const {
   // std::map orders tables and columns, making snapshot bytes stable
   // regardless of hash-map iteration order.
   std::map<std::string, std::map<std::string, const ColumnStats*>> sorted;
-  for (const auto& [table, columns] : cache_) {
-    for (const auto& [column, stats] : columns) {
+  for (const auto& [table, table_stats] : cache_) {
+    for (const auto& [column, stats] : table_stats.columns) {
       sorted[table][column] = stats.get();
     }
   }
@@ -67,7 +67,7 @@ void StatsManager::Load(persist::Reader* r) {
     const uint32_t ncolumns = r->GetU32();
     for (uint32_t j = 0; j < ncolumns && r->ok(); ++j) {
       const std::string column = r->GetString();
-      cache_[table][column] =
+      cache_[table].columns[column] =
           std::make_shared<const ColumnStats>(ColumnStats::Load(r));
     }
   }

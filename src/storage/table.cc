@@ -4,8 +4,16 @@
 
 namespace autoindex {
 
+namespace {
+
+std::atomic<uint64_t> next_table_id{1};
+
+}  // namespace
+
 HeapTable::HeapTable(std::string name, Schema schema)
-    : name_(ToLower(name)), schema_(std::move(schema)) {
+    : name_(ToLower(name)),
+      schema_(std::move(schema)),
+      id_(next_table_id.fetch_add(1, std::memory_order_relaxed)) {
   const size_t row_bytes = schema_.EstimatedRowBytes();
   rows_per_page_ = row_bytes == 0 ? 1 : kPageSizeBytes / row_bytes;
   if (rows_per_page_ == 0) rows_per_page_ = 1;
@@ -36,6 +44,7 @@ StatusOr<RowId> HeapTable::Insert(Row row) {
   deleted_.push_back(false);
   allocated_slots_.fetch_add(1, std::memory_order_relaxed);
   live_rows_.fetch_add(1, std::memory_order_relaxed);
+  Modified();
   return static_cast<RowId>(rows_.size() - 1);
 }
 
@@ -49,6 +58,7 @@ Status HeapTable::Update(RowId rid, Row row) {
     return Status::InvalidArgument("row arity mismatch on update");
   }
   rows_[rid] = std::move(row);
+  Modified();
   return Status::Ok();
 }
 
@@ -60,6 +70,7 @@ Status HeapTable::Delete(RowId rid) {
   }
   deleted_[rid] = true;
   live_rows_.fetch_sub(1, std::memory_order_relaxed);
+  Modified();
   return Status::Ok();
 }
 

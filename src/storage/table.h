@@ -39,6 +39,16 @@ class HeapTable {
   const std::string& name() const { return name_; }
   const Schema& schema() const { return schema_; }
 
+  // Unique within the process: a table dropped and re-created under the
+  // same name gets a new id.
+  uint64_t id() const { return id_; }
+  // Count of changes to row data (Insert, Update, Delete and the test-only
+  // corruption hooks). Equal counts mean equal contents, so StatsManager
+  // skips re-ANALYZE of a table whose count has not moved.
+  uint64_t modifications() const {
+    return modifications_.load(std::memory_order_relaxed);
+  }
+
   // --- hash partitioning (for global/local index type selection) ---
   // Declares the table hash-partitioned on `column` into `num_partitions`
   // shards. Storage layout is unchanged (partitioning here only routes
@@ -105,18 +115,24 @@ class HeapTable {
   // detects it (see src/check/). Never call outside tests.
   void TestOnlySetLiveRows(size_t n) {
     live_rows_.store(n, std::memory_order_relaxed);
+    Modified();
   }
   // Drops the last column of a live row, breaking schema arity; false if
   // the slot is dead, out of range, or already empty.
   bool TestOnlyTruncateRow(RowId rid) {
     if (!IsLive(rid) || rows_[rid].empty()) return false;
     rows_[rid].pop_back();
+    Modified();
     return true;
   }
 
  private:
+  void Modified() { modifications_.fetch_add(1, std::memory_order_relaxed); }
+
   std::string name_;
   Schema schema_;
+  const uint64_t id_;
+  std::atomic<uint64_t> modifications_{0};
   std::vector<Row> rows_;
   std::vector<bool> deleted_;
   // Counters shadow rows_/deleted_ so they can be read without the latch.

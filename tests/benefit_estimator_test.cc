@@ -3,9 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <set>
+
 #include "core/benefit_estimator.h"
+#include "core/candidate_gen.h"
+#include "core/manager.h"
 #include "core/query_template.h"
+#include "persist/serde.h"
 #include "util/random.h"
+#include "workload/banking.h"
+#include "workload/tpcc.h"
+#include "workload/tpcds.h"
 
 namespace autoindex {
 namespace {
@@ -121,6 +130,184 @@ TEST_F(BenefitEstimatorTest, ZeroFrequencyTemplatesDropped) {
   WorkloadModel w =
       WorkloadModel::FromTemplates(store_.TemplatesByFrequency());
   EXPECT_TRUE(w.entries.empty());
+}
+
+TEST_F(BenefitEstimatorTest, TrainingPairsKeepTheNewestInARing) {
+  constexpr size_t kCap = IndexBenefitEstimator::kMaxTrainingPairs;
+  static_assert(kCap >= 1024);
+  for (size_t i = 0; i < 3 * kCap; ++i) {
+    const double x = static_cast<double>(i);
+    estimator_->AddObservation({x, 1.0, 2.0}, x);
+  }
+  EXPECT_EQ(estimator_->num_observations(), kCap);
+
+  // The saved history is the model, then the pairs oldest first: exactly
+  // the last kCap observed.
+  persist::Writer w;
+  estimator_->Save(&w);
+  persist::Reader r(w.buffer());
+  (void)SigmoidRegression::Load(&r);
+  ASSERT_EQ(r.GetU32(), kCap);
+  for (size_t k = 0; k < kCap; ++k) {
+    const double want = static_cast<double>(2 * kCap + k);
+    ASSERT_EQ(r.GetU32(), 3u);
+    EXPECT_EQ(r.GetDouble(), want);
+    EXPECT_EQ(r.GetDouble(), 1.0);
+    EXPECT_EQ(r.GetDouble(), 2.0);
+    EXPECT_EQ(r.GetDouble(), want);
+  }
+  EXPECT_TRUE(r.ok());
+  EXPECT_EQ(r.remaining(), 0u);
+
+  // A reloaded ring saves the same bytes and keeps replacing its oldest.
+  IndexBenefitEstimator reloaded(&db_);
+  persist::Reader again(w.buffer());
+  reloaded.Load(&again);
+  persist::Writer resaved;
+  reloaded.Save(&resaved);
+  EXPECT_EQ(resaved.buffer(), w.buffer());
+}
+
+TEST_F(BenefitEstimatorTest, TuningStateSizeStopsGrowingAtTheCap) {
+  constexpr size_t kCap = IndexBenefitEstimator::kMaxTrainingPairs;
+  AutoIndexConfig config;
+  AutoIndexManager manager(&db_, config);
+  const auto observe = [&](size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      const double x = static_cast<double>(i);
+      manager.estimator().AddObservation({x, x, x, x, x}, x);
+    }
+  };
+  observe(2 * kCap);
+  persist::Writer at_two;
+  manager.SaveTuningState(&at_two);
+  observe(kCap);
+  persist::Writer at_three;
+  manager.SaveTuningState(&at_three);
+  EXPECT_EQ(at_three.buffer().size(), at_two.buffer().size());
+}
+
+// --- memo keyed by usable indexes ----------------------------------------
+
+uint64_t Bits(double d) {
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
+}
+
+std::string Describe(const std::vector<IndexDef>& defs) {
+  std::string out;
+  for (const IndexDef& def : defs) out += " " + def.Key();
+  return out;
+}
+
+// Prices every template of `queries` under random configs drawn from the
+// candidates and the built indexes (shuffled, sometimes with a duplicate
+// def, each also seen again in another order) and checks that the memo's
+// cost is bit-identical to a fresh what-if call on the full config.
+void ExpectMemoMatchesFreshCosts(Database* db,
+                                 const std::vector<std::string>& queries,
+                                 uint64_t seed,
+                                 std::set<StatementKind>* kinds) {
+  TemplateStore store(5000);
+  for (const std::string& sql : queries) {
+    ASSERT_NE(store.Observe(sql), nullptr) << sql;
+  }
+  const std::vector<const QueryTemplate*> templates =
+      store.TemplatesByFrequency();
+  const WorkloadModel workload = WorkloadModel::FromTemplates(templates);
+  const IndexConfig existing = db->CurrentConfig();
+  std::vector<IndexDef> pool =
+      CandidateGenerator(db).Generate(templates, existing);
+  pool.insert(pool.end(), existing.defs().begin(), existing.defs().end());
+  ASSERT_FALSE(pool.empty());
+
+  IndexBenefitEstimator estimator(db);
+  Random rng(seed);
+  const auto shuffle = [&rng](std::vector<IndexDef>* defs) {
+    for (size_t i = defs->size(); i > 1; --i) {
+      std::swap((*defs)[i - 1], (*defs)[rng.Uniform(i)]);
+    }
+  };
+  size_t lookups = 0;
+  for (int trial = 0; trial < 30; ++trial) {
+    std::vector<IndexDef> defs;
+    for (const IndexDef& def : pool) {
+      if (rng.Bernoulli(0.3)) defs.push_back(def);
+    }
+    if (!defs.empty() && rng.Bernoulli(0.4)) {
+      defs.push_back(defs[rng.Uniform(defs.size())]);
+    }
+    for (int order = 0; order < 2; ++order) {
+      shuffle(&defs);
+      const IndexConfig config(defs);
+      double want_total = 0.0;
+      for (const WorkloadModel::Entry& entry : workload.entries) {
+        const QueryTemplate* t = entry.tmpl;
+        kinds->insert(t->representative.kind);
+        WorkloadModel one;
+        one.entries.push_back({t, 1.0});
+        const double memo = estimator.EstimateWorkloadCost(one, config);
+        const double fresh =
+            estimator.EstimateStatementCost(t->representative, config);
+        ++lookups;
+        EXPECT_EQ(Bits(memo), Bits(fresh))
+            << t->representative.ToString() << " under" << Describe(defs)
+            << ": memo " << memo << " fresh " << fresh;
+        want_total += entry.weight * fresh;
+      }
+      EXPECT_EQ(Bits(estimator.EstimateWorkloadCost(workload, config)),
+                Bits(want_total));
+    }
+  }
+  // The configs shared entries, or the test proved nothing about reuse.
+  EXPECT_LT(estimator.cache_size(), lookups / 2);
+}
+
+TEST(UsableIndexMemo, MatchesFreshCostsOnTpcc) {
+  Database db;
+  TpccConfig config;
+  config.customers_per_district = 60;
+  config.items = 300;
+  config.orders_per_district = 40;
+  TpccWorkload::Populate(&db, config);
+  TpccWorkload::CreateDefaultIndexes(&db);
+  std::set<StatementKind> kinds;
+  ExpectMemoMatchesFreshCosts(&db, TpccWorkload::Generate(config, 400, 7), 11,
+                              &kinds);
+  EXPECT_EQ(kinds.size(), 4u);  // SELECT, INSERT, UPDATE and DELETE
+}
+
+TEST(UsableIndexMemo, MatchesFreshCostsOnTpcds) {
+  Database db;
+  TpcdsConfig config;
+  config.sales_rows = 6000;
+  config.items = 600;
+  config.customers = 500;
+  config.dates = 365;
+  config.promotions = 50;
+  TpcdsWorkload::Populate(&db, config);
+  TpcdsWorkload::CreateDefaultIndexes(&db);
+  std::set<StatementKind> kinds;
+  ExpectMemoMatchesFreshCosts(&db, TpcdsWorkload::Generate(config, 100, 7),
+                              12, &kinds);
+  EXPECT_EQ(kinds.count(StatementKind::kSelect), 1u);
+}
+
+TEST(UsableIndexMemo, MatchesFreshCostsOnBanking) {
+  Database db;
+  BankingConfig config;
+  config.num_tables = 24;
+  config.hot_tables = 6;
+  config.rows_hot = 400;
+  config.rows_cold = 40;
+  config.manual_indexes = 40;
+  BankingWorkload::Populate(&db, config);
+  BankingWorkload::CreateManualIndexes(&db, config);
+  std::set<StatementKind> kinds;
+  ExpectMemoMatchesFreshCosts(
+      &db, BankingWorkload::HybridService(config, 400, 7), 13, &kinds);
+  EXPECT_GE(kinds.size(), 3u);
 }
 
 }  // namespace

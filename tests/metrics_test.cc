@@ -508,5 +508,49 @@ TEST(MetricsEndToEnd, ExecutorCountsEveryStatementTheEngineRan) {
   MetricsRegistry::Default().ResetForTest();
 }
 
+TEST(MetricsEndToEnd, AnalyzeCountsBuiltAndSkippedTables) {
+  if constexpr (!util::kMetricsEnabled) GTEST_SKIP();
+  MetricsRegistry::Default().ResetForTest();
+
+  Database db;
+  for (const char* name : {"hot", "cold"}) {
+    ASSERT_TRUE(db.CreateTable(name, Schema({{"a", ValueType::kInt},
+                                             {"b", ValueType::kInt}}))
+                    .ok());
+    for (int i = 0; i < 20; ++i) {
+      ASSERT_TRUE(
+          db.Execute(StrFormat("INSERT INTO %s VALUES (%d, %d)", name, i, i))
+              .ok());
+    }
+  }
+  const auto counts = [&db] {
+    const auto snap = db.MetricsSnapshot("stats.analyze.");
+    return std::make_pair(CounterOf(snap, "stats.analyze.tables_built"),
+                          CounterOf(snap, "stats.analyze.tables_skipped"));
+  };
+  db.Analyze();
+  const auto first = counts();
+  EXPECT_EQ(first.first, 2u);
+
+  // No writes in between: only the skip counter moves.
+  db.Analyze();
+  const auto second = counts();
+  EXPECT_EQ(second.first, first.first);
+  EXPECT_EQ(second.second, first.second + 2);
+
+  // An UPDATE makes its table build again; the other is still skipped.
+  ASSERT_TRUE(db.Execute("UPDATE hot SET b = 99 WHERE a = 3").ok());
+  db.Analyze();
+  const auto third = counts();
+  EXPECT_EQ(third.first, second.first + 1);
+  EXPECT_EQ(third.second, second.second + 1);
+  const std::shared_ptr<const ColumnStats> b =
+      db.stats_manager().GetColumnStats("hot", "b");
+  ASSERT_NE(b, nullptr);
+  EXPECT_EQ(b->max().AsInt(), 99);
+
+  MetricsRegistry::Default().ResetForTest();
+}
+
 }  // namespace
 }  // namespace autoindex

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+
 #include "sql/parser.h"
 #include "stats/column_stats.h"
 #include "stats/stats_manager.h"
@@ -291,6 +297,228 @@ TEST(Correlation, StringColumnReportsZero) {
   }
   const ColumnStats stats = ColumnStats::Build(**t, 0);
   EXPECT_DOUBLE_EQ(stats.correlation(), 0.0);
+}
+
+// --- typed-key ANALYZE against the Value sort it replaced ---------------
+
+// What ColumnStats::Build computed when it copied every non-null cell into
+// a std::vector<Value> and sorted that with Value::Compare. Kept here only
+// as the reference the typed-key Build must agree with.
+struct ReferenceStats {
+  size_t num_rows = 0;
+  size_t num_nulls = 0;
+  size_t num_distinct = 0;
+  double correlation = 0.0;
+  Value min;
+  Value max;
+  std::vector<Value> bounds;
+};
+
+ReferenceStats BuildByValueSort(const HeapTable& table, size_t ordinal,
+                                size_t num_buckets = 32) {
+  ReferenceStats stats;
+  std::vector<Value> values;
+  double sum_x = 0, sum_y = 0, sum_xx = 0, sum_yy = 0, sum_xy = 0;
+  size_t numeric_n = 0;
+  table.Scan([&](RowId, const Row& row) {
+    const Value& v = row[ordinal];
+    ++stats.num_rows;
+    if (v.is_null()) {
+      ++stats.num_nulls;
+      return;
+    }
+    if (v.type() != ValueType::kString) {
+      const double x = static_cast<double>(numeric_n);
+      const double y = v.AsDouble();
+      sum_x += x;
+      sum_y += y;
+      sum_xx += x * x;
+      sum_yy += y * y;
+      sum_xy += x * y;
+      ++numeric_n;
+    }
+    values.push_back(v);
+  });
+  if (numeric_n > 2) {
+    const double n = static_cast<double>(numeric_n);
+    const double cov = sum_xy - sum_x * sum_y / n;
+    const double var_x = sum_xx - sum_x * sum_x / n;
+    const double var_y = sum_yy - sum_y * sum_y / n;
+    if (var_x > 1e-12 && var_y > 1e-12) {
+      stats.correlation =
+          std::clamp(cov / std::sqrt(var_x * var_y), -1.0, 1.0);
+    }
+  }
+  if (values.empty()) return stats;
+  std::sort(values.begin(), values.end(),
+            [](const Value& a, const Value& b) { return a.Compare(b) < 0; });
+  stats.min = values.front();
+  stats.max = values.back();
+  size_t distinct = 1;
+  for (size_t i = 1; i < values.size(); ++i) {
+    if (values[i].Compare(values[i - 1]) != 0) ++distinct;
+  }
+  stats.num_distinct = distinct;
+  const size_t buckets =
+      std::max<size_t>(1, std::min(num_buckets, values.size()));
+  for (size_t b = 1; b <= buckets; ++b) {
+    stats.bounds.push_back(
+        values[std::min(values.size() - 1, b * values.size() / buckets)]);
+  }
+  stats.bounds.back() = stats.max;
+  return stats;
+}
+
+// One random cell. NaN is never produced: Value::Compare finds NaN equal to
+// every number, so on a column holding NaN it is no strict weak order,
+// std::sort's result is unspecified, and two correct sorts may disagree on
+// min, max, bounds and distinct count alike.
+Value RandomCell(Random* rng, int mode) {
+  constexpr int64_t kTwo53 = int64_t{1} << 53;
+  switch (rng->Uniform(mode == 0 ? 9 : 4)) {
+    case 0:
+      return Value();
+    case 1:  // small ints: many duplicates
+      return Value(rng->UniformInt(-5, 5));
+    case 2:  // doubles equal to small ints, fractions, and both zeros
+      switch (rng->Uniform(4)) {
+        case 0:
+          return Value(static_cast<double>(rng->UniformInt(-5, 5)));
+        case 1:
+          return Value(-0.0);
+        case 2:
+          return Value(0.0);
+        default:
+          return Value(rng->NextDouble() * 10.0 - 5.0);
+      }
+    case 3:  // strings, short alphabet so they repeat
+      return Value(rng->NextName(static_cast<int>(rng->UniformInt(0, 2))));
+    case 4:  // ints beyond +-2^53: neighbours compare equal as doubles
+      return Value((rng->Bernoulli(0.5) ? kTwo53 : -kTwo53) +
+                   rng->UniformInt(-3, 3) * (rng->Bernoulli(0.5) ? 1 : 1024));
+    case 5:
+      return Value(rng->Bernoulli(0.5) ? std::numeric_limits<int64_t>::max()
+                                       : std::numeric_limits<int64_t>::min());
+    case 6:
+      return Value(static_cast<double>(kTwo53) + 2.0 * rng->UniformInt(-2, 2));
+    case 7:
+      return Value(rng->Bernoulli(0.5)
+                       ? std::numeric_limits<double>::infinity()
+                       : -std::numeric_limits<double>::infinity());
+    default:
+      return Value(rng->UniformInt(-1000000, 1000000));
+  }
+}
+
+uint64_t Bits(double d) {
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
+}
+
+TEST(ColumnStatsDifferential, TypedKeysAgreeWithValueSort) {
+  Random rng(4242);
+  for (int trial = 0; trial < 300; ++trial) {
+    Catalog catalog;
+    auto t = catalog.CreateTable("m", Schema({{"v", ValueType::kInt}}));
+    ASSERT_TRUE(t.ok());
+    // mode 0 mixes every kind of cell; mode 1 keeps to NULLs, small ints,
+    // small doubles (both zeros among them) and short strings, so
+    // duplicates dominate.
+    const int mode = static_cast<int>(rng.Uniform(2));
+    const int rows = static_cast<int>(rng.UniformInt(0, 400));
+    for (int i = 0; i < rows; ++i) {
+      ASSERT_TRUE((*t)->Insert({RandomCell(&rng, mode)}).ok());
+    }
+    const size_t buckets = 1 + rng.Uniform(40);
+    SCOPED_TRACE("trial " + std::to_string(trial) + ", rows " +
+                 std::to_string(rows) + ", buckets " +
+                 std::to_string(buckets));
+    const ColumnStats got = ColumnStats::Build(**t, 0, buckets);
+    const ReferenceStats want = BuildByValueSort(**t, 0, buckets);
+    EXPECT_EQ(got.num_rows(), want.num_rows);
+    EXPECT_EQ(got.num_nulls(), want.num_nulls);
+    EXPECT_EQ(got.num_distinct(), want.num_distinct);
+    EXPECT_EQ(Bits(got.correlation()), Bits(want.correlation));
+    EXPECT_EQ(got.min().Compare(want.min), 0) << got.min().ToString();
+    EXPECT_EQ(got.max().Compare(want.max), 0) << got.max().ToString();
+    EXPECT_EQ(got.min().is_null(), want.min.is_null());
+    ASSERT_EQ(got.bucket_bounds().size(), want.bounds.size());
+    for (size_t b = 0; b < want.bounds.size(); ++b) {
+      EXPECT_EQ(got.bucket_bounds()[b].Compare(want.bounds[b]), 0)
+          << "bound " << b;
+    }
+  }
+}
+
+// --- ANALYZE skips unchanged tables ---------------------------------------
+
+TEST(AnalyzeSkip, UnchangedTableKeepsItsStatistics) {
+  Catalog catalog;
+  auto t = catalog.CreateTable("t", Schema({{"a", ValueType::kInt}}));
+  ASSERT_TRUE(t.ok());
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE((*t)->Insert({Value(int64_t(i))}).ok());
+  }
+  StatsManager mgr(&catalog);
+  mgr.Analyze("t");
+  const std::shared_ptr<const ColumnStats> first = mgr.GetColumnStats("t", "a");
+  ASSERT_NE(first, nullptr);
+  mgr.Analyze("t");
+  mgr.AnalyzeAll();
+  EXPECT_EQ(mgr.GetColumnStats("t", "a"), first);  // not rebuilt
+
+  // Each kind of row change makes the next Analyze rebuild.
+  ASSERT_TRUE((*t)->Insert({Value(int64_t(1000))}).ok());
+  mgr.Analyze("t");
+  const std::shared_ptr<const ColumnStats> inserted =
+      mgr.GetColumnStats("t", "a");
+  EXPECT_NE(inserted, first);
+  EXPECT_EQ(inserted->num_rows(), 51u);
+  EXPECT_EQ(inserted->max().AsInt(), 1000);
+
+  ASSERT_TRUE((*t)->Update(0, {Value(int64_t(-7))}).ok());
+  mgr.Analyze("t");
+  const std::shared_ptr<const ColumnStats> updated =
+      mgr.GetColumnStats("t", "a");
+  EXPECT_NE(updated, inserted);
+  EXPECT_EQ(updated->min().AsInt(), -7);
+
+  ASSERT_TRUE((*t)->Delete(50).ok());
+  mgr.Analyze("t");
+  const std::shared_ptr<const ColumnStats> deleted =
+      mgr.GetColumnStats("t", "a");
+  EXPECT_NE(deleted, updated);
+  EXPECT_EQ(deleted->num_rows(), 50u);
+  EXPECT_EQ(deleted->max().AsInt(), 49);
+
+  // Invalidate still forces a rebuild.
+  mgr.Invalidate("t");
+  mgr.Analyze("t");
+  EXPECT_NE(mgr.GetColumnStats("t", "a"), deleted);
+}
+
+TEST(AnalyzeSkip, RecreatedTableIsRebuilt) {
+  Catalog catalog;
+  StatsManager mgr(&catalog);
+  // Two tables of one name, each with three inserts: equal modification
+  // counts, different rows. Only the table's identity tells them apart.
+  for (int64_t base : {0, 100}) {
+    if (base != 0) {
+      ASSERT_TRUE(catalog.DropTable("t").ok());
+    }
+    auto t = catalog.CreateTable("t", Schema({{"a", ValueType::kInt}}));
+    ASSERT_TRUE(t.ok());
+    for (int64_t i = 0; i < 3; ++i) {
+      ASSERT_TRUE((*t)->Insert({Value(base + i)}).ok());
+    }
+    mgr.Analyze("t");
+    const std::shared_ptr<const ColumnStats> stats =
+        mgr.GetColumnStats("t", "a");
+    ASSERT_NE(stats, nullptr);
+    EXPECT_EQ(stats->min().AsInt(), base);
+    EXPECT_EQ(stats->max().AsInt(), base + 2);
+  }
 }
 
 }  // namespace
