@@ -86,7 +86,7 @@ void ChooseKernel(BoundPredicate* p) {
       p->lo = lit->AsDouble();
     } else if (lit->type() == ValueType::kString && op == CompareOp::kEq) {
       p->kernel = Kernel::kColumnStringEq;
-      p->text = &lit->AsString();
+      p->text = lit->AsString();
     }
     return;
   }
@@ -120,7 +120,8 @@ bool BoundPredicate::Eval(const ExecTuple& t) const {
     }
     case Kernel::kColumnStringEq: {
       const Value& v = Cell(lhs, t);
-      if (const std::string* s = v.IfString()) return *s == *text;
+      std::string_view s;
+      if (v.IfString(&s)) return s == text;
       if (v.is_null()) return false;
       break;
     }

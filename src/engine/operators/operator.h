@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
@@ -93,7 +94,7 @@ struct BoundPredicate {
   BoundValue rhs;                 // kColumnColumn's right column
   double lo = 0.0;                // the numeric literal; BETWEEN's low end
   double hi = 0.0;                // BETWEEN's high end
-  const std::string* text = nullptr;  // kColumnStringEq's literal
+  std::string_view text;          // kColumnStringEq's literal
 
   bool Eval(const ExecTuple& t) const;
 

@@ -57,7 +57,7 @@ void Writer::PutDouble(double v) {
   PutU64(bits);
 }
 
-void Writer::PutString(const std::string& s) {
+void Writer::PutString(std::string_view s) {
   PutU32(static_cast<uint32_t>(s.size()));
   buf_.append(s.data(), s.size());
 }

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "storage/schema.h"
 #include "storage/value.h"
@@ -27,7 +28,7 @@ class Writer {
   void PutI64(int64_t v) { PutU64(static_cast<uint64_t>(v)); }
   void PutDouble(double v);
   // u32 byte length + raw bytes; embedded NULs round-trip.
-  void PutString(const std::string& s);
+  void PutString(std::string_view s);
   void PutBytes(const void* data, size_t len);
 
   const std::string& buffer() const { return buf_; }

@@ -1,6 +1,7 @@
 #include "sql/expr.h"
 
 #include <cstring>
+#include <string_view>
 
 #include "util/string_util.h"
 
@@ -231,26 +232,33 @@ std::string Expr::ToString() const {
 
 namespace {
 
-// Simple SQL LIKE with % and _ wildcards.
-bool LikeMatch(const std::string& text, const std::string& pattern, size_t ti,
-               size_t pi) {
-  while (pi < pattern.size()) {
-    const char pc = pattern[pi];
-    if (pc == '%') {
-      // Collapse consecutive %.
-      while (pi < pattern.size() && pattern[pi] == '%') ++pi;
-      if (pi == pattern.size()) return true;
-      for (size_t k = ti; k <= text.size(); ++k) {
-        if (LikeMatch(text, pattern, k, pi)) return true;
-      }
+// SQL LIKE: % matches any run of bytes, _ exactly one. On a mismatch
+// only the most recent % is retried, one byte further on; earlier ones
+// never need to be (whatever they could absorb the latest can), so a
+// match takes O(|text| * |pattern|) steps, not exponential backtracking.
+bool LikeMatch(std::string_view text, std::string_view pattern) {
+  constexpr size_t kNone = std::string_view::npos;
+  size_t ti = 0;
+  size_t pi = 0;
+  size_t retry_pi = kNone;  // pattern position just after the latest %
+  size_t retry_ti = 0;      // where that % stopped absorbing text
+  while (ti < text.size()) {
+    if (pi < pattern.size() && pattern[pi] == '%') {
+      retry_pi = ++pi;
+      retry_ti = ti;
+    } else if (pi < pattern.size() &&
+               (pattern[pi] == '_' || pattern[pi] == text[ti])) {
+      ++ti;
+      ++pi;
+    } else if (retry_pi != kNone) {
+      pi = retry_pi;
+      ti = ++retry_ti;
+    } else {
       return false;
     }
-    if (ti >= text.size()) return false;
-    if (pc != '_' && pc != text[ti]) return false;
-    ++ti;
-    ++pi;
   }
-  return ti == text.size();
+  while (pi < pattern.size() && pattern[pi] == '%') ++pi;
+  return pi == pattern.size();
 }
 
 // Evaluates a scalar (kColumn or kLiteral) node. Returns false when the
@@ -280,7 +288,7 @@ bool EvaluateAtom(const Expr& atom, const Value* const* operands) {
             rhs->type() != ValueType::kString) {
           return false;
         }
-        return LikeMatch(lhs->AsString(), rhs->AsString(), 0, 0);
+        return LikeMatch(lhs->AsString(), rhs->AsString());
       }
       const int c = lhs->Compare(*rhs);
       switch (atom.op) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string_view>
 
 namespace autoindex {
 
@@ -23,7 +24,7 @@ ColumnStats ColumnStats::Build(const HeapTable& table, size_t ordinal,
   // One compact key per non-null cell: Compare puts every number before
   // every string, so the sorted column is `numbers` then `strings`.
   std::vector<NumberKey> numbers;
-  std::vector<const std::string*> strings;
+  std::vector<std::string_view> strings;
   numbers.reserve(table.num_rows());
   // Accumulators for physical-order correlation (numeric columns).
   double sum_x = 0, sum_y = 0, sum_xx = 0, sum_yy = 0, sum_xy = 0;
@@ -39,7 +40,7 @@ ColumnStats ColumnStats::Build(const HeapTable& table, size_t ordinal,
       sum_yy += y * y;
       sum_xy += x * y;
       numbers.push_back({y, &v});
-    } else if (const std::string* str = v.IfString()) {
+    } else if (std::string_view str; v.IfString(&str)) {
       strings.push_back(str);
     } else {
       ++stats.num_nulls_;
@@ -63,11 +64,10 @@ ColumnStats ColumnStats::Build(const HeapTable& table, size_t ordinal,
             [](const NumberKey& a, const NumberKey& b) {
               return a.number < b.number;
             });
-  std::sort(strings.begin(), strings.end(),
-            [](const std::string* a, const std::string* b) { return *a < *b; });
+  std::sort(strings.begin(), strings.end());
   // The i-th smallest cell, copied.
   const auto value_at = [&](size_t i) {
-    return i < numeric_n ? *numbers[i].cell : Value(*strings[i - numeric_n]);
+    return i < numeric_n ? *numbers[i].cell : Value(strings[i - numeric_n]);
   };
   stats.min_ = value_at(0);
   stats.max_ = value_at(count - 1);
@@ -77,7 +77,7 @@ ColumnStats ColumnStats::Build(const HeapTable& table, size_t ordinal,
     if (i == 0 || numbers[i].number != numbers[i - 1].number) ++distinct;
   }
   for (size_t i = 0; i < strings.size(); ++i) {
-    if (i == 0 || *strings[i] != *strings[i - 1]) ++distinct;
+    if (i == 0 || strings[i] != strings[i - 1]) ++distinct;
   }
   stats.num_distinct_ = distinct;
 

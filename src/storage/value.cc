@@ -1,6 +1,7 @@
 #include "storage/value.h"
 
 #include <cmath>
+#include <cstdlib>
 #include <functional>
 
 #include "util/string_util.h"
@@ -21,18 +22,34 @@ const char* ValueTypeName(ValueType type) {
   return "UNKNOWN";
 }
 
-ValueType Value::type() const {
-  if (std::holds_alternative<std::monostate>(data_)) return ValueType::kNull;
-  if (std::holds_alternative<int64_t>(data_)) return ValueType::kInt;
-  if (std::holds_alternative<double>(data_)) return ValueType::kDouble;
-  return ValueType::kString;
+Value::Value(std::string_view v) : cell_{} {
+  if (v.size() <= kInlineMax) {
+    std::memcpy(cell_, v.data(), v.size());
+    set_tag(static_cast<uint8_t>(kInlineTag + v.size()));
+    return;
+  }
+  SetLongString(v);
 }
 
-double Value::AsDouble() const {
-  if (std::holds_alternative<int64_t>(data_)) {
-    return static_cast<double>(std::get<int64_t>(data_));
-  }
-  return std::get<double>(data_);
+void Value::SetLongString(std::string_view s) {
+  // The length is a u32, as in the persistence format's strings.
+  if (s.size() > UINT32_MAX) std::abort();
+  auto buf = std::make_unique_for_overwrite<char[]>(s.size());
+  std::memcpy(buf.get(), s.data(), s.size());
+  std::memset(cell_, 0, sizeof(cell_));
+  AdoptBuffer(std::move(buf), static_cast<uint32_t>(s.size()));
+}
+
+void Value::AdoptBuffer(std::unique_ptr<char[]> buf, uint32_t size) {
+  Store<const char*>(buf.release());
+  Store(size, 8);
+  set_tag(kHeapTag);
+}
+
+std::unique_ptr<char[]> Value::ReleaseBuffer() {
+  std::unique_ptr<char[]> buf(Load<char*>());
+  set_tag(kNullTag);
+  return buf;
 }
 
 int Value::Compare(const Value& other) const {
@@ -94,7 +111,7 @@ size_t Value::HashOther() const {
     case ValueType::kDouble:
       return HashNumber(AsDouble());
     case ValueType::kString:
-      return std::hash<std::string>()(AsString());
+      return std::hash<std::string_view>()(AsString());
   }
   return 0;
 }
@@ -108,7 +125,7 @@ std::string Value::ToString() const {
     case ValueType::kDouble:
       return StrFormat("%g", AsDouble());
     case ValueType::kString:
-      return AsString();
+      return std::string(AsString());
   }
   return "?";
 }

@@ -1,9 +1,11 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <functional>
+#include <memory>
 #include <string>
-#include <variant>
+#include <string_view>
 #include <vector>
 
 namespace autoindex {
@@ -22,41 +24,94 @@ const char* ValueTypeName(ValueType type);
 // A single typed cell. Values order NULL first, then by numeric/lexical
 // value; ints and doubles compare numerically against each other so that a
 // predicate `x > 3` works on a double column.
+//
+// Cell layout (16 bytes; DESIGN.md §5): bytes 0..14 are the payload and
+// byte 15 is the tag. An int or double is the first 8 bytes. A string of
+// up to kInlineMax bytes is stored in place, its length in the tag; a
+// longer one is an owned heap buffer, its pointer in bytes 0..7 and its
+// u32 length in bytes 8..11. A moved-from Value is NULL.
 class Value {
  public:
-  Value() : data_(std::monostate{}) {}
-  explicit Value(int64_t v) : data_(v) {}
-  explicit Value(double v) : data_(v) {}
-  explicit Value(std::string v) : data_(std::move(v)) {}
-  explicit Value(const char* v) : data_(std::string(v)) {}
+  Value() : cell_{} {}
+  explicit Value(int64_t v) : cell_{} {
+    Store(v);
+    set_tag(kIntTag);
+  }
+  explicit Value(double v) : cell_{} {
+    Store(v);
+    set_tag(kDoubleTag);
+  }
+  explicit Value(std::string_view v);
+
+  Value(const Value& other) {
+    if (other.tag() == kHeapTag) {
+      SetLongString(other.AsString());
+    } else {
+      std::memcpy(cell_, other.cell_, sizeof(cell_));
+    }
+  }
+  Value(Value&& other) noexcept {
+    std::memcpy(cell_, other.cell_, sizeof(cell_));
+    other.set_tag(kNullTag);
+  }
+  Value& operator=(const Value& other) {
+    if (this != &other) *this = Value(other);
+    return *this;
+  }
+  Value& operator=(Value&& other) noexcept {
+    if (this != &other) {
+      if (tag() == kHeapTag) ReleaseBuffer();
+      std::memcpy(cell_, other.cell_, sizeof(cell_));
+      other.set_tag(kNullTag);
+    }
+    return *this;
+  }
+  ~Value() {
+    if (tag() == kHeapTag) ReleaseBuffer();
+  }
 
   static Value Null() { return Value(); }
 
-  ValueType type() const;
-  bool is_null() const { return std::holds_alternative<std::monostate>(data_); }
+  ValueType type() const {
+    const uint8_t t = tag();
+    return t >= kHeapTag ? ValueType::kString : static_cast<ValueType>(t);
+  }
+  bool is_null() const { return tag() == kNullTag; }
 
   // Accessors; behavior is undefined if the type does not match (the engine
   // always checks type() first or relies on schema typing).
-  int64_t AsInt() const { return std::get<int64_t>(data_); }
-  double AsDouble() const;
-  const std::string& AsString() const { return std::get<std::string>(data_); }
+  int64_t AsInt() const { return Load<int64_t>(); }
+  double AsDouble() const {
+    return tag() == kIntTag ? static_cast<double>(Load<int64_t>())
+                            : Load<double>();
+  }
+  // Valid while this Value is alive and unchanged.
+  std::string_view AsString() const {
+    const uint8_t t = tag();
+    if (t == kHeapTag) return {Load<const char*>(), Load<uint32_t>(8)};
+    return {cell_, static_cast<size_t>(t - kInlineTag)};
+  }
 
   // In-place views for per-tuple kernels. AsNumber sets *out to an int's
   // or a double's value as a double (what Compare compares) and returns
-  // false for NULL and strings; IfString is the string, or null.
+  // false for NULL and strings; IfString sets *out to the string and
+  // returns false for anything else.
   bool AsNumber(double* out) const {
-    if (const int64_t* i = std::get_if<int64_t>(&data_)) {
-      *out = static_cast<double>(*i);
+    const uint8_t t = tag();
+    if (t == kIntTag) {
+      *out = static_cast<double>(Load<int64_t>());
       return true;
     }
-    if (const double* d = std::get_if<double>(&data_)) {
-      *out = *d;
+    if (t == kDoubleTag) {
+      *out = Load<double>();
       return true;
     }
     return false;
   }
-  const std::string* IfString() const {
-    return std::get_if<std::string>(&data_);
+  bool IfString(std::string_view* out) const {
+    if (tag() < kHeapTag) return false;
+    *out = AsString();
+    return true;
   }
 
   // Total ordering: NULL < ints/doubles (numeric) < strings (lexical).
@@ -79,9 +134,9 @@ class Value {
   // equal as doubles, so they hash as doubles, out of line with the rest.
   size_t Hash() const {
     constexpr int64_t kExact = int64_t{1} << 53;
-    const int64_t* i = std::get_if<int64_t>(&data_);
-    if (i != nullptr && *i >= -kExact && *i <= kExact) {
-      return std::hash<int64_t>()(*i);
+    if (tag() == kIntTag) {
+      const int64_t i = Load<int64_t>();
+      if (i >= -kExact && i <= kExact) return std::hash<int64_t>()(i);
     }
     return HashOther();
   }
@@ -92,10 +147,45 @@ class Value {
   std::string ToSqlLiteral() const;
 
  private:
+  // Tags 0..2 are ValueType's NULL, INT and DOUBLE; kHeapTag is a long
+  // string; kInlineTag + n is an inline string of n bytes.
+  static constexpr uint8_t kNullTag = 0;
+  static constexpr uint8_t kIntTag = 1;
+  static constexpr uint8_t kDoubleTag = 2;
+  static constexpr uint8_t kHeapTag = 3;
+  static constexpr uint8_t kInlineTag = 4;
+  static constexpr size_t kTagByte = 15;
+  static constexpr size_t kInlineMax = kTagByte;
+
+  uint8_t tag() const { return static_cast<uint8_t>(cell_[kTagByte]); }
+  void set_tag(uint8_t t) { cell_[kTagByte] = static_cast<char>(t); }
+
+  template <typename T>
+  T Load(size_t offset = 0) const {
+    T v{};
+    std::memcpy(&v, cell_ + offset, sizeof(T));
+    return v;
+  }
+  template <typename T>
+  void Store(T v, size_t offset = 0) {
+    std::memcpy(cell_ + offset, &v, sizeof(T));
+  }
+
+  // The two hand-overs of a long string's buffer: AdoptBuffer takes
+  // ownership out of `buf` into the cell; ReleaseBuffer hands it back to
+  // a unique_ptr, which frees it unless the caller keeps it, and leaves
+  // the cell NULL.
+  void AdoptBuffer(std::unique_ptr<char[]> buf, uint32_t size);
+  std::unique_ptr<char[]> ReleaseBuffer();
+  // Copies `s` (longer than kInlineMax) into a new buffer the cell owns.
+  void SetLongString(std::string_view s);
+
   size_t HashOther() const;
 
-  std::variant<std::monostate, int64_t, double, std::string> data_;
+  alignas(8) char cell_[16];
 };
+
+static_assert(sizeof(Value) == 16, "a cell is 16 bytes");
 
 using Row = std::vector<Value>;
 

@@ -21,6 +21,7 @@
 #include "persist/snapshot.h"
 #include "persist/wal.h"
 #include "query_gen.h"
+#include "sql/parser.h"
 #include "util/metrics.h"
 #include "util/string_util.h"
 #include "workload/trace.h"
@@ -100,6 +101,101 @@ TEST(Serde, PrimitivesRoundTrip) {
   const Row row = persist::GetRow(&r);
   ASSERT_EQ(row.size(), 2u);
   EXPECT_TRUE(r.AtEnd());
+}
+
+// --- pinned encodings ---------------------------------------------------
+// A row holding NULL, an int, a double, a 15-byte and a 16-byte string
+// (the longest inline and the shortest heap-held string cell) must encode
+// to the same bytes as before the 16-byte cell, in the row format the
+// snapshot's heap pages and the WAL share, in a whole WAL file, and in a
+// whole snapshot (format version 2) of a table holding it.
+
+Row GoldenRow() {
+  return {Value(), Value(int64_t{-42}), Value(2.5), Value("fifteen-bytes!!"),
+          Value("sixteen-bytes!!!")};
+}
+
+constexpr char kGoldenInsert[] =
+    "INSERT INTO g VALUES (NULL, -42, 2.5, 'fifteen-bytes!!', "
+    "'sixteen-bytes!!!')";
+
+// The expected bytes, in hex.
+constexpr char kGoldenRowHex[] =
+    "050000000001d6ffffffffffffff020000000000000440030f00000066696674"
+    "65656e2d6279746573212103100000007369787465656e2d6279746573212121";
+constexpr char kGoldenWalHex[] =
+    "41495857414c303101000000070000000000000052000000d9b12b1a05080000"
+    "0000000000010000006701000000050000000001d6ffffffffffffff02000000"
+    "0000000440030f0000006669667465656e2d6279746573212103100000007369"
+    "787465656e2d62797465732121215700000025906a1801090000000000000001"
+    "01000000670000000001000000050000000001d6ffffffffffffff0200000000"
+    "00000440030f0000006669667465656e2d627974657321210310000000736978"
+    "7465656e2d6279746573212121";
+constexpr char kGoldenSnapshotHex[] =
+    "414958534e41503102000000010000000900000000000000a245e5bb04000000"
+    "000000000002000000e2000000000000007e7832aa0100000001000000670500"
+    "0000010000006e01080000000000000001000000690108000000000000000100"
+    "0000640208000000000000000300000073313503100000000000000003000000"
+    "73313603100000000000000000020000000000000000050000000001d6ffffff"
+    "ffffffff020000000000000440030f0000006669667465656e2d627974657321"
+    "2103100000007369787465656e2d627974657321212100050000000001d6ffff"
+    "ffffffffff020000000000000440030f0000006669667465656e2d6279746573"
+    "212103100000007369787465656e2d6279746573212121030000000400000000"
+    "0000001cdf4421000000000400000004000000000000001cdf442100000000";
+
+std::string Hex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out.push_back(kDigits[c >> 4]);
+    out.push_back(kDigits[c & 15]);
+  }
+  return out;
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::string bytes;
+  CheckOk(persist::ReadFileToString(path, &bytes));
+  return bytes;
+}
+
+TEST(Serde, RowEncodingIsPinned) {
+  Writer w;
+  persist::PutRow(&w, GoldenRow());
+  EXPECT_EQ(Hex(w.buffer()), kGoldenRowHex);
+  Reader r(w.buffer());
+  EXPECT_EQ(CompareRows(persist::GetRow(&r), GoldenRow()), 0);
+  EXPECT_TRUE(r.AtEnd());
+}
+
+TEST(Wal, RecordEncodingIsPinned) {
+  const std::string dir = FreshDir("wal_golden");
+  {
+    StatusOr<std::unique_ptr<Wal>> wal =
+        Wal::Create(persist::WalPath(dir), 7);
+    ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+    CheckOk((*wal)->AppendBulkInsert("g", {GoldenRow()}, 8));
+    StatusOr<Statement> insert = ParseSql(kGoldenInsert);
+    ASSERT_TRUE(insert.ok()) << insert.status().ToString();
+    CheckOk((*wal)->AppendStatement(*insert, 9));
+  }
+  EXPECT_EQ(Hex(ReadBytes(persist::WalPath(dir))), kGoldenWalHex);
+}
+
+TEST(Snapshot, EncodingIsPinned) {
+  const std::string dir = FreshDir("snap_golden");
+  Database db;
+  StatusOr<HeapTable*> table = db.CreateTable(
+      "g", Schema({Column("n", ValueType::kInt), Column("i", ValueType::kInt),
+                   Column("d", ValueType::kDouble),
+                   Column("s15", ValueType::kString),
+                   Column("s16", ValueType::kString)}));
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  CheckOk(db.BulkInsert("g", {GoldenRow()}));
+  CheckOk(db.Execute(kGoldenInsert).status());
+  StatusOr<uint64_t> saved = persist::SaveSnapshot(&db, nullptr, dir);
+  ASSERT_TRUE(saved.ok()) << saved.status().ToString();
+  EXPECT_EQ(Hex(ReadBytes(persist::CheckpointPath(dir))), kGoldenSnapshotHex);
 }
 
 TEST(Serde, ShortReadIsStickyError) {

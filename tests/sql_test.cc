@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <map>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "sql/expr.h"
 #include "sql/fingerprint.h"
@@ -272,6 +276,73 @@ TEST(ExprEval, Like) {
   EXPECT_TRUE(EvaluatePredicate(*WhereOf("s LIKE 'hello _orld'"), r));
   EXPECT_FALSE(EvaluatePredicate(*WhereOf("s LIKE 'world%'"), r));
   EXPECT_FALSE(EvaluatePredicate(*WhereOf("s NOT LIKE 'hello%'"), r));
+}
+
+// LIKE through EvaluateAtom, the one definition of atom semantics.
+bool Like(const std::string& text, const std::string& pattern) {
+  static const ExprPtr atom =
+      Expr::MakeCompare(CompareOp::kLike, Expr::MakeLiteral(Value()),
+                        Expr::MakeLiteral(Value()));
+  const Value t(text);
+  const Value p(pattern);
+  const Value* operands[2] = {&t, &p};
+  return EvaluateAtom(*atom, operands);
+}
+
+// Reference LIKE by dynamic programming: m[i][j] says whether the first
+// i bytes of `text` match the first j bytes of `pattern`.
+bool LikeReference(const std::string& text, const std::string& pattern) {
+  std::vector<std::vector<bool>> m(text.size() + 1,
+                                   std::vector<bool>(pattern.size() + 1));
+  m[0][0] = true;
+  for (size_t j = 1; j <= pattern.size(); ++j) {
+    m[0][j] = m[0][j - 1] && pattern[j - 1] == '%';
+  }
+  for (size_t i = 1; i <= text.size(); ++i) {
+    for (size_t j = 1; j <= pattern.size(); ++j) {
+      const char pc = pattern[j - 1];
+      m[i][j] = pc == '%' ? m[i][j - 1] || m[i - 1][j]
+                          : m[i - 1][j - 1] &&
+                                (pc == '_' || pc == text[i - 1]);
+    }
+  }
+  return m[text.size()][pattern.size()];
+}
+
+TEST(ExprEval, LikeMatchesDpReference) {
+  std::mt19937 rng(20261018);
+  const char kAlphabet[] = {'a', 'b', '%', '_'};
+  const auto random_string = [&](size_t max_len) {
+    std::string s(rng() % (max_len + 1), 'a');
+    for (char& c : s) c = kAlphabet[rng() % 4];
+    return s;
+  };
+  size_t matches = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const std::string text = random_string(12);
+    const std::string pattern = random_string(8);
+    const bool expected = LikeReference(text, pattern);
+    ASSERT_EQ(Like(text, pattern), expected)
+        << "'" << text << "' LIKE '" << pattern << "'";
+    matches += expected;
+  }
+  // Both outcomes are well represented.
+  EXPECT_GT(matches, 2000u);
+  EXPECT_LT(matches, 18000u);
+}
+
+// Patterns with many %s against a long text that almost matches used to
+// backtrack exponentially; the matcher is O(|text| * |pattern|).
+TEST(ExprEval, LikeIsPolynomialOnAdversarialPatterns) {
+  const std::string text(2000, 'a');
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(Like(text, "%a%a%a%a%b"));
+  EXPECT_FALSE(Like(text, "%a%a%a%a%a%a%a%a%a%a%a%a%b"));
+  EXPECT_TRUE(Like(text + "b", "%a%a%a%a%a%a%a%a%a%a%a%a%b"));
+  EXPECT_TRUE(Like(text, "%a%a%a%a%a%a%a%a%a%a%a%a%"));
+  EXPECT_FALSE(Like(text, "%a%a%a%a%a%a%a%a%a%a%a%a%_b"));
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed, std::chrono::milliseconds(100));
 }
 
 TEST(ExprEval, CloneAndEquals) {
