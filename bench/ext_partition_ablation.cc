@@ -20,9 +20,9 @@ constexpr int kPartitions = 16;
 constexpr int kRows = 80000;
 
 void BuildTable(Database* db) {
-  db->CreateTable("pt", Schema({{"region", ValueType::kInt},
-                                {"k", ValueType::kInt},
-                                {"v", ValueType::kInt}}));
+  CheckOk(db->CreateTable("pt", Schema({{"region", ValueType::kInt},
+                                        {"k", ValueType::kInt},
+                                        {"v", ValueType::kInt}})));
   db->catalog().GetTable("pt")->SetPartitioning("region", kPartitions);
   std::vector<Row> rows;
   rows.reserve(kRows);
@@ -30,7 +30,7 @@ void BuildTable(Database* db) {
     rows.push_back({Value(int64_t(i % 128)), Value(int64_t(i)),
                     Value(int64_t(i % 100))});
   }
-  db->BulkInsert("pt", std::move(rows)).ok();
+  CheckOk(db->BulkInsert("pt", std::move(rows)));
   db->Analyze();
 }
 
@@ -60,7 +60,7 @@ double MeasureWith(const IndexDef& def,
                    size_t* index_bytes) {
   Database db;
   BuildTable(&db);
-  db.CreateIndex(def).ok();
+  CheckOk(db.CreateIndex(def));
   *index_bytes = db.index_manager().TotalIndexBytes();
   return RunWorkload(&db, workload).total_cost;
 }

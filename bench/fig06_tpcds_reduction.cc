@@ -21,7 +21,7 @@ std::vector<double> PerTemplateCosts(Database* db, const TpcdsConfig& config,
     for (int q = 0; q < TpcdsWorkload::kNumQueryTemplates; ++q) {
       const std::string sql = TpcdsWorkload::Query(q, config, &rng);
       auto r = db->Execute(sql);
-      if (r.ok()) costs[q] += r->stats.ToCost(db->params()).Total();
+      if (r.ok()) costs[q] += r->stats.ToCost().Total();
     }
   }
   for (double& c : costs) c /= draws;

@@ -19,7 +19,7 @@ std::vector<double> PerTemplateCosts(Database* db, const TpcdsConfig& config,
     Random rng(2000 + d);
     for (int q = 0; q < TpcdsWorkload::kNumQueryTemplates; ++q) {
       auto r = db->Execute(TpcdsWorkload::Query(q, config, &rng));
-      if (r.ok()) costs[q] += r->stats.ToCost(db->params()).Total();
+      if (r.ok()) costs[q] += r->stats.ToCost().Total();
     }
   }
   for (double& c : costs) c /= draws;

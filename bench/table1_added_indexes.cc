@@ -21,12 +21,12 @@ double CostReductionPercent(Database* db, const IndexDef& def,
                             const std::string& probe_sql) {
   auto with = db->Execute(probe_sql);
   if (!with.ok()) return 0.0;
-  const double cost_with = with->stats.ToCost(db->params()).Total();
-  db->DropIndex(def.Key()).ok();
+  const double cost_with = with->stats.ToCost().Total();
+  CheckOk(db->DropIndex(def.Key()));
   auto without = db->Execute(probe_sql);
-  db->CreateIndex(def).ok();
+  CheckOk(db->CreateIndex(def));
   if (!without.ok()) return 0.0;
-  const double cost_without = without->stats.ToCost(db->params()).Total();
+  const double cost_without = without->stats.ToCost().Total();
   if (cost_without <= 0.0) return 0.0;
   return 100.0 * (cost_without - cost_with) / cost_without;
 }

@@ -19,7 +19,7 @@ int main() {
   // Start from a trimmed manual estate (as if Fig. 1's removal already
   // ran): keep only the id indexes on hot tables.
   for (int t = 0; t < config.hot_tables; ++t) {
-    db.CreateIndex(IndexDef(BankingWorkload::TableName(t), {"id"})).ok();
+    CheckOk(db.CreateIndex(IndexDef(BankingWorkload::TableName(t), {"id"})));
   }
 
   const size_t before_count = db.index_manager().num_indexes();

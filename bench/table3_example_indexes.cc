@@ -36,12 +36,12 @@ int main() {
         def.columns[0].c_str());
     auto before = db.Execute(probe);
     if (!before.ok()) continue;
-    const double cost_before = before->stats.ToCost(db.params()).Total();
+    const double cost_before = before->stats.ToCost().Total();
     if (!db.CreateIndex(def).ok()) continue;
     auto after = db.Execute(probe);
-    db.DropIndex(def.Key()).ok();
+    CheckOk(db.DropIndex(def.Key()));
     if (!after.ok()) continue;
-    const double cost_after = after->stats.ToCost(db.params()).Total();
+    const double cost_after = after->stats.ToCost().Total();
     std::printf("%-28s | %16.3f | %16.3f | %.1f%%\n",
                 def.DisplayName().c_str(), cost_before, cost_after,
                 cost_before > 0

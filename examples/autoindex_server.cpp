@@ -34,10 +34,10 @@ using namespace autoindex;  // NOLINT — example brevity
 namespace {
 
 void LoadDemo(Database* db) {
-  db->CreateTable("orders", Schema({{"order_id", ValueType::kInt},
-                                    {"customer_id", ValueType::kInt},
-                                    {"status", ValueType::kInt},
-                                    {"amount", ValueType::kDouble}}));
+  CheckOk(db->CreateTable("orders", Schema({{"order_id", ValueType::kInt},
+                                            {"customer_id", ValueType::kInt},
+                                            {"status", ValueType::kInt},
+                                            {"amount", ValueType::kDouble}})));
   Random rng(42);
   std::vector<Row> rows;
   for (int i = 0; i < 50000; ++i) {

@@ -46,10 +46,10 @@ void LoadDemo(Database* db) {
     std::printf("demo already loaded\n");
     return;
   }
-  db->CreateTable("orders", Schema({{"order_id", ValueType::kInt},
-                                    {"customer_id", ValueType::kInt},
-                                    {"status", ValueType::kInt},
-                                    {"amount", ValueType::kDouble}}));
+  CheckOk(db->CreateTable("orders", Schema({{"order_id", ValueType::kInt},
+                                            {"customer_id", ValueType::kInt},
+                                            {"status", ValueType::kInt},
+                                            {"amount", ValueType::kDouble}})));
   Random rng(42);
   std::vector<Row> rows;
   for (int i = 0; i < 50000; ++i) {
@@ -58,7 +58,7 @@ void LoadDemo(Database* db) {
                     Value(int64_t(rng.Uniform(7))),
                     Value(rng.NextDouble() * 500.0)});
   }
-  db->BulkInsert("orders", std::move(rows)).ok();
+  CheckOk(db->BulkInsert("orders", std::move(rows)));
   db->Analyze();
   std::printf("loaded table orders (50000 rows)\n");
 }
@@ -184,7 +184,7 @@ int RunRemoteShell(const std::string& spec) {
       continue;
     }
     PrintRows(result->rows);
-    const CostBreakdown cost = result->stats.ToCost(CostParams());
+    const CostBreakdown cost = result->stats.ToCost();
     std::printf("(%zu rows, cost %.2f%s)\n", result->rows.size(),
                 cost.Total(),
                 result->stats.used_index ? ", via index" : "");
@@ -437,7 +437,7 @@ int main(int argc, char** argv) {
       continue;
     }
     PrintRows(result->rows);
-    const CostBreakdown cost = result->stats.ToCost(db->params());
+    const CostBreakdown cost = result->stats.ToCost();
     std::printf("(%zu rows, cost %.2f%s)\n", result->rows.size(),
                 cost.Total(),
                 result->stats.used_index ? ", via index" : "");

@@ -13,16 +13,16 @@ using namespace autoindex;  // NOLINT — example brevity
 int main() {
   // 1. A database with one table and some data.
   Database db;
-  db.CreateTable("orders", Schema({{"order_id", ValueType::kInt},
-                                   {"customer_id", ValueType::kInt},
-                                   {"status", ValueType::kInt},
-                                   {"amount", ValueType::kDouble}}));
+  CheckOk(db.CreateTable("orders", Schema({{"order_id", ValueType::kInt},
+                                           {"customer_id", ValueType::kInt},
+                                           {"status", ValueType::kInt},
+                                           {"amount", ValueType::kDouble}})));
   std::vector<Row> rows;
   for (int i = 0; i < 50000; ++i) {
     rows.push_back({Value(int64_t(i)), Value(int64_t(i % 5000)),
                     Value(int64_t(i % 7)), Value(i * 1.5)});
   }
-  db.BulkInsert("orders", std::move(rows)).ok();
+  CheckOk(db.BulkInsert("orders", std::move(rows)));
   db.Analyze();
 
   // 2. Wrap it with AutoIndex and feed the query stream through it.

@@ -26,7 +26,7 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 step() { printf '\n==== %s ====\n' "$*"; }
 
 step "lint (python3 scripts/analysis)"
-python3 scripts/analysis src
+python3 scripts/analysis src examples bench
 
 step "lint self-test (analyzer corpus)"
 python3 tests/analysis/run_corpus_test.py

@@ -68,34 +68,6 @@ void CatalogConsistencyValidator::Validate(const CheckContext& ctx,
         name(), StrCat("TotalIndexBytes reports ", manager.TotalIndexBytes(),
                        " but per-index sizes sum to ", summed_bytes));
   }
-
-  // Hypothetical indexes: must reference live tables/columns and must
-  // never appear in the physical set — a what-if round that leaks its
-  // hypotheticals would double-count them against real plans.
-  for (const HypotheticalIndex& hypo : manager.hypothetical()) {
-    report->NoteStructureChecked();
-    const std::string display = hypo.def.DisplayName();
-    if (manager.HasIndex(hypo.def)) {
-      report->AddIssue(name(),
-                       StrCat("hypothetical index ", display,
-                              " also exists in the physical index set"));
-    }
-    const HeapTable* table = catalog.GetTable(hypo.def.table);
-    if (table == nullptr) {
-      report->AddIssue(name(), StrCat("hypothetical index ", display,
-                                      " references dropped table ",
-                                      hypo.def.table));
-      continue;
-    }
-    for (const std::string& col : hypo.def.columns) {
-      if (!table->schema().HasColumn(col)) {
-        report->AddIssue(name(), StrCat("hypothetical index ", display,
-                                        " references column ", col,
-                                        " missing from table ",
-                                        hypo.def.table));
-      }
-    }
-  }
 }
 
 }  // namespace autoindex

@@ -6,9 +6,8 @@ namespace autoindex {
 
 // Validates catalog <-> index-manager consistency: every built index
 // references a live table and existing columns, its entry count matches
-// the table's live rows, hypothetical indexes never shadow a built index
-// (a what-if config must not double-count), and the manager's byte
-// accounting sums over its indexes exactly.
+// the table's live rows, and the manager's byte accounting sums over its
+// indexes exactly.
 class CatalogConsistencyValidator : public Validator {
  public:
   const char* name() const override { return "catalog"; }

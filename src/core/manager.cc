@@ -108,7 +108,7 @@ StatusOr<ExecResult> AutoIndexManager::ExecuteAndObserve(
     StatusOr<Statement> stmt = ParseSql(sql);
     if (stmt.ok()) {
       const CostBreakdown est = db_->WhatIfCost(*stmt, db_->CurrentConfig());
-      const CostBreakdown measured = result->stats.ToCost(db_->params());
+      const CostBreakdown measured = result->stats.ToCost();
       estimator_->AddObservation(est.Features(), measured.Total());
     }
   }

@@ -5,39 +5,45 @@
 namespace autoindex {
 
 double IndexUpdateCpuCost(size_t num_entries, size_t height,
-                          size_t num_insert, const CostParams& params) {
+                          size_t num_insert) {
   const double log_n =
       num_entries <= 1 ? 0.0
                        : std::ceil(std::log2(static_cast<double>(num_entries)));
   const double t_start =
-      (log_n + (static_cast<double>(height) + 1.0) * 50.0) *
-      params.cpu_operator_cost;
-  const double t_running =
-      static_cast<double>(num_insert) * params.cpu_index_tuple_cost;
+      (log_n + (static_cast<double>(height) + 1.0) * 50.0) * kCpuOperatorCost;
+  const double t_running = static_cast<double>(num_insert) * kCpuIndexTupleCost;
   return t_start + t_running;
 }
 
-double SeqIoCost(size_t pages, const CostParams& params) {
-  return static_cast<double>(pages) * params.seq_page_cost;
+double SeqIoCost(size_t pages) {
+  return static_cast<double>(pages) * kSeqPageCost;
 }
 
-double RandomIoCost(size_t pages, const CostParams& params) {
-  return static_cast<double>(pages) * params.random_page_cost;
+double RandomIoCost(size_t pages) {
+  return static_cast<double>(pages) * kRandomPageCost;
 }
 
-CostBreakdown ExecStats::ToCost(const CostParams& params) const {
+HashJoinCost PriceHashJoin(size_t table_pages, size_t table_rows,
+                           double outer_rows) {
+  HashJoinCost cost;
+  cost.build_io = SeqIoCost(table_pages);
+  cost.build_cpu = static_cast<double>(table_rows) * kCpuTupleCost;
+  cost.probe_cpu = outer_rows * kCpuOperatorCost;
+  return cost;
+}
+
+CostBreakdown ExecStats::ToCost() const {
   CostBreakdown cost;
-  cost.data_io = SeqIoCost(heap_pages_read, params) +
-                 RandomIoCost(index_pages_read, params);
+  cost.data_io = SeqIoCost(heap_pages_read) + RandomIoCost(index_pages_read);
   cost.data_cpu =
-      static_cast<double>(tuples_examined) * params.cpu_tuple_cost +
-      static_cast<double>(index_tuples_read) * params.cpu_index_tuple_cost;
+      static_cast<double>(tuples_examined) * kCpuTupleCost +
+      static_cast<double>(index_tuples_read) * kCpuIndexTupleCost;
   if (sort_rows > 1) {
     cost.data_cpu += static_cast<double>(sort_rows) *
                      std::log2(static_cast<double>(sort_rows)) *
-                     params.cpu_operator_cost;
+                     kCpuOperatorCost;
   }
-  cost.maint_io = SeqIoCost(pages_written + index_pages_written, params);
+  cost.maint_io = SeqIoCost(pages_written + index_pages_written);
   cost.maint_cpu = maint_cpu_cost;
   return cost;
 }

@@ -6,26 +6,35 @@
 
 namespace autoindex {
 
-// Engine cost hyper-parameters (Sec. V-A of the paper; defaults follow the
-// PostgreSQL/openGauss conventions the paper builds on).
-struct CostParams {
-  double seq_page_cost = 1.0;
-  double random_page_cost = 4.0;
-  double cpu_tuple_cost = 0.01;
-  double cpu_operator_cost = 0.0025;
-  double cpu_index_tuple_cost = 0.005;
-};
+// Engine cost weights (Sec. V-A of the paper; the values follow the
+// PostgreSQL/openGauss defaults the paper builds on).
+constexpr double kSeqPageCost = 1.0;
+constexpr double kRandomPageCost = 4.0;
+constexpr double kCpuTupleCost = 0.01;
+constexpr double kCpuOperatorCost = 0.0025;
+constexpr double kCpuIndexTupleCost = 0.005;
 
 // The paper's index-update CPU cost (Sec. V-A):
-//   t_start   = (ceil(log2 N) + (H+1)*50) * cpu_operator_cost
-//   t_running = N_insert * cpu_index_tuple_cost
+//   t_start   = (ceil(log2 N) + (H+1)*50) * kCpuOperatorCost
+//   t_running = N_insert * kCpuIndexTupleCost
 // N = index entries, H = tree height, N_insert = tuples inserted/updated.
 double IndexUpdateCpuCost(size_t num_entries, size_t height,
-                          size_t num_insert, const CostParams& params);
+                          size_t num_insert);
 
 // IO cost of touching `pages` pages sequentially / randomly.
-double SeqIoCost(size_t pages, const CostParams& params);
-double RandomIoCost(size_t pages, const CostParams& params);
+double SeqIoCost(size_t pages);
+double RandomIoCost(size_t pages);
+
+// A hash join over a table of `table_pages` pages and `table_rows` rows:
+// one sequential build scan plus one probe per outer row. The terms stay
+// apart so that callers splitting IO from CPU sum them in their own order.
+struct HashJoinCost {
+  double build_io = 0.0;
+  double build_cpu = 0.0;
+  double probe_cpu = 0.0;
+};
+HashJoinCost PriceHashJoin(size_t table_pages, size_t table_rows,
+                           double outer_rows);
 
 // Aggregated cost of one statement execution, split the way the paper's
 // estimator consumes it: data-processing cost C_data (read-side IO+CPU),
@@ -68,7 +77,7 @@ struct ExecStats {
   double maint_cpu_cost = 0.0;    // accumulated via IndexUpdateCpuCost
   bool used_index = false;
 
-  CostBreakdown ToCost(const CostParams& params) const;
+  CostBreakdown ToCost() const;
 
   ExecStats& operator+=(const ExecStats& o);
 };

@@ -81,7 +81,7 @@ constexpr size_t kBuildFreeCatchupRounds = 64;
 
 }  // namespace
 
-Database::Database(CostParams params) : params_(params) {
+Database::Database() {
   // Registers build.info and arms the uptime epoch on the first database
   // of the process.
   util::RefreshRuntimeMetrics();
@@ -89,8 +89,8 @@ Database::Database(CostParams params) : params_(params) {
   index_manager_ = std::make_unique<IndexManager>(catalog_.get());
   stats_manager_ = std::make_unique<StatsManager>(catalog_.get());
   stats_manager_->set_latch_manager(&latches_);
-  what_if_ = std::make_unique<WhatIfCostModel>(catalog_.get(),
-                                               stats_manager_.get(), params_);
+  what_if_ =
+      std::make_unique<WhatIfCostModel>(catalog_.get(), stats_manager_.get());
   session_ = std::make_unique<Session>(this);
 }
 

@@ -37,7 +37,7 @@ class Session;
 // detect staleness without callbacks.
 class Database {
  public:
-  explicit Database(CostParams params = CostParams());
+  Database();
   ~Database();
 
   Database(const Database&) = delete;
@@ -193,7 +193,6 @@ class Database {
   StatsManager& stats_manager() { return *stats_manager_; }
   const StatsManager& stats_manager() const { return *stats_manager_; }
   const WhatIfCostModel& what_if() const { return *what_if_; }
-  const CostParams& params() const { return params_; }
 
  private:
   friend class Session;
@@ -234,7 +233,6 @@ class Database {
     if (index_build_hook_) index_build_hook_(phase);
   }
 
-  CostParams params_;
   InvariantHook invariant_hook_;
   IndexBuildHook index_build_hook_;
   mutable LatchManager latches_;

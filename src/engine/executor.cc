@@ -93,8 +93,7 @@ StatusOr<ExecResult> Executor::ExecuteSelect(const SelectStatement& stmt) {
     obs::ScopedSpan plan_span("plan");
     StatusOr<SelectPlan> plan_or = planner_.PlanSelect(stmt, config);
     if (!plan_or.ok()) return plan_or.status();
-    pplan = LowerSelect(stmt, std::move(*plan_or), catalog_, indexes_,
-                        params_);
+    pplan = LowerSelect(stmt, std::move(*plan_or), catalog_, indexes_);
   }
 
   ExecResult result;
@@ -112,7 +111,7 @@ StatusOr<ExecResult> Executor::ExecuteSelect(const SelectStatement& stmt) {
       pplan->root->Snapshot(plan_detail_));
   AccumulateOperatorCounters(*result.plan, &result.stats);
   result.stats.rows_returned = result.rows.size();
-  CollectAccessPathFeedback(*pplan->root, params_, &result.feedback);
+  CollectAccessPathFeedback(*pplan->root, &result.feedback);
   FinishStatement(result);
   return result;
 }
@@ -128,8 +127,7 @@ StatusOr<std::vector<RowId>> Executor::LookupRows(const std::string& table,
     StatusOr<TablePlan> tp_or =
         planner_.PlanWriteLookup(table, where, BuiltConfig(table));
     if (!tp_or.ok()) return tp_or.status();
-    pplan = LowerWriteLookup(std::move(*tp_or), where, catalog_, indexes_,
-                             params_);
+    pplan = LowerWriteLookup(std::move(*tp_or), where, catalog_, indexes_);
   }
   result->indexes_used = pplan->indexes_used;
   result->stats.used_index = pplan->used_index;
@@ -145,7 +143,7 @@ StatusOr<std::vector<RowId>> Executor::LookupRows(const std::string& table,
   result->plan = std::make_shared<const PlanNodeSnapshot>(
       pplan->root->Snapshot(plan_detail_));
   AccumulateOperatorCounters(*result->plan, &result->stats);
-  CollectAccessPathFeedback(*pplan->root, params_, &result->feedback);
+  CollectAccessPathFeedback(*pplan->root, &result->feedback);
   return out;
 }
 
@@ -194,7 +192,7 @@ StatusOr<ExecResult> Executor::ExecuteInsert(const InsertStatement& stmt) {
       snap.index->InsertEntry(t->Get(*rid), *rid);
       ++result.stats.index_entries_written;
       result.stats.maint_cpu_cost += IndexUpdateCpuCost(
-          snap.index->num_entries(), snap.index->height(), 1, params_);
+          snap.index->num_entries(), snap.index->height(), 1);
     }
     ++inserted;
   }
@@ -254,8 +252,8 @@ StatusOr<ExecResult> Executor::ExecuteUpdate(const UpdateStatement& stmt) {
       ++result.stats.index_entries_written;
       result.stats.index_pages_written +=
           2 + (bi->num_splits() - splits_before);
-      result.stats.maint_cpu_cost += IndexUpdateCpuCost(
-          bi->num_entries(), bi->height(), 1, params_);
+      result.stats.maint_cpu_cost +=
+          IndexUpdateCpuCost(bi->num_entries(), bi->height(), 1);
     }
   }
   result.stats.pages_written += std::min<size_t>(

@@ -41,13 +41,11 @@ struct ExecResult {
 // per-operator counters, so the two accountings cannot drift apart.
 class Executor {
  public:
-  Executor(Catalog* catalog, IndexManager* indexes, StatsManager* stats,
-           const CostParams& params)
+  Executor(Catalog* catalog, IndexManager* indexes, StatsManager* stats)
       : catalog_(catalog),
         indexes_(indexes),
         stats_(stats),
-        planner_(catalog, stats, params),
-        params_(params) {}
+        planner_(catalog, stats) {}
 
   StatusOr<ExecResult> Execute(const Statement& stmt);
 
@@ -95,7 +93,6 @@ class Executor {
   IndexManager* indexes_;
   StatsManager* stats_;
   Planner planner_;
-  CostParams params_;
   bool plan_detail_ = false;
   std::shared_ptr<const PlanNodeSnapshot> last_plan_;
   ExecStats last_plan_stats_;

@@ -52,10 +52,7 @@ std::string DescribeAccess(const TablePlan& tp, bool first_level) {
 
 std::string ExplainStatement(const Database& db, const Statement& stmt,
                              const IndexConfig& config) {
-  Planner planner(const_cast<Catalog*>(&db.catalog()),
-                  const_cast<StatsManager*>(
-                      &const_cast<Database&>(db).stats_manager()),
-                  db.params());
+  const Planner& planner = db.executor().planner();
   const std::vector<IndexStatsView> views =
       config.ToStatsViews(db.catalog());
   std::string out;
@@ -158,7 +155,7 @@ StatusOr<std::string> ExplainAnalyzeStatement(Database& db,
     // INSERT has no read pipeline; show the logical shape instead.
     out += ExplainStatement(db, stmt);
   }
-  const CostBreakdown cost = result->stats.ToCost(db.params());
+  const CostBreakdown cost = result->stats.ToCost();
   out += StrFormat("measured cost: %.1f (%zu rows)\n", cost.Total(),
                    result->stats.rows_returned);
   if (!result->feedback.empty()) {

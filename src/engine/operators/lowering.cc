@@ -32,9 +32,7 @@ void NoteIndexUse(BuiltIndex* bi, PhysicalPlan* pp,
 std::unique_ptr<PhysicalPlan> LowerSelect(const SelectStatement& stmt,
                                           SelectPlan plan,
                                           const Catalog* catalog,
-                                          IndexManager* indexes,
-                                          const CostParams& params) {
-  (void)params;
+                                          IndexManager* indexes) {
   auto pp = std::make_unique<PhysicalPlan>();
   pp->logical = std::move(plan);
   pp->ctx = std::make_unique<ExecContext>();
@@ -173,9 +171,7 @@ std::unique_ptr<PhysicalPlan> LowerSelect(const SelectStatement& stmt,
 std::unique_ptr<PhysicalPlan> LowerWriteLookup(TablePlan tp,
                                                const Expr* where,
                                                const Catalog* catalog,
-                                               IndexManager* indexes,
-                                               const CostParams& params) {
-  (void)params;
+                                               IndexManager* indexes) {
   auto pp = std::make_unique<PhysicalPlan>();
   pp->logical.tables.push_back(std::move(tp));
   pp->logical.est_result_rows = pp->logical.tables[0].access.est_rows;

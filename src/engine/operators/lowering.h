@@ -37,8 +37,7 @@ struct PhysicalPlan {
 std::unique_ptr<PhysicalPlan> LowerSelect(const SelectStatement& stmt,
                                           SelectPlan plan,
                                           const Catalog* catalog,
-                                          IndexManager* indexes,
-                                          const CostParams& params);
+                                          IndexManager* indexes);
 
 // Lowers the row-location part of UPDATE/DELETE: a single scan (index when
 // the planner found a usable equality prefix) under an optional Filter with
@@ -46,7 +45,6 @@ std::unique_ptr<PhysicalPlan> LowerSelect(const SelectStatement& stmt,
 std::unique_ptr<PhysicalPlan> LowerWriteLookup(TablePlan tp,
                                                const Expr* where,
                                                const Catalog* catalog,
-                                               IndexManager* indexes,
-                                               const CostParams& params);
+                                               IndexManager* indexes);
 
 }  // namespace autoindex

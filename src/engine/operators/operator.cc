@@ -257,11 +257,10 @@ PlanNodeSnapshot PhysicalOperator::Snapshot(bool with_detail) const {
 }
 
 void CollectAccessPathFeedback(const PhysicalOperator& root,
-                               const CostParams& params,
                                std::vector<AccessPathFeedback>* out) {
-  root.AppendFeedback(params, out);
+  root.AppendFeedback(out);
   for (size_t i = 0; i < root.num_children(); ++i) {
-    CollectAccessPathFeedback(*root.child(i), params, out);
+    CollectAccessPathFeedback(*root.child(i), out);
   }
 }
 

@@ -213,8 +213,7 @@ class PhysicalOperator {
   virtual const PhysicalOperator* child(size_t) const { return nullptr; }
 
   // Per-access-path (estimated, observed) pairs; scan operators override.
-  virtual void AppendFeedback(const CostParams&,
-                              std::vector<AccessPathFeedback>*) const {}
+  virtual void AppendFeedback(std::vector<AccessPathFeedback>*) const {}
 
   const OperatorStats& stats() const { return stats_; }
   double est_rows() const { return est_rows_; }
@@ -243,7 +242,6 @@ class PhysicalOperator {
 
 // Collects AppendFeedback over the whole tree (pre-order).
 void CollectAccessPathFeedback(const PhysicalOperator& root,
-                               const CostParams& params,
                                std::vector<AccessPathFeedback>* out);
 
 }  // namespace autoindex

@@ -65,8 +65,7 @@ std::string SeqScanOp::detail() const {
   return "on " + tables_[level_].ref.alias;
 }
 
-void SeqScanOp::AppendFeedback(const CostParams& params,
-                               std::vector<AccessPathFeedback>* out) const {
+void SeqScanOp::AppendFeedback(std::vector<AccessPathFeedback>* out) const {
   if (!materialized_done_) return;  // never executed
   AccessPathFeedback fb;
   fb.table = tables_[level_].ref.table;
@@ -74,8 +73,8 @@ void SeqScanOp::AppendFeedback(const CostParams& params,
   fb.actual_rows = static_cast<double>(materialized_.size());
   fb.est_cost = tables_[level_].access.est_cost;
   fb.actual_cost =
-      static_cast<double>(stats_.heap_pages_read) * params.seq_page_cost +
-      static_cast<double>(stats_.tuples_examined) * params.cpu_tuple_cost;
+      static_cast<double>(stats_.heap_pages_read) * kSeqPageCost +
+      static_cast<double>(stats_.tuples_examined) * kCpuTupleCost;
   out->push_back(std::move(fb));
 }
 
@@ -212,8 +211,7 @@ std::string IndexScanOp::detail() const {
   return out;
 }
 
-void IndexScanOp::AppendFeedback(const CostParams& params,
-                                 std::vector<AccessPathFeedback>* out) const {
+void IndexScanOp::AppendFeedback(std::vector<AccessPathFeedback>* out) const {
   if (probes_ == 0) return;  // never executed
   const double probes = static_cast<double>(probes_);
   AccessPathFeedback fb;
@@ -223,11 +221,10 @@ void IndexScanOp::AppendFeedback(const CostParams& params,
   fb.actual_rows = static_cast<double>(stats_.index_tuples_read) / probes;
   fb.est_cost = tables_[level_].access.est_cost;
   fb.actual_cost =
-      (static_cast<double>(stats_.index_pages_read) * params.random_page_cost +
-       static_cast<double>(stats_.heap_pages_read) * params.random_page_cost +
-       static_cast<double>(stats_.index_tuples_read) *
-           params.cpu_index_tuple_cost +
-       static_cast<double>(stats_.tuples_examined) * params.cpu_tuple_cost) /
+      (static_cast<double>(stats_.index_pages_read) * kRandomPageCost +
+       static_cast<double>(stats_.heap_pages_read) * kRandomPageCost +
+       static_cast<double>(stats_.index_tuples_read) * kCpuIndexTupleCost +
+       static_cast<double>(stats_.tuples_examined) * kCpuTupleCost) /
       probes;
   out->push_back(std::move(fb));
 }

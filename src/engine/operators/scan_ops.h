@@ -32,8 +32,7 @@ class SeqScanOp : public PhysicalOperator {
   // with the same counters; a hash join's build reads its input this way.
   void Drain(std::vector<const Row*>* rows, std::vector<RowId>* rids);
 
-  void AppendFeedback(const CostParams& params,
-                      std::vector<AccessPathFeedback>* out) const override;
+  void AppendFeedback(std::vector<AccessPathFeedback>* out) const override;
 
  private:
   void EnsureMaterialized();
@@ -78,8 +77,7 @@ class IndexScanOp : public PhysicalOperator {
   // Returns false, with no rows, when the key is not bound.
   bool Rebind(const ExecTuple* outer);
 
-  void AppendFeedback(const CostParams& params,
-                      std::vector<AccessPathFeedback>* out) const override;
+  void AppendFeedback(std::vector<AccessPathFeedback>* out) const override;
 
  private:
   ExecContext* ctx_;

@@ -249,8 +249,7 @@ AccessDecision Planner::ChooseAccessPath(
   best.use_index = false;
   best.est_rows = result_rows;
   best.est_match_rows = table_rows;
-  best.est_cost = table_pages * params_.seq_page_cost +
-                  table_rows * params_.cpu_tuple_cost;
+  best.est_cost = table_pages * kSeqPageCost + table_rows * kCpuTupleCost;
 
   // Index paths: match the longest leading equality prefix, optionally one
   // range on the next column (classic B+Tree sargability).
@@ -311,15 +310,15 @@ AccessDecision Planner::ChooseAccessPath(
     }
     // Index descent + leaf traversal + heap fetches blended by physical
     // correlation; classic what-if costing.
+    const double descent_pages = descents * height;
     const double leaf_pages =
         std::max(1.0, match_rows / static_cast<double>(LeafCapacityForWidth(
                           t == nullptr ? 8 : view.def.KeyWidth(t->schema()))));
     const double heap_pages =
         EstimateHeapFetchPages(table, view.def.columns[0], match_rows);
-    double cost = (descents * height + leaf_pages) * params_.random_page_cost +
-                  heap_pages * params_.random_page_cost +
-                  match_rows * (params_.cpu_index_tuple_cost +
-                                params_.cpu_tuple_cost);
+    const double cost = (descent_pages + leaf_pages) * kRandomPageCost +
+                        heap_pages * kRandomPageCost +
+                        match_rows * (kCpuIndexTupleCost + kCpuTupleCost);
     if (cost < best.est_cost) {
       best.use_index = true;
       best.index = view.def;
@@ -328,6 +327,9 @@ AccessDecision Planner::ChooseAccessPath(
       best.est_rows = result_rows;
       best.est_match_rows = match_rows;
       best.est_cost = cost;
+      best.descent_pages = descent_pages;
+      best.leaf_pages = leaf_pages;
+      best.heap_fetch_pages = heap_pages;
     }
   }
   return best;
@@ -426,23 +428,20 @@ StatusOr<SelectPlan> Planner::PlanSelect(
         has_join = true;
       }
     }
-    if (tp.access.use_index && has_join && outer_rows > 1.0) {
-      const HeapTable* t = catalog_->GetTable(tp.ref.table);
-      const double index_total = outer_rows * tp.access.est_cost;
-      const double hash_total =
-          t->NumPages() * params_.seq_page_cost +
-          t->num_rows() * params_.cpu_tuple_cost +
-          outer_rows * params_.cpu_operator_cost;
-      if (hash_total < index_total) tp.access.use_index = false;
-    }
-    if (tp.access.use_index || !has_join) {
-      total += outer_rows * tp.access.est_cost;
+    // The chosen access path, run once per outer row.
+    const double path_total = outer_rows * tp.access.est_cost;
+    if (!has_join) {
+      total += path_total;
     } else {
       // Hash join: build once, probe per outer row.
       const HeapTable* t = catalog_->GetTable(tp.ref.table);
-      total += t->NumPages() * params_.seq_page_cost +
-               t->num_rows() * params_.cpu_tuple_cost +
-               outer_rows * params_.cpu_operator_cost;
+      const HashJoinCost hash =
+          PriceHashJoin(t->NumPages(), t->num_rows(), outer_rows);
+      const double hash_total = hash.build_io + hash.build_cpu + hash.probe_cpu;
+      if (tp.access.use_index && outer_rows > 1.0 && hash_total < path_total) {
+        tp.access.use_index = false;
+      }
+      total += tp.access.use_index ? path_total : hash_total;
     }
     // est_rows already folds the join-equality selectivity (1/distinct),
     // so expected matches per outer row times outer cardinality is simply

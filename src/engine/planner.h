@@ -33,6 +33,13 @@ struct AccessDecision {
   double est_rows = 0.0;    // rows surviving all table-local predicates
   double est_match_rows = 0.0;  // rows fetched via the index prefix
   double est_cost = 0.0;    // access-path cost (read side only)
+  // The index path's per-probe page terms, valid when use_index:
+  // descents × tree height (a local index without a bound partition column
+  // descends every partition), leaf pages scanned, and heap pages fetched
+  // (blended by the leading column's physical correlation).
+  double descent_pages = 0.0;
+  double leaf_pages = 0.0;
+  double heap_fetch_pages = 0.0;
 };
 
 // Per-table information the planner derives for a SELECT.
@@ -54,8 +61,8 @@ struct SelectPlan {
 // includes hypothetical indexes). Stateless apart from borrowed managers.
 class Planner {
  public:
-  Planner(Catalog* catalog, StatsManager* stats, const CostParams& params)
-      : catalog_(catalog), stats_(stats), params_(params) {}
+  Planner(Catalog* catalog, StatsManager* stats)
+      : catalog_(catalog), stats_(stats) {}
 
   // Plans a SELECT against the given per-table index configurations.
   // `config` maps each table (by real name) to the indexes assumed
@@ -85,6 +92,10 @@ class Planner {
       const Expr* where, const std::string& table, const std::string& alias,
       const std::vector<TableRef>& earlier) const;
 
+ private:
+  double EstimateConditionSelectivity(const std::string& table,
+                                      const ColumnCondition& cond) const;
+
   // Expected heap pages fetched for `match_rows` rows located via an index
   // whose leading column is `column`. Interpolates between the clustered
   // (contiguous pages) and random (one page per row) extremes with the
@@ -93,15 +104,8 @@ class Planner {
                                 const std::string& column,
                                 double match_rows) const;
 
-  const CostParams& params() const { return params_; }
-
- private:
-  double EstimateConditionSelectivity(const std::string& table,
-                                      const ColumnCondition& cond) const;
-
   Catalog* catalog_;
   StatsManager* stats_;
-  CostParams params_;
 };
 
 // Helper: resolves which FROM-list alias a column reference belongs to.

@@ -8,10 +8,8 @@ namespace autoindex {
 Session::Session(Database* db)
     : db_(db),
       id_(db->NextSessionId()),
-      executor_(std::make_unique<Executor>(&db->catalog(),
-                                           &db->index_manager(),
-                                           &db->stats_manager(),
-                                           db->params())) {}
+      executor_(std::make_unique<Executor>(
+          &db->catalog(), &db->index_manager(), &db->stats_manager())) {}
 
 Session::~Session() = default;
 

@@ -94,7 +94,6 @@ std::vector<IndexStatsView> IndexConfig::ToStatsViews(
     if (t == nullptr) {
       IndexStatsView view;
       view.def = def;
-      view.hypothetical = true;
       views.push_back(std::move(view));
       continue;
     }
@@ -128,64 +127,35 @@ CostBreakdown WhatIfCostModel::EstimateSelect(
       if (c.join_source.has_value()) has_join = true;
     }
     if (tp.access.use_index) {
-      // One index probe per outer tuple.
+      // One index probe per outer tuple, each paying the planner's
+      // per-probe page terms; heap fetches are capped at one pass over the
+      // table per query (buffer-cache behaviour).
       const double probes = outer_rows;
-      double io = 0.0, cpu = 0.0;
-      for (const IndexStatsView& v : views) {
-        if (v.def == tp.access.index) {
-          double h = static_cast<double>(v.height);
-          // Local indexes without a bound partition column descend every
-          // shard.
-          if (v.partitions > 1 && t->partitioned()) {
-            const std::string& pcol =
-                t->schema()
-                    .column(static_cast<size_t>(t->partition_column()))
-                    .name;
-            bool pruned = false;
-            for (const ColumnCondition& c : tp.conditions) {
-              if (c.column == pcol && c.kind == ColumnCondition::kEq) {
-                pruned = true;
-                break;
-              }
-            }
-            if (!pruned) h *= static_cast<double>(v.partitions);
-          }
-          const double leaf_pages = std::max(
-              1.0, tp.access.est_match_rows /
-                       static_cast<double>(LeafCapacityForWidth(
-                           v.def.KeyWidth(t->schema()))));
-          // Heap fetches are correlation-blended and capped at one pass
-          // over the table per query (buffer-cache behaviour).
-          const double heap_pages = std::min(
-              static_cast<double>(t->NumPages()),
-              probes * planner_.EstimateHeapFetchPages(
-                           tp.ref.table, v.def.columns[0],
-                           tp.access.est_match_rows));
-          io = (probes * (h + leaf_pages) + heap_pages) *
-               params_.random_page_cost;
-          cpu = probes * tp.access.est_match_rows *
-                (params_.cpu_index_tuple_cost + params_.cpu_tuple_cost);
-          break;
-        }
-      }
-      cost.data_io += io;
-      cost.data_cpu += cpu;
+      const double heap_pages =
+          std::min(static_cast<double>(t->NumPages()),
+                   probes * tp.access.heap_fetch_pages);
+      cost.data_io += (probes * (tp.access.descent_pages +
+                                 tp.access.leaf_pages) +
+                       heap_pages) *
+                      kRandomPageCost;
+      cost.data_cpu += probes * tp.access.est_match_rows *
+                       (kCpuIndexTupleCost + kCpuTupleCost);
     } else if (has_join && outer_rows > 1.0) {
       // Hash join: build scan once + probe CPU.
-      cost.data_io += t->NumPages() * params_.seq_page_cost;
-      cost.data_cpu += t->num_rows() * params_.cpu_tuple_cost +
-                       outer_rows * params_.cpu_operator_cost;
+      const HashJoinCost hash =
+          PriceHashJoin(t->NumPages(), t->num_rows(), outer_rows);
+      cost.data_io += hash.build_io;
+      cost.data_cpu += hash.build_cpu + hash.probe_cpu;
     } else {
-      cost.data_io += t->NumPages() * params_.seq_page_cost;
-      cost.data_cpu += t->num_rows() * params_.cpu_tuple_cost;
+      cost.data_io += SeqIoCost(t->NumPages());
+      cost.data_cpu += t->num_rows() * kCpuTupleCost;
     }
     outer_rows = std::max(1.0, outer_rows * tp.access.est_rows);
   }
   // Sort / aggregation CPU.
   if (!stmt.order_by.empty() || !stmt.group_by.empty()) {
     if (outer_rows > 1.0) {
-      cost.data_cpu += outer_rows * std::log2(outer_rows) *
-                       params_.cpu_operator_cost;
+      cost.data_cpu += outer_rows * std::log2(outer_rows) * kCpuOperatorCost;
     }
   }
   return cost;
@@ -222,17 +192,17 @@ CostBreakdown WhatIfCostModel::EstimateWrite(
       const TablePlan& tp = *tp_or;
       cost.data_io += tp.access.use_index
                           ? tp.access.est_cost * 0.8
-                          : t->NumPages() * params_.seq_page_cost;
+                          : SeqIoCost(t->NumPages());
       cost.data_cpu += tp.access.use_index
                            ? tp.access.est_cost * 0.2
-                           : t->num_rows() * params_.cpu_tuple_cost;
+                           : t->num_rows() * kCpuTupleCost;
       matched_rows = std::max(1.0, tp.access.est_rows);
     }
   }
 
   // Write side: heap page dirtying.
-  cost.maint_io += std::max(1.0, matched_rows / t->RowsPerPage()) *
-                   params_.seq_page_cost;
+  cost.maint_io +=
+      std::max(1.0, matched_rows / t->RowsPerPage()) * kSeqPageCost;
 
   if (op == kDel) return cost;  // deletes defer index maintenance (Sec. V)
 
@@ -255,11 +225,10 @@ CostBreakdown WhatIfCostModel::EstimateWrite(
     }
     // C^io: one leaf write per updated entry (updates pay delete+insert).
     const double writes_per_row = (op == kUpd) ? 2.0 : 1.0;
-    cost.maint_io +=
-        matched_rows * writes_per_row * params_.seq_page_cost;
+    cost.maint_io += matched_rows * writes_per_row * kSeqPageCost;
     // C^cpu per the paper's t_start + t_running.
     cost.maint_cpu += matched_rows *
-                      IndexUpdateCpuCost(v.num_entries, v.height, 1, params_);
+                      IndexUpdateCpuCost(v.num_entries, v.height, 1);
   }
   return cost;
 }

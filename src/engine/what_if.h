@@ -72,10 +72,8 @@ class IndexRelevance {
 // maintenance formulas (Sec. V-A) per affected index.
 class WhatIfCostModel {
  public:
-  WhatIfCostModel(Catalog* catalog, StatsManager* stats,
-                  const CostParams& params)
-      : catalog_(catalog), stats_(stats), params_(params),
-        planner_(catalog, stats, params) {}
+  WhatIfCostModel(Catalog* catalog, StatsManager* stats)
+      : catalog_(catalog), planner_(catalog, stats) {}
 
   // Estimated cost breakdown of one statement under `config`.
   CostBreakdown EstimateStatement(const Statement& stmt,
@@ -87,8 +85,6 @@ class WhatIfCostModel {
     return EstimateStatement(stmt, config).Total();
   }
 
-  const CostParams& params() const { return params_; }
-
  private:
   CostBreakdown EstimateSelect(const SelectStatement& stmt,
                                const std::vector<IndexStatsView>& views) const;
@@ -96,8 +92,6 @@ class WhatIfCostModel {
                               const std::vector<IndexStatsView>& views) const;
 
   Catalog* catalog_;
-  StatsManager* stats_;
-  CostParams params_;
   Planner planner_;
 };
 

@@ -8,10 +8,6 @@
 
 namespace autoindex {
 
-const char* IndexKindName(IndexKind kind) {
-  return kind == IndexKind::kGlobal ? "global" : "local";
-}
-
 IndexDef::IndexDef(std::string t, std::vector<std::string> cols)
     : table(ToLower(t)), columns() {
   columns.reserve(cols.size());

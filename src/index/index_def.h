@@ -18,8 +18,6 @@ namespace autoindex {
 // On unpartitioned tables both kinds collapse to a single tree.
 enum class IndexKind { kGlobal, kLocal };
 
-const char* IndexKindName(IndexKind kind);
-
 // The logical identity of a (possibly multi-column) B+Tree index: table +
 // ordered column list (+ physical kind for partitioned tables). The column
 // order matters (leftmost-prefix rule).

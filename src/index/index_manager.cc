@@ -225,7 +225,6 @@ IndexStatsView EstimateStatsView(const IndexDef& def,
                                  const HeapTable& table) {
   IndexStatsView view;
   view.def = def;
-  view.hypothetical = true;
   const size_t width = EffectiveKeyWidth(def, table);
   view.num_entries = table.num_rows();
   if (def.kind == IndexKind::kLocal && table.partitioned()) {
@@ -432,66 +431,6 @@ size_t IndexManager::TotalIndexBytes() const {
   size_t total = 0;
   for (const auto& [_, index] : indexes_) total += index->SizeBytes();
   return total;
-}
-
-Status IndexManager::AddHypothetical(const IndexDef& def) {
-  Status s = ValidateDef(def);
-  if (!s.ok()) return s;
-  const HeapTable* table = catalog_->GetTable(def.table);
-  const IndexStatsView view = EstimateStatsView(def, *table);
-  HypotheticalIndex hypo;
-  hypo.def = def;
-  hypo.est_entries = view.num_entries;
-  hypo.est_height = view.height;
-  hypo.est_bytes = view.size_bytes;
-  util::WriterLock lock(mu_);
-  hypothetical_.push_back(std::move(hypo));
-  return Status::Ok();
-}
-
-void IndexManager::ClearHypothetical() {
-  util::WriterLock lock(mu_);
-  hypothetical_.clear();
-}
-
-std::vector<HypotheticalIndex> IndexManager::hypothetical() const {
-  util::ReaderLock lock(mu_);
-  return hypothetical_;
-}
-
-std::vector<IndexStatsView> IndexManager::StatsOnTable(
-    const std::string& table) const {
-  std::vector<IndexStatsView> out;
-  const std::string key = ToLower(table);
-  const HeapTable* t = catalog_->GetTable(table);
-  util::ReaderLock lock(mu_);
-  for (const auto& [_, index] : indexes_) {
-    if (index->def().table != key) continue;
-    IndexStatsView view;
-    view.def = index->def();
-    view.num_entries = index->num_entries();
-    view.height = index->height();
-    view.size_bytes = index->SizeBytes();
-    view.partitions = index->num_trees();
-    view.hypothetical = false;
-    out.push_back(std::move(view));
-  }
-  for (const HypotheticalIndex& hypo : hypothetical_) {
-    if (hypo.def.table != key) continue;
-    IndexStatsView view;
-    view.def = hypo.def;
-    view.num_entries = hypo.est_entries;
-    view.height = hypo.est_height;
-    view.size_bytes = hypo.est_bytes;
-    view.partitions =
-        (hypo.def.kind == IndexKind::kLocal && t != nullptr &&
-         t->partitioned())
-            ? t->num_partitions()
-            : 1;
-    view.hypothetical = true;
-    out.push_back(std::move(view));
-  }
-  return out;
 }
 
 }  // namespace autoindex

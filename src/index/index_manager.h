@@ -128,16 +128,6 @@ class BuiltIndex {
   std::deque<DeltaOp> delta_ GUARDED_BY(delta_mu_);
 };
 
-// A what-if index (Sec. V C2.1): never built, its statistics are estimated
-// from the table so the planner/cost model can price plans as if it
-// existed. This substitutes for openGauss's hypopg extension.
-struct HypotheticalIndex {
-  IndexDef def;
-  size_t est_entries = 0;
-  size_t est_height = 1;
-  size_t est_bytes = kPageSizeBytes;
-};
-
 // Uniform statistics view over built and hypothetical indexes; everything
 // the cost model needs (N, H, pages — Sec. V-A). For local indexes,
 // `height` is the per-partition tree height and `partitions` the number of
@@ -148,17 +138,16 @@ struct IndexStatsView {
   size_t height = 1;
   size_t size_bytes = kPageSizeBytes;
   size_t partitions = 1;
-  bool hypothetical = false;
 };
 
-// Fills the estimated entry count / height / size of `def` over `table`
-// (shared by hypothetical registration and what-if configs).
+// Fills the estimated entry count / height / size of `def` over `table`:
+// how a what-if config (IndexConfig, Sec. V C2.1) prices an index that is
+// not built.
 IndexStatsView EstimateStatsView(const IndexDef& def, const HeapTable& table);
 
 // Owns every secondary index of a database. Writers keep entries in sync
 // through WriteVisibleOnTable + BuiltIndex::InsertEntry/DeleteEntry (the
-// executor's INSERT/UPDATE/DELETE and Database::BulkInsert). Also hosts
-// the hypothetical-index registry.
+// executor's INSERT/UPDATE/DELETE and Database::BulkInsert).
 //
 // Thread safety: the index *map* is guarded by an internal shared_mutex
 // (concurrent lookups vs index build/drop). Writer maintenance of an
@@ -217,18 +206,6 @@ class IndexManager {
   // Total bytes of all built indexes.
   size_t TotalIndexBytes() const EXCLUDES(mu_);
 
-  // --- Hypothetical indexes ---
-  Status AddHypothetical(const IndexDef& def) EXCLUDES(mu_);
-  void ClearHypothetical() EXCLUDES(mu_);
-  // Snapshot by value: the registry may be swapped by a concurrent
-  // what-if round.
-  std::vector<HypotheticalIndex> hypothetical() const EXCLUDES(mu_);
-
-  // Stats views of every index (built + hypothetical) on a table; this is
-  // what the what-if planner enumerates.
-  std::vector<IndexStatsView> StatsOnTable(const std::string& table) const
-      EXCLUDES(mu_);
-
  private:
   Status ValidateDef(const IndexDef& def) const;
 
@@ -241,7 +218,6 @@ class IndexManager {
   // indexes_; PublishBuild moves an entry across.
   std::unordered_map<std::string, std::unique_ptr<BuiltIndex>> builds_
       GUARDED_BY(mu_);
-  std::vector<HypotheticalIndex> hypothetical_ GUARDED_BY(mu_);
 };
 
 }  // namespace autoindex

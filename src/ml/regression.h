@@ -47,7 +47,6 @@ class SigmoidRegression {
 
   bool trained() const { return trained_; }
   const std::vector<double>& weights() const { return weights_; }
-  double bias() const { return bias_; }
 
   // k-fold cross-validated RMSE (cost units). Mirrors the paper's 9-fold
   // validation protocol. Returns 0 for datasets smaller than k.

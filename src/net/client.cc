@@ -11,6 +11,11 @@ namespace net {
 
 namespace {
 constexpr const char* kBusyPrefix = "server busy";
+// Bound on the TCP connect + handshake round trip.
+constexpr int kConnectTimeoutMs = 5000;
+// Bound on each request/response exchange (the response wait dominates,
+// so it sits above the slowest statement the service is expected to run).
+constexpr int kIoTimeoutMs = 30000;
 }  // namespace
 
 bool IsServerBusy(const Status& status) {
@@ -18,23 +23,19 @@ bool IsServerBusy(const Status& status) {
          StartsWith(status.message(), kBusyPrefix);
 }
 
-Status Client::Connect(const std::string& host, int port,
-                       const ClientConfig& config) {
+Status Client::Connect(const std::string& host, int port) {
   Close();
-  config_ = config;
-  StatusOr<Socket> sock =
-      Socket::ConnectTcp(host, port, config.connect_timeout_ms);
+  StatusOr<Socket> sock = Socket::ConnectTcp(host, port, kConnectTimeoutMs);
   if (!sock.ok()) return sock.status();
   sock_ = std::move(*sock);
 
-  Status sent =
-      SendFrame(&sock_, Message::Hello(), config_.connect_timeout_ms);
+  Status sent = SendFrame(&sock_, Message::Hello(), kConnectTimeoutMs);
   if (!sent.ok()) {
     sock_.Close();
     return sent;
   }
   Message reply;
-  Status got = ReadFrame(&sock_, &reply, config_.connect_timeout_ms);
+  Status got = ReadFrame(&sock_, &reply, kConnectTimeoutMs);
   if (!got.ok()) {
     sock_.Close();
     return got;
@@ -68,13 +69,13 @@ Status Client::Connect(const std::string& host, int port,
 StatusOr<Message> Client::RoundTrip(const Message& request,
                                     MessageType want) {
   if (!connected()) return Status::NotFound("not connected");
-  Status sent = SendFrame(&sock_, request, config_.io_timeout_ms);
+  Status sent = SendFrame(&sock_, request, kIoTimeoutMs);
   if (!sent.ok()) {
     sock_.Close();
     return sent;
   }
   Message reply;
-  Status got = ReadFrame(&sock_, &reply, config_.io_timeout_ms);
+  Status got = ReadFrame(&sock_, &reply, kIoTimeoutMs);
   if (!got.ok()) {
     sock_.Close();
     return got;

@@ -12,14 +12,6 @@
 namespace autoindex {
 namespace net {
 
-struct ClientConfig {
-  // Bound on the TCP connect + handshake round trip.
-  int connect_timeout_ms = 5000;
-  // Bound on each request/response exchange (the response wait dominates;
-  // size it above the slowest statement you expect to run).
-  int io_timeout_ms = 30000;
-};
-
 // One remote statement's outcome — the client-side mirror of ExecResult,
 // minus the plan snapshot and feedback (which stay server-side).
 struct QueryResult {
@@ -53,8 +45,7 @@ class Client {
 
   // Connects and runs the version handshake. A kBusy reply (connection
   // cap) surfaces as IsServerBusy; a version mismatch as InvalidArgument.
-  Status Connect(const std::string& host, int port,
-                 const ClientConfig& config = {});
+  Status Connect(const std::string& host, int port);
 
   // Executes one statement remotely. A non-ok statement status from the
   // server is returned as that Status (the connection stays usable); a
@@ -87,7 +78,6 @@ class Client {
   StatusOr<Message> RoundTrip(const Message& request, MessageType want);
 
   Socket sock_;
-  ClientConfig config_;
   uint64_t session_id_ = 0;
 };
 

@@ -293,18 +293,5 @@ void SelfPipe::Signal() {
   } while (rc < 0 && errno == EINTR);
 }
 
-bool SelfPipe::signaled() const {
-  if (read_fd_ < 0) return false;
-  struct pollfd pfd;
-  pfd.fd = read_fd_;
-  pfd.events = POLLIN;
-  pfd.revents = 0;
-  int rc;
-  do {
-    rc = poll(&pfd, 1, 0);
-  } while (rc < 0 && errno == EINTR);
-  return rc > 0 && (pfd.revents & POLLIN) != 0;
-}
-
 }  // namespace net
 }  // namespace autoindex

@@ -128,7 +128,6 @@ class SelfPipe {
 
   Status OpenPipe();
   void Signal();
-  bool signaled() const;
   int read_fd() const { return read_fd_; }
 
  private:

@@ -85,11 +85,6 @@ ExprPtr Expr::MakeCompare(CompareOp op, ExprPtr lhs, ExprPtr rhs) {
   return e;
 }
 
-ExprPtr Expr::MakeColCompare(ColumnRef col, CompareOp op, Value v) {
-  return MakeCompare(op, MakeColumn(std::move(col)),
-                     MakeLiteral(std::move(v)));
-}
-
 ExprPtr Expr::MakeAnd(std::vector<ExprPtr> children) {
   auto e = std::make_unique<Expr>();
   e->kind = ExprKind::kAnd;
@@ -169,18 +164,6 @@ bool Expr::Equals(const Expr& other) const {
     if (!children[i]->Equals(*other.children[i])) return false;
   }
   return true;
-}
-
-bool Expr::IsAtomicPredicate() const {
-  switch (kind) {
-    case ExprKind::kCompare:
-    case ExprKind::kBetween:
-    case ExprKind::kInList:
-    case ExprKind::kIsNull:
-      return true;
-    default:
-      return false;
-  }
 }
 
 void Expr::CollectColumns(std::vector<ColumnRef>* out) const {

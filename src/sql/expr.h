@@ -66,8 +66,6 @@ struct Expr {
   static ExprPtr MakeColumn(ColumnRef col);
   static ExprPtr MakeLiteral(Value v);
   static ExprPtr MakeCompare(CompareOp op, ExprPtr lhs, ExprPtr rhs);
-  // Convenience: column <op> literal.
-  static ExprPtr MakeColCompare(ColumnRef col, CompareOp op, Value v);
   static ExprPtr MakeAnd(std::vector<ExprPtr> children);
   static ExprPtr MakeOr(std::vector<ExprPtr> children);
   static ExprPtr MakeNot(ExprPtr child);
@@ -80,10 +78,6 @@ struct Expr {
 
   // Structural equality (used by tests and template matching).
   bool Equals(const Expr& other) const;
-
-  // True for kCompare/kBetween/kInList/kIsNull — the leaves of the boolean
-  // structure.
-  bool IsAtomicPredicate() const;
 
   // Appends every referenced column (depth-first, with duplicates).
   void CollectColumns(std::vector<ColumnRef>* out) const;

@@ -53,11 +53,4 @@ size_t Catalog::num_tables() const {
   return tables_.size();
 }
 
-size_t Catalog::TotalHeapBytes() const {
-  util::ReaderLock lock(mu_);
-  size_t total = 0;
-  for (const auto& [_, table] : tables_) total += table->SizeBytes();
-  return total;
-}
-
 }  // namespace autoindex

@@ -38,9 +38,6 @@ class Catalog {
 
   size_t num_tables() const EXCLUDES(mu_);
 
-  // Sum of heap bytes across all tables (excludes indexes).
-  size_t TotalHeapBytes() const EXCLUDES(mu_);
-
  private:
   mutable util::SharedMutex mu_;
   std::unordered_map<std::string, std::unique_ptr<HeapTable>> tables_

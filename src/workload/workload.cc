@@ -7,8 +7,7 @@ namespace {
 
 template <typename ExecFn>
 RunMetrics RunImpl(const std::vector<std::string>& queries,
-                   std::vector<double>* per_query_costs,
-                   const CostParams& params, ExecFn&& exec) {
+                   std::vector<double>* per_query_costs, ExecFn&& exec) {
   RunMetrics metrics;
   const auto start = std::chrono::steady_clock::now();
   for (const std::string& sql : queries) {
@@ -19,7 +18,7 @@ RunMetrics RunImpl(const std::vector<std::string>& queries,
       if (per_query_costs != nullptr) per_query_costs->push_back(0.0);
       continue;
     }
-    const CostBreakdown cost = result->stats.ToCost(params);
+    const CostBreakdown cost = result->stats.ToCost();
     metrics.total_cost += cost.Total();
     metrics.breakdown += cost;
     if (per_query_costs != nullptr) per_query_costs->push_back(cost.Total());
@@ -34,17 +33,16 @@ RunMetrics RunImpl(const std::vector<std::string>& queries,
 
 RunMetrics RunWorkload(Database* db, const std::vector<std::string>& queries,
                        std::vector<double>* per_query_costs) {
-  return RunImpl(queries, per_query_costs, db->params(),
+  return RunImpl(queries, per_query_costs,
                  [db](const std::string& sql) { return db->Execute(sql); });
 }
 
 RunMetrics RunWorkloadObserved(AutoIndexManager* manager,
                                const std::vector<std::string>& queries,
                                std::vector<double>* per_query_costs) {
-  return RunImpl(queries, per_query_costs, manager->db().params(),
-                 [manager](const std::string& sql) {
-                   return manager->ExecuteAndObserve(sql);
-                 });
+  return RunImpl(queries, per_query_costs, [manager](const std::string& sql) {
+    return manager->ExecuteAndObserve(sql);
+  });
 }
 
 void ObserveWorkload(AutoIndexManager* manager,

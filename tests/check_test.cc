@@ -139,16 +139,6 @@ TEST_F(CheckTest, DetectsIndexOnDroppedTable) {
   EXPECT_TRUE(ReportMentions(report, "dropped table")) << report.ToString();
 }
 
-TEST_F(CheckTest, DetectsHypotheticalShadowingBuiltIndex) {
-  const IndexDef def("t", {"a"});
-  ASSERT_TRUE(db_.CreateIndex(def).ok());
-  ASSERT_TRUE(db_.index_manager().AddHypothetical(def).ok());
-  const CheckReport report = CheckAll(db_);
-  ASSERT_FALSE(report.ok());
-  EXPECT_TRUE(ReportMentions(report, "physical index set"))
-      << report.ToString();
-}
-
 TEST_F(CheckTest, DetectsIndexEntryDriftAgainstTable) {
   ASSERT_TRUE(db_.CreateIndex(IndexDef("t", {"a"})).ok());
   // Delete a row behind the index manager's back: the index now holds an

@@ -138,8 +138,8 @@ TEST_P(CostPropertyTest, MeasuredAndEstimatedAgreeOnIndexDirection) {
   ASSERT_TRUE(run_after.ok());
 
   EXPECT_LT(est_after, est_before);
-  EXPECT_LT(run_after->stats.ToCost(db_.params()).Total(),
-            run_before->stats.ToCost(db_.params()).Total());
+  EXPECT_LT(run_after->stats.ToCost().Total(),
+            run_before->stats.ToCost().Total());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CostPropertyTest, ::testing::Range(1, 7));

@@ -656,8 +656,8 @@ TEST_F(ExecutorTest, CostMonotoneInRowsScanned) {
   auto large = db_.Execute("SELECT COUNT(*) FROM emp");
   ASSERT_TRUE(small.ok());
   ASSERT_TRUE(large.ok());
-  EXPECT_GT(large->stats.ToCost(db_.params()).Total(),
-            small->stats.ToCost(db_.params()).Total());
+  EXPECT_GT(large->stats.ToCost().Total(),
+            small->stats.ToCost().Total());
 }
 
 }  // namespace

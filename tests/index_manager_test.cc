@@ -124,32 +124,6 @@ TEST_F(IndexManagerTest, WriteHooksMaintainIndexes) {
   EXPECT_EQ(index->num_entries(), table_->num_rows());
 }
 
-TEST_F(IndexManagerTest, HypotheticalIndexesEstimateStats) {
-  ASSERT_TRUE(mgr_.AddHypothetical(IndexDef("t", {"a", "b"})).ok());
-  ASSERT_EQ(mgr_.hypothetical().size(), 1u);
-  const HypotheticalIndex hypo = mgr_.hypothetical()[0];
-  EXPECT_EQ(hypo.est_entries, 500u);
-  EXPECT_GE(hypo.est_height, 1u);
-  EXPECT_GE(hypo.est_bytes, kPageSizeBytes);
-
-  auto views = mgr_.StatsOnTable("t");
-  ASSERT_EQ(views.size(), 1u);
-  EXPECT_TRUE(views[0].hypothetical);
-  mgr_.ClearHypothetical();
-  EXPECT_TRUE(mgr_.StatsOnTable("t").empty());
-}
-
-TEST_F(IndexManagerTest, StatsViewMixesBuiltAndHypothetical) {
-  ASSERT_TRUE(db_.CreateIndex(IndexDef("t", {"a"})).ok());
-  ASSERT_TRUE(mgr_.AddHypothetical(IndexDef("t", {"b"})).ok());
-  auto views = mgr_.StatsOnTable("t");
-  ASSERT_EQ(views.size(), 2u);
-  int built = 0, hypo = 0;
-  for (const auto& v : views) (v.hypothetical ? hypo : built)++;
-  EXPECT_EQ(built, 1);
-  EXPECT_EQ(hypo, 1);
-}
-
 TEST_F(IndexManagerTest, SizeAccounting) {
   ASSERT_TRUE(db_.CreateIndex(IndexDef("t", {"a"})).ok());
   EXPECT_GE(mgr_.TotalIndexBytes(), kPageSizeBytes);

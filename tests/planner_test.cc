@@ -31,7 +31,7 @@ class PlannerTest : public ::testing::Test {
           (*small)->Insert({Value(int64_t(i)), Value(int64_t(i))}).ok());
     }
     stats_ = std::make_unique<StatsManager>(&catalog_);
-    planner_ = std::make_unique<Planner>(&catalog_, stats_.get(), params_);
+    planner_ = std::make_unique<Planner>(&catalog_, stats_.get());
   }
 
   SelectStatement& Select(const std::string& sql) {
@@ -52,7 +52,6 @@ class PlannerTest : public ::testing::Test {
   }
 
   Catalog catalog_;
-  CostParams params_;
   std::unique_ptr<StatsManager> stats_;
   std::unique_ptr<Planner> planner_;
   std::unique_ptr<Statement> stmt_;

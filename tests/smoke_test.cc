@@ -90,14 +90,14 @@ TEST(Smoke, IndexChangesMeasuredCost) {
 
   auto no_index = db.Execute("SELECT b FROM t WHERE a = 12345");
   ASSERT_TRUE(no_index.ok());
-  const double cost_scan = no_index->stats.ToCost(db.params()).Total();
+  const double cost_scan = no_index->stats.ToCost().Total();
   EXPECT_FALSE(no_index->stats.used_index);
 
   ASSERT_TRUE(db.CreateIndex(IndexDef("t", {"a"})).ok());
   auto with_index = db.Execute("SELECT b FROM t WHERE a = 12345");
   ASSERT_TRUE(with_index.ok());
   EXPECT_TRUE(with_index->stats.used_index);
-  const double cost_index = with_index->stats.ToCost(db.params()).Total();
+  const double cost_index = with_index->stats.ToCost().Total();
   EXPECT_LT(cost_index, cost_scan / 10.0);
   ASSERT_EQ(with_index->rows.size(), 1u);
   EXPECT_EQ(with_index->rows[0][0].AsInt(), 12345 % 100);

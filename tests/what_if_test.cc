@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "engine/database.h"
+#include "engine/planner.h"
 #include "sql/parser.h"
 
 namespace autoindex {
@@ -118,9 +121,8 @@ TEST_F(WhatIfTest, DirectionAgreesWithMeasurement) {
   auto measured_with = db_.Execute("SELECT c FROM t WHERE a = 4242");
   ASSERT_TRUE(measured_with.ok());
 
-  const double m_without =
-      measured_without->stats.ToCost(db_.params()).Total();
-  const double m_with = measured_with->stats.ToCost(db_.params()).Total();
+  const double m_without = measured_without->stats.ToCost().Total();
+  const double m_with = measured_with->stats.ToCost().Total();
   EXPECT_LT(est_with, est_without);
   EXPECT_LT(m_with, m_without);
 }
@@ -155,6 +157,80 @@ TEST_F(WhatIfTest, JoinEstimatePrefersIndexedInner) {
   const double with = db_.WhatIfCost(
       q, IndexConfig({IndexDef("t", {"a"}), IndexDef("d", {"k"})})).Total();
   EXPECT_LT(with, without);
+}
+
+// A hash-partitioned table (40000 rows, 8 partitions on `region`), the
+// shape on which global and local index paths price differently.
+class WhatIfPartitionedTest : public WhatIfTest {
+ protected:
+  void SetUp() override {
+    db_.CreateTable("pt", Schema({{"region", ValueType::kInt},
+                                  {"k", ValueType::kInt},
+                                  {"v", ValueType::kInt}}));
+    ASSERT_TRUE(db_.catalog().GetTable("pt")->SetPartitioning("region", 8));
+    std::vector<Row> rows;
+    for (int i = 0; i < 40000; ++i) {
+      rows.push_back({Value(int64_t(i % 64)), Value(int64_t(i)),
+                      Value(int64_t(i % 100))});
+    }
+    ASSERT_TRUE(db_.BulkInsert("pt", std::move(rows)).ok());
+    db_.Analyze();
+  }
+
+  // The planner's estimate for `stmt` under `config`, and whether it chose
+  // an index.
+  std::pair<double, bool> PlannerEstimate(const Statement& stmt,
+                                          const IndexConfig& config) {
+    const Planner& planner = db_.executor().planner();
+    StatusOr<SelectPlan> plan = planner.PlanSelect(
+        *stmt.select, config.ToStatsViews(db_.catalog()));
+    EXPECT_TRUE(plan.ok());
+    if (!plan.ok()) return {0.0, false};
+    return {plan->est_total_cost, plan->tables[0].access.use_index};
+  }
+};
+
+// With one table and no sort, the what-if total is the planner's own
+// estimate: both price the access path from the same per-probe terms
+// (descents × height, leaf pages, heap fetches), partition pruning
+// included.
+TEST_F(WhatIfPartitionedTest, SingleTableCostEqualsPlannerEstimate) {
+  const IndexDef global_k("pt", {"k"}, IndexKind::kGlobal);
+  const IndexDef local_k("pt", {"k"}, IndexKind::kLocal);
+  const IndexDef local_region_k("pt", {"region", "k"}, IndexKind::kLocal);
+  struct Case {
+    std::string sql;
+    IndexDef def;
+    bool planner_uses_index;
+  };
+  const std::vector<Case> cases = {
+      {"SELECT v FROM pt WHERE k = 12345", global_k, true},
+      {"SELECT v FROM pt WHERE k BETWEEN 1000 AND 1400", global_k, true},
+      {"SELECT v FROM pt WHERE k = 12345", local_k, true},
+      {"SELECT v FROM pt WHERE region = 57 AND k = 12345", local_k, true},
+      {"SELECT v FROM pt WHERE k BETWEEN 1000 AND 1400", local_k, true},
+      {"SELECT v FROM pt WHERE region = 8 AND k BETWEEN 1000 AND 1400",
+       local_k, true},
+      {"SELECT v FROM pt WHERE region = 57 AND k = 12345", local_region_k,
+       true},
+      {"SELECT v FROM pt WHERE region = 8 AND k BETWEEN 1000 AND 1400",
+       local_region_k, true},
+      // A range over nearly every row: the index path is priced and
+      // rejected in favour of the sequential scan.
+      {"SELECT v FROM pt WHERE k > 100", global_k, false},
+      {"SELECT v FROM pt WHERE k > 100", local_k, false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.sql + " with " + c.def.DisplayName());
+    const Statement stmt = Parse(c.sql);
+    const IndexConfig config({c.def});
+    const auto [planned, uses_index] = PlannerEstimate(stmt, config);
+    EXPECT_EQ(uses_index, c.planner_uses_index);
+    EXPECT_DOUBLE_EQ(db_.WhatIfCost(stmt, config).Total(), planned);
+    // With no index, both are the same sequential scan.
+    EXPECT_DOUBLE_EQ(db_.WhatIfCost(stmt, IndexConfig()).Total(),
+                     PlannerEstimate(stmt, IndexConfig()).first);
+  }
 }
 
 }  // namespace
