@@ -24,8 +24,7 @@ void BM_BTreeInsert(benchmark::State& state) {
     Random rng(7);
     for (size_t i = 0; i < n; ++i) {
       const Row key{Value(static_cast<int64_t>(rng.Next() % 1000000))};
-      // BTree::Insert returns void (the lint matches HeapTable::Insert).
-      tree.Insert(key, i);  // lint:allow(status-ignored)
+      tree.Insert(key, i);
     }
     benchmark::DoNotOptimize(tree.num_entries());
   }
@@ -39,8 +38,7 @@ void BM_BTreePointLookup(benchmark::State& state) {
   const size_t n = 100000;
   for (size_t i = 0; i < n; ++i) {
     const Row key{Value(static_cast<int64_t>(i))};
-    // BTree::Insert returns void (the lint matches HeapTable::Insert).
-    tree.Insert(key, i);  // lint:allow(status-ignored)
+    tree.Insert(key, i);
   }
   size_t key = 0;
   for (auto _ : state) {
@@ -57,8 +55,7 @@ void BM_BTreeRangeScan(benchmark::State& state) {
   const size_t n = 100000;
   for (size_t i = 0; i < n; ++i) {
     const Row key{Value(static_cast<int64_t>(i))};
-    // BTree::Insert returns void (the lint matches HeapTable::Insert).
-    tree.Insert(key, i);  // lint:allow(status-ignored)
+    tree.Insert(key, i);
   }
   const int64_t width = state.range(0);
   int64_t lo_v = 0;

@@ -33,7 +33,19 @@ _ALLOW_RE = re.compile(r"lint:allow\(([^)]*)\)")
 # is harvested; call sites match on `obj.Name(` / `Name(`.
 _STATUS_DECL_RE = re.compile(
     r"\b(?:static\s+)?(?:virtual\s+)?Status(?:Or<[^;>]*>)?\s+"
-    r"(?:[A-Za-z_]\w*::)?([A-Z]\w*)\s*\(")
+    r"(?:([A-Za-z_]\w*)::)?([A-Z]\w*)\s*\(")
+# A declaration that starts its line with any other return type
+# (`void Insert(`, `bool Delete(`, `std::string Query(`).
+_OTHER_DECL_RE = re.compile(
+    r"^\s*(?:(?:static|virtual|inline|constexpr|explicit|friend)\s+)*"
+    r"(?:const\s+)?"
+    r"(?!(?:Status|StatusOr|return|else|new|delete|case|throw)\b)"
+    r"[A-Za-z_][\w:]*(?:<[^;()]*>)?[\s*&]+"
+    r"(?:([A-Za-z_]\w*)::)?([A-Z]\w*)\s*\(")
+# `class Foo {` / `struct Foo : Base {`, not a forward declaration.
+_CLASS_RE = re.compile(
+    r"^\s*(?:template\s*<[^>]*>\s*)?(?:class|struct)\s+"
+    r"(?:\[\[\w+\]\]\s+)?([A-Za-z_]\w*)[^;]*$")
 
 
 class Finding(object):
@@ -132,20 +144,51 @@ class Context(object):
     def __init__(self, root=REPO_ROOT, api_paths=("src",)):
         self.root = root
         self.api_paths = list(api_paths)
-        self._status_names = None
+        self._returns = None
 
-    def status_function_names(self):
-        if self._status_names is None:
-            names = set()
+    def function_returns(self):
+        """{name: {"status": classes, "other": classes}}: the classes
+        (None for free functions) that declare `name` in a header with a
+        Status/StatusOr return, and with any other return type."""
+        if self._returns is None:
+            returns = {}
+
+            def note(name, kind, cls):
+                entry = returns.setdefault(name,
+                                           {"status": set(), "other": set()})
+                entry[kind].add(cls)
+
             for rel in collect_files(self.api_paths, self.root):
                 if not rel.endswith(cpp.HEADER_EXTS):
                     continue
-                sf = SourceFile(rel, self.root)
-                for _, code in sf.code_lines:
+                # (class, brace depth inside it), innermost last.
+                scopes, depth, pending = [], 0, None
+                for _, code in SourceFile(rel, self.root).code_lines:
+                    scope = scopes[-1][0] if scopes else None
                     for m in _STATUS_DECL_RE.finditer(code):
-                        names.add(m.group(1))
-            self._status_names = names
-        return self._status_names
+                        note(m.group(2), "status", m.group(1) or scope)
+                    m = _OTHER_DECL_RE.match(code)
+                    if m:
+                        note(m.group(2), "other", m.group(1) or scope)
+                    m = _CLASS_RE.match(code)
+                    if m:
+                        pending = m.group(1)
+                    for ch in code:
+                        if ch == "{":
+                            depth += 1
+                            if pending:
+                                scopes.append((pending, depth))
+                                pending = None
+                        elif ch == "}":
+                            if scopes and scopes[-1][1] == depth:
+                                scopes.pop()
+                            depth -= 1
+            self._returns = returns
+        return self._returns
+
+    def status_function_names(self):
+        return {name for name, kinds in self.function_returns().items()
+                if kinds["status"]}
 
 
 def collect_files(paths, root=REPO_ROOT):

@@ -3,7 +3,7 @@
 The two-phase span API (TraceContext::StartSpan / DetachSpan /
 FinishSpan / SetSpanAttr, and hand-built SpanRecord/TraceContext
 objects) is how src/obs/ maintains the span-tree invariants the
-TraceValidator audits: dense ids, parent-before-child, intervals nested
+CheckTraces audits: dense ids, parent-before-child, intervals nested
 inside the parent. A call site that drives it directly can detach out
 of order or finish a span twice and corrupt the tree for every later
 span in the trace. Instrumentation uses the RAII surface instead —
@@ -20,7 +20,7 @@ ALLOW_PREFIX = "src/obs/"
 # Raw span-lifecycle calls through any receiver, or *construction* of
 # the recording types (SpanRecord rec; / TraceContext ctx; / brace
 # init). Read-only uses — const references into a snapshot, the
-# kMaxSpansPerTrace constant — stay legal (the TraceValidator audits
+# kMaxSpansPerTrace constant — stay legal (CheckTraces audits
 # these structures), as do the RAII helpers (ScopedTrace / ScopedSpan /
 # OperatorSpan and their Begin/Leave/End/SetAttr members).
 _RAW_SPAN_RE = re.compile(

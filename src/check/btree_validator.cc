@@ -1,14 +1,17 @@
-#include "check/btree_validator.h"
+#include "check/validator.h"
 
 #include "index/index_manager.h"
 #include "util/string_util.h"
 
 namespace autoindex {
+namespace {
 
-void BTreeValidator::Validate(const CheckContext& ctx,
-                              CheckReport* report) const {
-  if (ctx.indexes == nullptr) return;
-  for (const BuiltIndex* index : ctx.indexes->AllIndexes()) {
+constexpr char kLabel[] = "btree";
+
+}  // namespace
+
+void CheckBTrees(const IndexManager& indexes, CheckReport* report) {
+  for (const BuiltIndex* index : indexes.AllIndexes()) {
     const std::string display = index->def().DisplayName();
     size_t entries = 0;
     for (size_t t = 0; t < index->num_trees(); ++t) {
@@ -16,7 +19,7 @@ void BTreeValidator::Validate(const CheckContext& ctx,
       report->NoteStructureChecked();
       const Status s = tree.ValidateStructure();
       if (!s.ok()) {
-        report->AddIssue(name(), StrCat(display, " tree ", t, ": ",
+        report->AddIssue(kLabel, StrCat(display, " tree ", t, ": ",
                                         s.message()));
       }
       entries += tree.num_entries();
@@ -25,7 +28,7 @@ void BTreeValidator::Validate(const CheckContext& ctx,
     // over partitions).
     if (entries != index->num_entries()) {
       report->AddIssue(
-          name(), StrCat(display, ": index reports ", index->num_entries(),
+          kLabel, StrCat(display, ": index reports ", index->num_entries(),
                          " entries but its trees hold ", entries));
     }
   }

@@ -1,17 +1,18 @@
-#include "check/catalog_validator.h"
+#include "check/validator.h"
 
 #include "index/index_manager.h"
 #include "storage/catalog.h"
 #include "util/string_util.h"
 
 namespace autoindex {
+namespace {
 
-void CatalogConsistencyValidator::Validate(const CheckContext& ctx,
-                                           CheckReport* report) const {
-  if (ctx.catalog == nullptr || ctx.indexes == nullptr) return;
-  const Catalog& catalog = *ctx.catalog;
-  const IndexManager& manager = *ctx.indexes;
+constexpr char kLabel[] = "catalog";
 
+}  // namespace
+
+void CheckCatalog(const Catalog& catalog, const IndexManager& manager,
+                  CheckReport* report) {
   size_t summed_bytes = 0;
   for (const BuiltIndex* index : manager.AllIndexes()) {
     report->NoteStructureChecked();
@@ -20,20 +21,20 @@ void CatalogConsistencyValidator::Validate(const CheckContext& ctx,
 
     const HeapTable* table = catalog.GetTable(def.table);
     if (table == nullptr) {
-      report->AddIssue(name(), StrCat("index ", display,
+      report->AddIssue(kLabel, StrCat("index ", display,
                                       " references dropped table ",
                                       def.table));
       continue;
     }
     for (const std::string& col : def.columns) {
       if (!table->schema().HasColumn(col)) {
-        report->AddIssue(name(),
+        report->AddIssue(kLabel,
                          StrCat("index ", display, " references column ", col,
                                 " missing from table ", def.table));
       }
     }
     if (def.columns.empty()) {
-      report->AddIssue(name(), StrCat("index ", display, " has no columns"));
+      report->AddIssue(kLabel, StrCat("index ", display, " has no columns"));
     }
 
     // Indexes carry exactly one entry per live row: the write path keeps
@@ -41,7 +42,7 @@ void CatalogConsistencyValidator::Validate(const CheckContext& ctx,
     // the "index-size accounting" class of bug.
     if (index->num_entries() != table->num_rows()) {
       report->AddIssue(
-          name(), StrCat("index ", display, " holds ", index->num_entries(),
+          kLabel, StrCat("index ", display, " holds ", index->num_entries(),
                          " entries but table ", def.table, " has ",
                          table->num_rows(), " live rows"));
     }
@@ -51,12 +52,12 @@ void CatalogConsistencyValidator::Validate(const CheckContext& ctx,
     if (def.kind == IndexKind::kLocal && table->partitioned() &&
         index->num_trees() != table->num_partitions()) {
       report->AddIssue(
-          name(), StrCat("local index ", display, " has ", index->num_trees(),
+          kLabel, StrCat("local index ", display, " has ", index->num_trees(),
                          " trees for ", table->num_partitions(),
                          " partitions"));
     }
     if (def.kind == IndexKind::kGlobal && index->num_trees() != 1) {
-      report->AddIssue(name(), StrCat("global index ", display, " has ",
+      report->AddIssue(kLabel, StrCat("global index ", display, " has ",
                                       index->num_trees(), " trees"));
     }
     summed_bytes += index->SizeBytes();
@@ -65,7 +66,7 @@ void CatalogConsistencyValidator::Validate(const CheckContext& ctx,
   report->NoteStructureChecked();  // the manager-level accounting itself
   if (summed_bytes != manager.TotalIndexBytes()) {
     report->AddIssue(
-        name(), StrCat("TotalIndexBytes reports ", manager.TotalIndexBytes(),
+        kLabel, StrCat("TotalIndexBytes reports ", manager.TotalIndexBytes(),
                        " but per-index sizes sum to ", summed_bytes));
   }
 }

@@ -1,18 +1,20 @@
-#include "check/heap_validator.h"
+#include "check/validator.h"
 
 #include "storage/catalog.h"
 #include "util/string_util.h"
 
 namespace autoindex {
+namespace {
 
-void HeapTableValidator::Validate(const CheckContext& ctx,
-                                  CheckReport* report) const {
-  if (ctx.catalog == nullptr) return;
-  const Catalog& catalog = *ctx.catalog;
+constexpr char kLabel[] = "heap";
+
+}  // namespace
+
+void CheckHeapTables(const Catalog& catalog, CheckReport* report) {
   for (const std::string& table_name : catalog.TableNames()) {
     const HeapTable* table = catalog.GetTable(table_name);
     if (table == nullptr) {
-      report->AddIssue(name(), StrCat("table ", table_name,
+      report->AddIssue(kLabel, StrCat("table ", table_name,
                                       " listed but not resolvable"));
       continue;
     }
@@ -25,31 +27,31 @@ void HeapTableValidator::Validate(const CheckContext& ctx,
     table->Scan([&](RowId rid, const Row& row) {
       ++scanned;
       if (!table->IsLive(rid)) {
-        report->AddIssue(name(), StrCat("table ", table_name, ": slot ", rid,
+        report->AddIssue(kLabel, StrCat("table ", table_name, ": slot ", rid,
                                         " scanned but IsLive says dead"));
       }
       if (row.size() != arity) {
         report->AddIssue(
-            name(), StrCat("table ", table_name, ": row ", rid, " has ",
+            kLabel, StrCat("table ", table_name, ": row ", rid, " has ",
                            row.size(), " columns, schema declares ", arity));
       }
     });
     if (scanned != table->num_rows()) {
       report->AddIssue(
-          name(), StrCat("table ", table_name, ": live-row counter says ",
+          kLabel, StrCat("table ", table_name, ": live-row counter says ",
                          table->num_rows(), " but a fresh scan found ",
                          scanned));
     }
     if (table->num_rows() > table->num_slots()) {
       report->AddIssue(
-          name(), StrCat("table ", table_name, ": ", table->num_rows(),
+          kLabel, StrCat("table ", table_name, ": ", table->num_rows(),
                          " live rows exceed ", table->num_slots(),
                          " allocated slots"));
     }
 
     // Page accounting.
     if (table->RowsPerPage() == 0) {
-      report->AddIssue(name(),
+      report->AddIssue(kLabel,
                        StrCat("table ", table_name, ": RowsPerPage is 0"));
       continue;
     }
@@ -57,7 +59,7 @@ void HeapTableValidator::Validate(const CheckContext& ctx,
         (table->num_slots() + table->RowsPerPage() - 1) / table->RowsPerPage();
     if (table->NumPages() != want_pages) {
       report->AddIssue(
-          name(), StrCat("table ", table_name, ": NumPages reports ",
+          kLabel, StrCat("table ", table_name, ": NumPages reports ",
                          table->NumPages(), " for ", table->num_slots(),
                          " slots at ", table->RowsPerPage(),
                          " rows/page (want ", want_pages, ")"));
@@ -65,7 +67,7 @@ void HeapTableValidator::Validate(const CheckContext& ctx,
     if (table->num_slots() > 0 &&
         table->PageOfRow(table->num_slots() - 1) >= want_pages &&
         want_pages > 0) {
-      report->AddIssue(name(),
+      report->AddIssue(kLabel,
                        StrCat("table ", table_name,
                               ": PageOfRow(last slot) lands past NumPages"));
     }
@@ -73,12 +75,12 @@ void HeapTableValidator::Validate(const CheckContext& ctx,
     // Partitioning metadata, when declared.
     if (table->partitioned()) {
       if (table->num_partitions() == 0) {
-        report->AddIssue(name(), StrCat("table ", table_name,
+        report->AddIssue(kLabel, StrCat("table ", table_name,
                                         ": partitioned with 0 partitions"));
       }
       if (table->partition_column() >= static_cast<int>(arity)) {
         report->AddIssue(
-            name(), StrCat("table ", table_name, ": partition column ordinal ",
+            kLabel, StrCat("table ", table_name, ": partition column ordinal ",
                            table->partition_column(),
                            " outside the schema's ", arity, " columns"));
       }

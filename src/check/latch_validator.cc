@@ -1,4 +1,4 @@
-#include "check/latch_validator.h"
+#include "check/validator.h"
 
 #include <map>
 #include <string>
@@ -10,6 +10,8 @@
 namespace autoindex {
 namespace {
 
+constexpr char kLabel[] = "latches";
+
 struct HolderCounts {
   int shared = 0;
   int exclusive = 0;
@@ -17,10 +19,8 @@ struct HolderCounts {
 
 }  // namespace
 
-void LatchValidator::Validate(const CheckContext& ctx,
-                              CheckReport* report) const {
-  if (ctx.latches == nullptr) return;
-  const LatchManager::DebugSnapshot snap = ctx.latches->Snapshot();
+void CheckLatches(const LatchManager& latches, CheckReport* report) {
+  const LatchManager::DebugSnapshot snap = latches.Snapshot();
 
   // Tally who claims to hold what, and audit each thread's held list for
   // global-order violations while we're at it.
@@ -37,7 +37,7 @@ void LatchValidator::Validate(const CheckContext& ctx,
       }
       if (prev != nullptr && !(*prev < table)) {
         report->AddIssue(
-            name(),
+            kLabel,
             StrCat("thread #", thread_idx, " holds '", *prev, "' before '",
                    table,
                    "': held list violates the sorted acquisition order"));
@@ -52,13 +52,13 @@ void LatchValidator::Validate(const CheckContext& ctx,
     if (latch.readers < 0 || latch.waiting_writers < 0 ||
         latch.waiting_readers < 0) {
       report->AddIssue(
-          name(), StrCat("latch ", latch.table, ": negative count (",
+          kLabel, StrCat("latch ", latch.table, ": negative count (",
                          latch.readers, " readers, ", latch.waiting_writers,
                          " waiting writers, ", latch.waiting_readers,
                          " waiting readers)"));
     }
     if (latch.readers > 0 && latch.writer) {
-      report->AddIssue(name(),
+      report->AddIssue(kLabel,
                        StrCat("latch ", latch.table, ": held shared by ",
                               latch.readers,
                               " reader(s) and exclusive at the same time"));
@@ -68,7 +68,7 @@ void LatchValidator::Validate(const CheckContext& ctx,
                                     : HolderCounts{};
     if (counts.shared != latch.readers) {
       report->AddIssue(
-          name(),
+          kLabel,
           StrCat("latch ", latch.table, ": reader count ", latch.readers,
                  " but ", counts.shared,
                  " thread(s) record a shared hold (leak or double-release)"));
@@ -76,7 +76,7 @@ void LatchValidator::Validate(const CheckContext& ctx,
     const int expected_writers = latch.writer ? 1 : 0;
     if (counts.exclusive != expected_writers) {
       report->AddIssue(
-          name(),
+          kLabel,
           StrCat("latch ", latch.table, ": writer flag ",
                  latch.writer ? "set" : "clear", " but ", counts.exclusive,
                  " thread(s) record an exclusive hold"));
@@ -87,7 +87,7 @@ void LatchValidator::Validate(const CheckContext& ctx,
   // Anything left was recorded by a thread but has no latch entry at all.
   for (const auto& [table, counts] : holders) {
     if (counts.shared == 0 && counts.exclusive == 0) continue;
-    report->AddIssue(name(),
+    report->AddIssue(kLabel,
                      StrCat("thread(s) record holds on '", table,
                             "' but the latch table has no entry for it"));
   }

@@ -1,4 +1,4 @@
-#include "check/lifecycle_validator.h"
+#include "check/validator.h"
 
 #include <algorithm>
 #include <utility>
@@ -10,6 +10,8 @@
 
 namespace autoindex {
 namespace {
+
+constexpr char kLabel[] = "lifecycle";
 
 using Entry = std::pair<Row, RowId>;
 
@@ -25,12 +27,8 @@ bool EntryEqual(const Entry& a, const Entry& b) {
 
 }  // namespace
 
-void LifecycleValidator::Validate(const CheckContext& ctx,
-                                  CheckReport* report) const {
-  if (ctx.catalog == nullptr || ctx.indexes == nullptr) return;
-  const Catalog& catalog = *ctx.catalog;
-  const IndexManager& manager = *ctx.indexes;
-
+void CheckLifecycle(const Catalog& catalog, const IndexManager& manager,
+                    CheckReport* report) {
   // --- Ready (planner-reachable) indexes -----------------------------
   // AllIndexes IS the planner's view, so anything it returns in a
   // non-ready state has escaped the lifecycle.
@@ -38,14 +36,14 @@ void LifecycleValidator::Validate(const CheckContext& ctx,
     report->NoteStructureChecked();
     const std::string display = index->def().DisplayName();
     if (index->state() != IndexState::kReady) {
-      report->AddIssue(name(),
+      report->AddIssue(kLabel,
                        StrCat("planner-reachable index ", display,
                               " is in state ", IndexStateName(index->state()),
                               ", not ready"));
       continue;
     }
     if (index->delta_pending() != 0) {
-      report->AddIssue(name(), StrCat("published index ", display, " kept ",
+      report->AddIssue(kLabel, StrCat("published index ", display, " kept ",
                                       index->delta_pending(),
                                       " undrained delta ops"));
     }
@@ -72,7 +70,7 @@ void LifecycleValidator::Validate(const CheckContext& ctx,
     std::sort(actual.begin(), actual.end(), EntryLess);
     if (actual.size() != expected.size()) {
       report->AddIssue(
-          name(), StrCat("index ", display, " holds ", actual.size(),
+          kLabel, StrCat("index ", display, " holds ", actual.size(),
                          " entries but a from-scratch rebuild yields ",
                          expected.size()));
       continue;
@@ -80,7 +78,7 @@ void LifecycleValidator::Validate(const CheckContext& ctx,
     for (size_t i = 0; i < expected.size(); ++i) {
       if (!EntryEqual(actual[i], expected[i])) {
         report->AddIssue(
-            name(),
+            kLabel,
             StrCat("index ", display, " diverges from a from-scratch ",
                    "rebuild at sorted entry #", i, ": index has rid ",
                    actual[i].second, ", rebuild expects rid ",
@@ -99,21 +97,21 @@ void LifecycleValidator::Validate(const CheckContext& ctx,
     report->NoteStructureChecked();
     const std::string display = index->def().DisplayName();
     if (index->state() == IndexState::kDropping) {
-      report->AddIssue(name(), StrCat("index ", display,
+      report->AddIssue(kLabel, StrCat("index ", display,
                                       " is observable in state dropping — "
                                       "drops must unlink atomically"));
       continue;
     }
     const HeapTable* table = catalog.GetTable(index->def().table);
     if (table == nullptr) {
-      report->AddIssue(name(), StrCat("in-flight build ", display,
+      report->AddIssue(kLabel, StrCat("in-flight build ", display,
                                       " references dropped table ",
                                       index->def().table));
       continue;
     }
     for (const std::string& col : index->def().columns) {
       if (!table->schema().HasColumn(col)) {
-        report->AddIssue(name(), StrCat("in-flight build ", display,
+        report->AddIssue(kLabel, StrCat("in-flight build ", display,
                                         " references column ", col,
                                         " missing from table ",
                                         index->def().table));
@@ -127,7 +125,7 @@ void LifecycleValidator::Validate(const CheckContext& ctx,
     const size_t slots = table->num_slots();
     if (entries > slots) {
       report->AddIssue(
-          name(), StrCat("in-flight build ", display, " holds ", entries,
+          kLabel, StrCat("in-flight build ", display, " holds ", entries,
                          " entries but table ", index->def().table,
                          " only ever allocated ", slots, " slots"));
     }

@@ -1,16 +1,19 @@
-#include "check/mcts_validator.h"
+#include "check/validator.h"
 
 #include "core/mcts.h"
 
 namespace autoindex {
+namespace {
 
-void MctsPolicyTreeValidator::Validate(const CheckContext& ctx,
-                                       CheckReport* report) const {
-  if (ctx.mcts == nullptr) return;
+constexpr char kLabel[] = "mcts";
+
+}  // namespace
+
+void CheckPolicyTree(const MctsIndexSelector& mcts, CheckReport* report) {
   report->NoteStructureChecked();
-  const Status s = ctx.mcts->ValidateTree();
+  const Status s = mcts.ValidateTree();
   if (!s.ok()) {
-    report->AddIssue(name(), s.message());
+    report->AddIssue(kLabel, s.message());
   }
 }
 

@@ -1,4 +1,4 @@
-#include "check/metrics_validator.h"
+#include "check/validator.h"
 
 #include <map>
 #include <string>
@@ -8,6 +8,8 @@
 namespace autoindex {
 
 namespace {
+
+constexpr char kLabel[] = "metrics";
 
 const char* KindName(util::MetricsRegistry::Kind kind) {
   switch (kind) {
@@ -27,30 +29,27 @@ void CheckHistogram(const std::string& name,
   // A snapshot never catches a Record half done, so bucket_sum equals
   // count; a count with no bucket behind it is corruption.
   if (bucket_sum < hist.count) {
-    report->AddIssue("metrics",
+    report->AddIssue(kLabel,
                      StrCat("histogram ", name, ": count ", hist.count,
                             " exceeds bucket sum ", bucket_sum));
   }
   if (hist.count == 0 && hist.max_us != 0) {
-    report->AddIssue("metrics", StrCat("histogram ", name,
-                                       ": empty but max_us = ", hist.max_us));
+    report->AddIssue(kLabel, StrCat("histogram ", name,
+                                    ": empty but max_us = ", hist.max_us));
   }
   if (hist.count == 0 && hist.sum_us != 0) {
-    report->AddIssue("metrics", StrCat("histogram ", name,
-                                       ": empty but sum_us = ", hist.sum_us));
+    report->AddIssue(kLabel, StrCat("histogram ", name,
+                                    ": empty but sum_us = ", hist.sum_us));
   }
 }
 
 }  // namespace
 
-void MetricsValidator::Validate(const CheckContext& ctx,
-                                CheckReport* report) const {
-  (void)ctx;  // registry is process-global, not part of the context
-  auto& registry = util::MetricsRegistry::Default();
+void CheckMetrics(const util::MetricsRegistry& registry, CheckReport* report) {
   if (const uint64_t collisions = registry.type_collisions();
       collisions != 0) {
     report->AddIssue(
-        "metrics",
+        kLabel,
         StrCat("registry saw ", collisions,
                " kind collision(s): some call site asked for an existing "
                "name as a different metric kind"));
@@ -63,7 +62,7 @@ void MetricsValidator::Validate(const CheckContext& ctx,
   }
 }
 
-void MetricsValidator::CheckMonotonePair(
+void CheckMetricsMonotone(
     const std::vector<util::MetricsRegistry::MetricValue>& before,
     const std::vector<util::MetricsRegistry::MetricValue>& after,
     CheckReport* report) {
@@ -77,7 +76,7 @@ void MetricsValidator::CheckMonotonePair(
     const auto& prev = *it->second;
     report->NoteStructureChecked();
     if (prev.kind != metric.kind) {
-      report->AddIssue("metrics",
+      report->AddIssue(kLabel,
                        StrCat("metric ", metric.name, " changed kind: ",
                               KindName(prev.kind), " -> ",
                               KindName(metric.kind)));
@@ -87,7 +86,7 @@ void MetricsValidator::CheckMonotonePair(
       case util::MetricsRegistry::Kind::kCounter:
         if (metric.counter < prev.counter) {
           report->AddIssue(
-              "metrics",
+              kLabel,
               StrCat("counter ", metric.name, " went backwards: ",
                      prev.counter, " -> ", metric.counter));
         }
@@ -97,19 +96,19 @@ void MetricsValidator::CheckMonotonePair(
       case util::MetricsRegistry::Kind::kHistogram:
         if (metric.hist.count < prev.hist.count) {
           report->AddIssue(
-              "metrics",
+              kLabel,
               StrCat("histogram ", metric.name, " count went backwards: ",
                      prev.hist.count, " -> ", metric.hist.count));
         }
         if (metric.hist.sum_us < prev.hist.sum_us) {
           report->AddIssue(
-              "metrics",
+              kLabel,
               StrCat("histogram ", metric.name, " sum went backwards: ",
                      prev.hist.sum_us, " -> ", metric.hist.sum_us));
         }
         if (metric.hist.max_us < prev.hist.max_us) {
           report->AddIssue(
-              "metrics",
+              kLabel,
               StrCat("histogram ", metric.name, " max went backwards: ",
                      prev.hist.max_us, " -> ", metric.hist.max_us));
         }

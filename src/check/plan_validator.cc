@@ -1,4 +1,4 @@
-#include "check/plan_validator.h"
+#include "check/validator.h"
 
 #include <cstdint>
 #include <string>
@@ -10,6 +10,8 @@
 
 namespace autoindex {
 namespace {
+
+constexpr char kLabel[] = "physical_plan";
 
 // Expected child count per operator. Unknown names are themselves issues:
 // a snapshot can only contain operators the lowering emits.
@@ -32,16 +34,16 @@ struct CounterSums {
   int64_t sort_rows = 0;
 };
 
-void WalkNode(const PlanNodeSnapshot& node, const char* validator,
-              CheckReport* report, CounterSums* sums) {
+void WalkNode(const PlanNodeSnapshot& node, CheckReport* report,
+              CounterSums* sums) {
   auto it = ArityMap().find(node.op);
   if (it == ArityMap().end()) {
-    report->AddIssue(validator,
+    report->AddIssue(kLabel,
                      StrCat("unknown operator \"", node.op, "\" in plan"));
   } else if (node.children.size() != it->second) {
     report->AddIssue(
-        validator, StrCat("operator ", node.op, " has ", node.children.size(),
-                          " children, expected ", it->second));
+        kLabel, StrCat("operator ", node.op, " has ", node.children.size(),
+                       " children, expected ", it->second));
   }
 
   const struct {
@@ -59,9 +61,9 @@ void WalkNode(const PlanNodeSnapshot& node, const char* validator,
   };
   for (const auto& c : counters) {
     if (c.value < 0) {
-      report->AddIssue(validator, StrCat("operator ", node.op,
-                                         ": negative counter ", c.label, " (",
-                                         c.value, ")"));
+      report->AddIssue(kLabel, StrCat("operator ", node.op,
+                                      ": negative counter ", c.label, " (",
+                                      c.value, ")"));
     }
   }
 
@@ -70,21 +72,21 @@ void WalkNode(const PlanNodeSnapshot& node, const char* validator,
   if (node.op == "SeqScan" || node.op == "IndexScan" ||
       node.op == "Project" || node.op == "HashAggregate") {
     if (node.out_width != 1) {
-      report->AddIssue(validator, StrCat("operator ", node.op, ": width ",
-                                         node.out_width, ", expected 1"));
+      report->AddIssue(kLabel, StrCat("operator ", node.op, ": width ",
+                                      node.out_width, ", expected 1"));
     }
   } else if (node.op == "NestedLoopJoin" || node.op == "HashJoin" ||
              node.op == "IndexNestedLoopJoin") {
     if (node.children.size() == 2) {
       if (node.out_width != node.children[0].out_width + 1) {
         report->AddIssue(
-            validator,
+            kLabel,
             StrCat("join ", node.op, ": width ", node.out_width,
                    ", expected outer width + 1 = ",
                    node.children[0].out_width + 1));
       }
       if (node.children[1].out_width != 1) {
-        report->AddIssue(validator,
+        report->AddIssue(kLabel,
                          StrCat("join ", node.op, ": inner child width ",
                                 node.children[1].out_width, ", expected 1"));
       }
@@ -93,7 +95,7 @@ void WalkNode(const PlanNodeSnapshot& node, const char* validator,
     if (node.children.size() == 1 &&
         node.out_width != node.children[0].out_width) {
       report->AddIssue(
-          validator,
+          kLabel,
           StrCat("operator ", node.op, ": width ", node.out_width,
                  " differs from child width ", node.children[0].out_width));
     }
@@ -102,7 +104,7 @@ void WalkNode(const PlanNodeSnapshot& node, const char* validator,
   // Row-count sanity: filters and limits never create tuples.
   if ((node.op == "Filter" || node.op == "Limit") &&
       node.actual.rows_out > node.actual.rows_in) {
-    report->AddIssue(validator,
+    report->AddIssue(kLabel,
                      StrCat("operator ", node.op, ": rows_out ",
                             node.actual.rows_out, " exceeds rows_in ",
                             node.actual.rows_in));
@@ -115,22 +117,19 @@ void WalkNode(const PlanNodeSnapshot& node, const char* validator,
   sums->sort_rows += node.actual.sort_rows;
 
   for (const PlanNodeSnapshot& child : node.children) {
-    WalkNode(child, validator, report, sums);
+    WalkNode(child, report, sums);
   }
 }
 
 }  // namespace
 
-void PhysicalPlanValidator::Validate(const CheckContext& ctx,
-                                     CheckReport* report) const {
-  if (ctx.last_plan == nullptr) return;
+void CheckLastPlan(const PlanNodeSnapshot& plan, const ExecStats& stats,
+                   CheckReport* report) {
   report->NoteStructureChecked();
 
   CounterSums sums;
-  WalkNode(*ctx.last_plan, name(), report, &sums);
+  WalkNode(plan, report, &sums);
 
-  if (ctx.last_plan_stats == nullptr) return;
-  const ExecStats& stats = *ctx.last_plan_stats;
   const struct {
     const char* label;
     int64_t summed;
@@ -146,16 +145,14 @@ void PhysicalPlanValidator::Validate(const CheckContext& ctx,
     if (t.summed < 0 ||
         static_cast<size_t>(t.summed) != t.statement) {
       report->AddIssue(
-          name(), StrCat("operator counters sum to ", t.summed, " ", t.label,
+          kLabel, StrCat("operator counters sum to ", t.summed, " ", t.label,
                          " but statement ExecStats says ", t.statement));
     }
   }
-  if (ctx.last_plan->actual.rows_out >= 0 &&
-      static_cast<size_t>(ctx.last_plan->actual.rows_out) !=
-          stats.rows_returned) {
-    report->AddIssue(name(),
-                     StrCat("root operator emitted ",
-                            ctx.last_plan->actual.rows_out,
+  if (plan.actual.rows_out >= 0 &&
+      static_cast<size_t>(plan.actual.rows_out) != stats.rows_returned) {
+    report->AddIssue(kLabel,
+                     StrCat("root operator emitted ", plan.actual.rows_out,
                             " rows but statement ExecStats says rows_returned ",
                             stats.rows_returned));
   }

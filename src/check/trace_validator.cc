@@ -1,4 +1,4 @@
-#include "check/trace_validator.h"
+#include "check/validator.h"
 
 #include <algorithm>
 #include <cstddef>
@@ -9,15 +9,17 @@ namespace autoindex {
 
 namespace {
 
+constexpr char kLabel[] = "trace";
+
 void CheckTrace(const obs::TraceData& trace, CheckReport* report) {
   const auto& spans = trace.spans;
   if (spans.empty()) {
-    report->AddIssue("trace", StrCat("trace ", trace.trace_id,
-                                     ": recorded with no spans"));
+    report->AddIssue(kLabel, StrCat("trace ", trace.trace_id,
+                                    ": recorded with no spans"));
     return;
   }
   if (spans.size() > obs::TraceContext::kMaxSpansPerTrace) {
-    report->AddIssue("trace",
+    report->AddIssue(kLabel,
                      StrCat("trace ", trace.trace_id, ": ", spans.size(),
                             " spans exceed the per-trace cap ",
                             obs::TraceContext::kMaxSpansPerTrace));
@@ -25,7 +27,7 @@ void CheckTrace(const obs::TraceData& trace, CheckReport* report) {
   if (trace.spans_dropped > 0 &&
       spans.size() != obs::TraceContext::kMaxSpansPerTrace) {
     report->AddIssue(
-        "trace",
+        kLabel,
         StrCat("trace ", trace.trace_id, ": reports ", trace.spans_dropped,
                " dropped spans but holds ", spans.size(),
                " (drops only happen at the cap)"));
@@ -33,30 +35,30 @@ void CheckTrace(const obs::TraceData& trace, CheckReport* report) {
   for (size_t i = 0; i < spans.size(); ++i) {
     const obs::SpanRecord& span = spans[i];
     if (span.id != i + 1) {
-      report->AddIssue("trace", StrCat("trace ", trace.trace_id, ": span #",
-                                       i, " has id ", span.id,
-                                       ", expected dense id ", i + 1));
+      report->AddIssue(kLabel, StrCat("trace ", trace.trace_id, ": span #",
+                                      i, " has id ", span.id,
+                                      ", expected dense id ", i + 1));
       // Parent links are id-based; with the numbering broken the
       // remaining checks would only cascade.
       return;
     }
     if (span.id == 1) {
       if (span.parent != 0) {
-        report->AddIssue("trace",
+        report->AddIssue(kLabel,
                          StrCat("trace ", trace.trace_id,
                                 ": root span has parent ", span.parent));
       }
       continue;
     }
     if (span.parent == 0) {
-      report->AddIssue("trace", StrCat("trace ", trace.trace_id, ": span ",
-                                       span.id, " (", span.name,
-                                       ") is a second root"));
+      report->AddIssue(kLabel, StrCat("trace ", trace.trace_id, ": span ",
+                                      span.id, " (", span.name,
+                                      ") is a second root"));
       continue;
     }
     if (span.parent >= span.id) {
       report->AddIssue(
-          "trace",
+          kLabel,
           StrCat("trace ", trace.trace_id, ": span ", span.id, " (",
                  span.name, ") has parent ", span.parent,
                  " >= its own id (parents must start first)"));
@@ -67,7 +69,7 @@ void CheckTrace(const obs::TraceData& trace, CheckReport* report) {
         span.start_us + span.duration_us >
             parent.start_us + parent.duration_us) {
       report->AddIssue(
-          "trace",
+          kLabel,
           StrCat("trace ", trace.trace_id, ": span ", span.id, " (",
                  span.name, ") [", span.start_us, ", ",
                  span.start_us + span.duration_us,
@@ -77,7 +79,7 @@ void CheckTrace(const obs::TraceData& trace, CheckReport* report) {
     }
   }
   if (trace.total_us != spans[0].duration_us) {
-    report->AddIssue("trace",
+    report->AddIssue(kLabel,
                      StrCat("trace ", trace.trace_id, ": total_us ",
                             trace.total_us, " != root span duration ",
                             spans[0].duration_us));
@@ -86,13 +88,12 @@ void CheckTrace(const obs::TraceData& trace, CheckReport* report) {
 
 }  // namespace
 
-void TraceValidator::CheckSnapshot(const obs::Tracer::Snapshot& snap,
-                                   CheckReport* report) {
+void CheckTraces(const obs::Tracer::Snapshot& snap, CheckReport* report) {
   const obs::Tracer::Stats& stats = snap.stats;
   const uint64_t expected_occupancy =
       std::min<uint64_t>(stats.recorded, snap.capacity);
   if (snap.traces.size() != expected_occupancy) {
-    report->AddIssue("trace",
+    report->AddIssue(kLabel,
                      StrCat("ring holds ", snap.traces.size(),
                             " traces but bookkeeping expects min(recorded ",
                             stats.recorded, ", capacity ", snap.capacity,
@@ -100,7 +101,7 @@ void TraceValidator::CheckSnapshot(const obs::Tracer::Snapshot& snap,
   }
   if (stats.finished != stats.recorded + stats.sampled_out) {
     report->AddIssue(
-        "trace",
+        kLabel,
         StrCat("finished ", stats.finished, " != recorded ", stats.recorded,
                " + sampled_out ", stats.sampled_out,
                " (a submitted trace is either kept or dropped)"));
@@ -109,7 +110,7 @@ void TraceValidator::CheckSnapshot(const obs::Tracer::Snapshot& snap,
   // still in flight keep it ahead of finished + cancelled — never behind.
   if (stats.started < stats.finished + stats.cancelled) {
     report->AddIssue(
-        "trace",
+        kLabel,
         StrCat("started ", stats.started, " < finished ", stats.finished,
                " + cancelled ", stats.cancelled));
   }
@@ -117,12 +118,6 @@ void TraceValidator::CheckSnapshot(const obs::Tracer::Snapshot& snap,
     report->NoteStructureChecked();
     CheckTrace(trace, report);
   }
-}
-
-void TraceValidator::Validate(const CheckContext& ctx,
-                              CheckReport* report) const {
-  (void)ctx;  // the flight recorder is process-global, like the registry
-  CheckSnapshot(obs::Tracer::Default().TakeSnapshot(), report);
 }
 
 }  // namespace autoindex

@@ -1,14 +1,5 @@
 #include "check/validator.h"
 
-#include "check/btree_validator.h"
-#include "check/catalog_validator.h"
-#include "check/heap_validator.h"
-#include "check/latch_validator.h"
-#include "check/lifecycle_validator.h"
-#include "check/mcts_validator.h"
-#include "check/metrics_validator.h"
-#include "check/plan_validator.h"
-#include "check/trace_validator.h"
 #include "engine/database.h"
 #include "storage/latch_manager.h"
 #include "util/string_util.h"
@@ -27,78 +18,41 @@ std::string CheckReport::ToString() const {
   return out;
 }
 
-void CheckReport::Merge(const CheckReport& other) {
-  issues_.insert(issues_.end(), other.issues_.begin(), other.issues_.end());
-  structures_checked_ += other.structures_checked_;
-}
-
-ValidatorRegistry& ValidatorRegistry::Default() {
-  static ValidatorRegistry registry;
-  static const bool populated = [] {
-    registry.Register(std::make_unique<BTreeValidator>());
-    registry.Register(std::make_unique<HeapTableValidator>());
-    registry.Register(std::make_unique<CatalogConsistencyValidator>());
-    registry.Register(std::make_unique<MctsPolicyTreeValidator>());
-    registry.Register(std::make_unique<PhysicalPlanValidator>());
-    registry.Register(std::make_unique<LatchValidator>());
-    registry.Register(std::make_unique<LifecycleValidator>());
-    registry.Register(std::make_unique<MetricsValidator>());
-    registry.Register(std::make_unique<TraceValidator>());
-    return true;
-  }();
-  (void)populated;
-  return registry;
-}
-
-void ValidatorRegistry::Register(std::unique_ptr<Validator> validator) {
-  validators_.push_back(std::move(validator));
-}
-
-CheckReport ValidatorRegistry::RunAll(const CheckContext& ctx) const {
-  CheckReport report;
-  for (const auto& validator : validators_) {
-    validator->Validate(ctx, &report);
-  }
-  return report;
-}
-
 namespace {
 
-void FillPlanContext(const Database& db, CheckContext* ctx) {
-  const Executor& executor = db.executor();
-  if (executor.last_plan() != nullptr) {
-    ctx->last_plan = executor.last_plan();
-    ctx->last_plan_stats = &executor.last_plan_stats();
-  }
-}
-
-}  // namespace
-
-CheckReport CheckAll(const Database& db) {
+// The one body behind both CheckAll overloads; `mcts` is null when the
+// caller has no selector.
+CheckReport CheckDatabase(const Database& db, const MctsIndexSelector* mcts) {
   // Freeze the data under audit: shared latches on every table, taken as
   // ONE sorted acquisition so this composes with the global lock order.
   // Callers must not hold statement latches (ExecuteOn and the DDL paths
   // release theirs before running the invariant hook).
   LatchManager::Guard guard =
       db.latches().AcquireShared(db.catalog().TableNames());
-  CheckContext ctx;
-  ctx.catalog = &db.catalog();
-  ctx.indexes = &db.index_manager();
-  ctx.latches = &db.latches();
-  FillPlanContext(db, &ctx);
-  return ValidatorRegistry::Default().RunAll(ctx);
+  const Catalog& catalog = db.catalog();
+  const IndexManager& indexes = db.index_manager();
+  const Executor& executor = db.executor();
+  CheckReport report;
+  CheckBTrees(indexes, &report);
+  CheckHeapTables(catalog, &report);
+  CheckCatalog(catalog, indexes, &report);
+  if (mcts != nullptr) CheckPolicyTree(*mcts, &report);
+  if (executor.last_plan() != nullptr) {
+    CheckLastPlan(*executor.last_plan(), executor.last_plan_stats(), &report);
+  }
+  CheckLatches(db.latches(), &report);
+  CheckLifecycle(catalog, indexes, &report);
+  CheckMetrics(util::MetricsRegistry::Default(), &report);
+  CheckTraces(obs::Tracer::Default().TakeSnapshot(), &report);
+  return report;
 }
 
+}  // namespace
+
+CheckReport CheckAll(const Database& db) { return CheckDatabase(db, nullptr); }
+
 CheckReport CheckAll(const Database& db, const MctsIndexSelector& mcts) {
-  LatchManager::Guard guard =
-      db.latches().AcquireShared(db.catalog().TableNames());
-  CheckContext ctx;
-  ctx.catalog = &db.catalog();
-  ctx.indexes = &db.index_manager();
-  ctx.mcts = &mcts;
-  ctx.latches = &db.latches();
-  FillPlanContext(db, &ctx);
-  return ValidatorRegistry::Default().RunAll(ctx);
+  return CheckDatabase(db, &mcts);
 }
 
 void InstallDebugChecks(Database* db, bool install) {

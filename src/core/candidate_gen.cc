@@ -4,6 +4,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "engine/planner.h"
 #include "sql/dnf.h"
 #include "util/string_util.h"
 
@@ -22,22 +23,13 @@ constexpr size_t kMaxCandidates = 64;
 // Tables smaller than this are not worth indexing.
 constexpr size_t kMinTableRows = 64;
 
-// Which FROM entry does this column belong to? Returns the real table name
+// The real table of the FROM entry the planner resolves this column to,
 // or "" when unresolved.
 std::string TableOfColumn(const ColumnRef& col,
                           const std::vector<TableRef>& from,
                           const Catalog& catalog) {
-  if (!col.table.empty()) {
-    for (const TableRef& ref : from) {
-      if (ref.alias == col.table || ref.table == col.table) return ref.table;
-    }
-    return "";
-  }
-  for (const TableRef& ref : from) {
-    const HeapTable* t = catalog.GetTable(ref.table);
-    if (t != nullptr && t->schema().HasColumn(col.column)) return ref.table;
-  }
-  return "";
+  const int entry = ResolveColumnTable(col, from, catalog);
+  return entry < 0 ? "" : from[entry].table;
 }
 
 // The single column an atomic predicate constrains, when it is sargable
@@ -197,7 +189,6 @@ void CandidateGenerator::FromWhere(const Expr* where,
   // join column (Sec. IV-A "Index Generation (2)"). Which side is driven
   // depends on the final join order, so we emit a candidate for each side
   // and let benefit estimation keep the useful one.
-  std::vector<const Expr*> atoms;
   std::vector<DnfConjunction> dnf_for_joins = ToDnf(*where, 8);
   for (const DnfConjunction& conj : dnf_for_joins) {
     for (const ExprPtr& atom : conj) {
@@ -216,7 +207,6 @@ void CandidateGenerator::FromWhere(const Expr* where,
       }
     }
   }
-  (void)atoms;
 }
 
 void CandidateGenerator::FromSelect(const SelectStatement& stmt,

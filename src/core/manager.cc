@@ -1,5 +1,6 @@
 #include "core/manager.h"
 
+#include "engine/session.h"
 #include "obs/trace.h"
 #include "persist/serde.h"
 #include "util/metrics.h"
@@ -98,19 +99,25 @@ void AutoIndexManager::set_storage_budget(size_t bytes) {
 
 StatusOr<ExecResult> AutoIndexManager::ExecuteAndObserve(
     const std::string& sql) {
-  templates_->Observe(sql);
   TuningMetrics::Get().observations->Add();
-  StatusOr<ExecResult> result = db_->Execute(sql);
+  Statement stmt;
+  StatusOr<ExecResult> result = [&]() -> StatusOr<ExecResult> {
+    // Parsed once for the template store, the engine and the training
+    // pair, under the trace and parse span Session::Execute(sql) records.
+    obs::ScopedTrace trace("statement");
+    StatusOr<Statement> parsed = Session::Parse(sql);
+    if (!parsed.ok()) return parsed.status();
+    stmt = std::move(*parsed);
+    templates_->Observe(stmt, sql);
+    return db_->Execute(stmt);
+  }();
   if (result.ok() && config_.learn_cost_model &&
       sample_rng_.Bernoulli(kObservationSampleRate)) {
     // Historical training pair: estimated cost features under the current
     // built configuration vs. the measured execution cost.
-    StatusOr<Statement> stmt = ParseSql(sql);
-    if (stmt.ok()) {
-      const CostBreakdown est = db_->WhatIfCost(*stmt, db_->CurrentConfig());
-      const CostBreakdown measured = result->stats.ToCost();
-      estimator_->AddObservation(est.Features(), measured.Total());
-    }
+    const CostBreakdown est = db_->WhatIfCost(stmt, db_->CurrentConfig());
+    const CostBreakdown measured = result->stats.ToCost();
+    estimator_->AddObservation(est.Features(), measured.Total());
   }
   return result;
 }

@@ -56,7 +56,7 @@ class Executor {
   void set_plan_detail(bool on) { plan_detail_ = on; }
 
   // The last executed read pipeline and the statement-level stats it
-  // summed into — what the PhysicalPlanValidator checks. Null until a
+  // summed into — what CheckLastPlan checks. Null until a
   // SELECT/UPDATE/DELETE runs (INSERT clears it).
   const PlanNodeSnapshot* last_plan() const { return last_plan_.get(); }
   const ExecStats& last_plan_stats() const { return last_plan_stats_; }

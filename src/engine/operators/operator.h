@@ -161,7 +161,7 @@ struct AccessPathFeedback {
 };
 
 // Copyable, pointer-free image of an executed operator tree: what EXPLAIN
-// ANALYZE renders and what the PhysicalPlanValidator checks against the
+// ANALYZE renders and what CheckLastPlan checks against the
 // statement-level ExecStats.
 struct PlanNodeSnapshot {
   std::string op;         // operator name ("IndexScan", "HashJoin", ...)

@@ -106,7 +106,7 @@ class SortOp : public UnaryOpBase {
 // child is never pulled again, so upstream scans/joins stop doing work.
 // Statement ExecStats is derived by summing the operator counters of what
 // actually ran (AccumulateOperatorCounters), so the accounting and the
-// PhysicalPlanValidator stay exact under the short-circuit; the what-if
+// CheckLastPlan stay exact under the short-circuit; the what-if
 // estimates stay LIMIT-blind and the est-vs-actual gap surfaces in
 // EXPLAIN ANALYZE and the feedback loop.
 class LimitOp : public UnaryOpBase {

@@ -20,15 +20,13 @@ int ResolveColumnTable(const ColumnRef& col,
     }
     return -1;
   }
-  int found = -1;
   for (size_t i = 0; i < from.size(); ++i) {
     const HeapTable* t = catalog.GetTable(from[i].table);
     if (t != nullptr && t->schema().HasColumn(col.column)) {
-      if (found >= 0) return found;  // ambiguous: first match wins
-      found = static_cast<int>(i);
+      return static_cast<int>(i);  // ambiguous: first match wins
     }
   }
-  return found;
+  return -1;
 }
 
 namespace {

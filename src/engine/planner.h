@@ -108,9 +108,10 @@ class Planner {
   StatsManager* stats_;
 };
 
-// Helper: resolves which FROM-list alias a column reference belongs to.
-// Returns -1 when ambiguous/unknown. Unqualified columns are resolved by
-// probing each table's schema.
+// Resolves which FROM entry a column reference belongs to: a qualified
+// name to the first entry whose alias or table matches it, an unqualified
+// one to the first entry whose schema has the column. Returns -1 when
+// nothing matches. The planner and candidate generation share this rule.
 int ResolveColumnTable(const ColumnRef& col,
                        const std::vector<TableRef>& from,
                        const Catalog& catalog);

@@ -18,12 +18,14 @@ StatusOr<ExecResult> Session::Execute(const std::string& sql) {
   // layer already opened one for the request). A parse failure keeps the
   // trace, with its failed parse span, as the network request's does.
   obs::ScopedTrace trace("statement");
-  StatusOr<Statement> stmt = [&] {
-    obs::ScopedSpan parse_span("parse");
-    return ParseSql(sql);
-  }();
+  StatusOr<Statement> stmt = Parse(sql);
   if (!stmt.ok()) return stmt.status();
   return Execute(*stmt);
+}
+
+StatusOr<Statement> Session::Parse(const std::string& sql) {
+  obs::ScopedSpan parse_span("parse");
+  return ParseSql(sql);
 }
 
 StatusOr<ExecResult> Session::Execute(const Statement& stmt) {

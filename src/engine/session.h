@@ -37,6 +37,10 @@ class Session {
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
+  // Parses `sql` under a "parse" span of the current trace: the one parse
+  // of every text entry point (this class, net::Server, the manager).
+  static StatusOr<Statement> Parse(const std::string& sql);
+
   // Parses and executes one SQL string under statement latches.
   StatusOr<ExecResult> Execute(const std::string& sql);
   // Executes a pre-parsed statement (avoids re-parsing in replay loops).

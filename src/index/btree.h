@@ -88,10 +88,6 @@ class BTree {
   // Internal with a message naming the first violated invariant otherwise.
   Status ValidateStructure() const;
 
-  // Structural invariant check for tests: true iff ValidateStructure()
-  // reports no issue.
-  bool CheckInvariants() const { return ValidateStructure().ok(); }
-
   // --- Test-only corruption hooks -----------------------------------
   // Used by check_test to prove the validators detect real damage (an
   // always-green checker is worse than none). Never call outside tests.

@@ -7,6 +7,17 @@
 #include "persist/serde.h"
 
 namespace autoindex {
+namespace {
+
+// Mini-batch Adam with L2 weight decay, seeded for deterministic fits.
+constexpr size_t kBatchSize = 16;
+constexpr double kBeta1 = 0.9;
+constexpr double kBeta2 = 0.999;
+constexpr double kEpsilon = 1e-8;
+constexpr double kL2 = 1e-5;
+constexpr uint64_t kSeed = 42;
+
+}  // namespace
 
 double SigmoidRegression::Sigmoid(double z) {
   if (z >= 0) {
@@ -68,7 +79,7 @@ double SigmoidRegression::Train(const std::vector<std::vector<double>>& x,
     ys[i] = 0.02 + 0.96 * (y[i] - y_min_) / (y_max_ - y_min_);
   }
 
-  Random rng(config.seed);
+  Random rng(kSeed);
   weights_.assign(dim, 0.0);
   for (double& w : weights_) w = (rng.NextDouble() - 0.5) * 0.1;
   bias_ = 0.0;
@@ -86,8 +97,8 @@ double SigmoidRegression::Train(const std::vector<std::vector<double>>& x,
       std::swap(order[i - 1], order[rng.Uniform(i)]);
     }
     double sq_err = 0.0;
-    for (size_t start = 0; start < n; start += config.batch_size) {
-      const size_t end = std::min(n, start + config.batch_size);
+    for (size_t start = 0; start < n; start += kBatchSize) {
+      const size_t end = std::min(n, start + kBatchSize);
       std::vector<double> grad_w(dim, 0.0);
       double grad_b = 0.0;
       for (size_t k = start; k < end; ++k) {
@@ -103,20 +114,20 @@ double SigmoidRegression::Train(const std::vector<std::vector<double>>& x,
       }
       const double inv = 1.0 / static_cast<double>(end - start);
       ++step;
-      const double bc1 = 1.0 - std::pow(config.beta1, step);
-      const double bc2 = 1.0 - std::pow(config.beta2, step);
+      const double bc1 = 1.0 - std::pow(kBeta1, step);
+      const double bc2 = 1.0 - std::pow(kBeta2, step);
       for (size_t j = 0; j < dim; ++j) {
-        const double g = grad_w[j] * inv + config.l2 * weights_[j];
-        m_w[j] = config.beta1 * m_w[j] + (1 - config.beta1) * g;
-        v_w[j] = config.beta2 * v_w[j] + (1 - config.beta2) * g * g;
+        const double g = grad_w[j] * inv + kL2 * weights_[j];
+        m_w[j] = kBeta1 * m_w[j] + (1 - kBeta1) * g;
+        v_w[j] = kBeta2 * v_w[j] + (1 - kBeta2) * g * g;
         weights_[j] -= config.learning_rate * (m_w[j] / bc1) /
-                       (std::sqrt(v_w[j] / bc2) + config.epsilon);
+                       (std::sqrt(v_w[j] / bc2) + kEpsilon);
       }
       const double gb = grad_b * inv;
-      m_b = config.beta1 * m_b + (1 - config.beta1) * gb;
-      v_b = config.beta2 * v_b + (1 - config.beta2) * gb * gb;
+      m_b = kBeta1 * m_b + (1 - kBeta1) * gb;
+      v_b = kBeta2 * v_b + (1 - kBeta2) * gb * gb;
       bias_ -= config.learning_rate * (m_b / bc1) /
-               (std::sqrt(v_b / bc2) + config.epsilon);
+               (std::sqrt(v_b / bc2) + kEpsilon);
     }
     last_mse = sq_err / n;
   }

@@ -20,13 +20,6 @@ class Writer;
 struct TrainConfig {
   size_t epochs = 300;
   double learning_rate = 0.05;
-  size_t batch_size = 16;
-  // Adam moments.
-  double beta1 = 0.9;
-  double beta2 = 0.999;
-  double epsilon = 1e-8;
-  double l2 = 1e-5;
-  uint64_t seed = 42;
 };
 
 class SigmoidRegression {

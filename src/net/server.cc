@@ -17,6 +17,11 @@ namespace autoindex {
 namespace net {
 namespace {
 
+// Bound on each read/write once a frame has started, and on the
+// handshake. Protects the worker from a peer that stops mid-frame.
+constexpr int kIoTimeoutMs = 10000;
+constexpr int kHandshakeTimeoutMs = 5000;
+
 // Process-wide net.* series (DESIGN.md §11 idiom: one registry lookup,
 // cached pointers for the process lifetime).
 struct NetMetrics {
@@ -208,7 +213,7 @@ void Server::AcceptLoop() {
                       Message::Busy(StrCat("server busy: ",
                                            config_.max_connections,
                                            " connections open")),
-                      config_.io_timeout_ms, metrics.bytes_written);
+                      kIoTimeoutMs, metrics.bytes_written);
       continue;
     }
 
@@ -254,14 +259,14 @@ void Server::ServeConnection(uint64_t conn_id, Socket sock) {
 
   // Handshake: Hello -> HelloOk | Error. Everything else is fatal.
   Message hello;
-  Status got = ReadFrame(&sock, &hello, config_.handshake_timeout_ms,
+  Status got = ReadFrame(&sock, &hello, kHandshakeTimeoutMs,
                          metrics.bytes_read);
   if (!got.ok() || hello.type != MessageType::kHello) {
     if (got.ok()) {
       (void)SendFrame(&sock,
                       Message::Error(StrCat("expected Hello, got ",
                                             MessageTypeName(hello.type))),
-                      config_.io_timeout_ms, metrics.bytes_written);
+                      kIoTimeoutMs, metrics.bytes_written);
     }
     FinishConnection(conn_id);
     return;
@@ -272,14 +277,14 @@ void Server::ServeConnection(uint64_t conn_id, Socket sock) {
         Message::Error(StrCat("protocol version mismatch: client ",
                               hello.protocol_version, ", server ",
                               kProtocolVersion)),
-        config_.io_timeout_ms, metrics.bytes_written);
+        kIoTimeoutMs, metrics.bytes_written);
     FinishConnection(conn_id);
     return;
   }
 
   std::unique_ptr<Session> session = db_->CreateSession();
   if (!SendFrame(&sock, Message::HelloOk(session->id()),
-                 config_.io_timeout_ms, metrics.bytes_written)
+                 kIoTimeoutMs, metrics.bytes_written)
            .ok()) {
     FinishConnection(conn_id);
     return;
@@ -296,7 +301,7 @@ void Server::ServeConnection(uint64_t conn_id, Socket sock) {
       (void)SendFrame(&sock,
                       Message::Error(StrCat("idle timeout after ",
                                             config_.idle_timeout_ms, " ms")),
-                      config_.io_timeout_ms, metrics.bytes_written);
+                      kIoTimeoutMs, metrics.bytes_written);
       break;
     }
 
@@ -308,8 +313,7 @@ void Server::ServeConnection(uint64_t conn_id, Socket sock) {
     Message request;
     {
       obs::ScopedSpan recv_span("net.recv");
-      got = ReadFrame(&sock, &request, config_.io_timeout_ms,
-                      metrics.bytes_read);
+      got = ReadFrame(&sock, &request, kIoTimeoutMs, metrics.bytes_read);
     }
     if (!got.ok()) {
       trace.Cancel();
@@ -317,7 +321,7 @@ void Server::ServeConnection(uint64_t conn_id, Socket sock) {
       // peer may already be gone) and close. A clean EOF just closes.
       if (got.code() != StatusCode::kNotFound) {
         (void)SendFrame(&sock, Message::Error(got.ToString()),
-                        config_.io_timeout_ms, metrics.bytes_written);
+                        kIoTimeoutMs, metrics.bytes_written);
       }
       break;
     }
@@ -325,7 +329,7 @@ void Server::ServeConnection(uint64_t conn_id, Socket sock) {
     if (request.type == MessageType::kPing) {
       trace.Cancel();
       if (!SendFrame(&sock, Message::Simple(MessageType::kPong),
-                     config_.io_timeout_ms, metrics.bytes_written)
+                     kIoTimeoutMs, metrics.bytes_written)
                .ok()) {
         break;
       }
@@ -334,13 +338,13 @@ void Server::ServeConnection(uint64_t conn_id, Socket sock) {
     if (request.type == MessageType::kQuit) {
       trace.Cancel();
       (void)SendFrame(&sock, Message::Simple(MessageType::kBye),
-                      config_.io_timeout_ms, metrics.bytes_written);
+                      kIoTimeoutMs, metrics.bytes_written);
       break;
     }
     if (request.type == MessageType::kShutdown) {
       trace.Cancel();
       (void)SendFrame(&sock, Message::Simple(MessageType::kBye),
-                      config_.io_timeout_ms, metrics.bytes_written);
+                      kIoTimeoutMs, metrics.bytes_written);
       RequestShutdown();
       break;
     }
@@ -349,7 +353,7 @@ void Server::ServeConnection(uint64_t conn_id, Socket sock) {
       if (!SendFrame(&sock,
                      Message::MetricsResponse(
                          db_->RenderMetricsText(request.text)),
-                     config_.io_timeout_ms, metrics.bytes_written)
+                     kIoTimeoutMs, metrics.bytes_written)
                .ok()) {
         break;
       }
@@ -361,7 +365,7 @@ void Server::ServeConnection(uint64_t conn_id, Socket sock) {
                       Message::Error(StrCat("unexpected ",
                                             MessageTypeName(request.type),
                                             " from client")),
-                      config_.io_timeout_ms, metrics.bytes_written);
+                      kIoTimeoutMs, metrics.bytes_written);
       break;
     }
     trace.set_client_trace_id(request.client_trace_id);
@@ -388,7 +392,7 @@ void Server::ServeConnection(uint64_t conn_id, Socket sock) {
                      Message::Busy(StrCat(
                          "server busy: ", config_.max_inflight_statements,
                          " statements in flight")),
-                     config_.io_timeout_ms, metrics.bytes_written)
+                     kIoTimeoutMs, metrics.bytes_written)
                .ok()) {
         break;
       }
@@ -400,20 +404,31 @@ void Server::ServeConnection(uint64_t conn_id, Socket sock) {
     if (statement_hook_) statement_hook_();
 
     const util::Stopwatch watch;
-    StatusOr<ExecResult> result = [&] {
+    bool committed_write = false;
+    StatusOr<ExecResult> result = [&]() -> StatusOr<ExecResult> {
       obs::ScopedSpan exec_span("net.execute");
-      return session->Execute(request.sql);
+      StatusOr<Statement> stmt = Session::Parse(request.sql);
+      if (!stmt.ok()) return stmt.status();
+      StatusOr<ExecResult> executed = session->Execute(*stmt);
+      committed_write = executed.ok() && stmt->IsWrite();
+      return executed;
     }();
     const uint64_t elapsed_us = watch.ElapsedUs();
     metrics.statement_us->Record(elapsed_us);
     metrics.inflight_statements->Add(-1);
     inflight_statements_.fetch_sub(1, std::memory_order_acq_rel);
 
-    Message response;
-    if (config_.statement_timeout_us > 0 &&
-        elapsed_us > static_cast<uint64_t>(config_.statement_timeout_us)) {
+    // The deadline is post-hoc: an overrunning read loses its rows, but a
+    // write that committed (and reached the WAL) is reported as done.
+    const bool overran =
+        config_.statement_timeout_us > 0 &&
+        elapsed_us > static_cast<uint64_t>(config_.statement_timeout_us);
+    if (overran) {
       statement_timeouts_.fetch_add(1, std::memory_order_relaxed);
       metrics.statement_timeouts->Add(1);
+    }
+    Message response;
+    if (overran && !committed_write) {
       response = Message::FailedResult(Status::OutOfRange(
           StrCat("statement deadline exceeded: ", elapsed_us, " us > ",
                  config_.statement_timeout_us, " us")));
@@ -440,8 +455,7 @@ void Server::ServeConnection(uint64_t conn_id, Socket sock) {
       frame = EncodeFrame(response);
     }
     obs::ScopedSpan send_span("net.send");
-    Status sent = sock.SendAll(frame.data(), frame.size(),
-                               config_.io_timeout_ms);
+    Status sent = sock.SendAll(frame.data(), frame.size(), kIoTimeoutMs);
     if (sent.ok()) metrics.bytes_written->Add(frame.size());
     responses_sent_.fetch_add(1, std::memory_order_relaxed);
     metrics.responses_total->Add(1);

@@ -39,15 +39,11 @@ struct ServerConfig {
   int idle_timeout_ms = 0;
 
   // Per-statement deadline, enforced post-hoc: the engine has no
-  // cancellation points yet, so a statement that overruns still finishes
-  // but its rows are discarded and the client receives kOutOfRange
-  // ("statement deadline exceeded"). 0 disables.
+  // cancellation points yet, so a statement that overruns still finishes.
+  // A read's rows are then discarded and the client receives kOutOfRange
+  // ("statement deadline exceeded"); a write that committed is reported
+  // as done. Every overrun is counted. 0 disables.
   int statement_timeout_us = 0;
-
-  // Bound on each read/write once a frame has started, and on the
-  // handshake. Protects the worker from a peer that stops mid-frame.
-  int io_timeout_ms = 10000;
-  int handshake_timeout_ms = 5000;
 };
 
 // Counters the drain invariant is checked against (tests, the server

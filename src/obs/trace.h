@@ -116,7 +116,7 @@ class TraceContext {
 };
 
 // The flight recorder: a fixed-capacity ring of the most recent kept
-// traces plus the bookkeeping the TraceValidator audits. Instantiable
+// traces plus the bookkeeping CheckTraces audits. Instantiable
 // for tests; production code uses the process-wide Default().
 class Tracer {
  public:
@@ -163,7 +163,7 @@ class Tracer {
   // stay valid). Test isolation only.
   void ResetForTest() EXCLUDES(mu_);
 
-  // --- TraceValidator corruption drills (never call outside tests) ----
+  // --- CheckTraces corruption drills (never call outside tests) -------
   // Mutable pointer into ring slot `index` (oldest first, as in
   // TakeSnapshot). Null when out of range.
   TraceData* TestOnlyMutableTrace(size_t index) EXCLUDES(mu_);

@@ -34,7 +34,7 @@ namespace autoindex {
 //
 // The manager tracks who holds what (per-latch reader/writer counts and
 // each thread's held list in acquisition order). That bookkeeping is what
-// the LatchValidator in src/check/ audits: counts must agree with the
+// CheckLatches in src/check/ audits: counts must agree with the
 // per-thread lists, no latch may be held shared and exclusive at once, and
 // every thread's held list must respect the global sort order.
 class LatchManager {
@@ -115,7 +115,7 @@ class LatchManager {
   Guard AcquireShared(const std::vector<std::string>& tables) EXCLUDES(mu_);
   Guard AcquireExclusive(const std::string& table) EXCLUDES(mu_);
 
-  // --- Introspection (LatchValidator / diagnostics) -------------------
+  // --- Introspection (CheckLatches / diagnostics) ---------------------
   struct TableLatchState {
     std::string table;
     int readers = 0;
@@ -140,7 +140,7 @@ class LatchManager {
 
   // --- Test-only corruption hook (see src/check/) ---------------------
   // Bumps a latch's reader count without any thread recording the hold,
-  // so the LatchValidator's cross-check must fire. Never call outside
+  // so CheckLatches's cross-check must fire. Never call outside
   // tests.
   void TestOnlyAddPhantomReader(const std::string& table) EXCLUDES(mu_);
 

@@ -129,7 +129,7 @@ struct HistogramSnapshot {
 // flight, so the shard's count, buckets, sum and max describe the same
 // set of samples (bucket_sum == count, and an empty shard has zero sum
 // and max). Record stays lock-free; only Snapshot waits. The
-// MetricsValidator's checks therefore hold on every snapshot, even one
+// CheckMetrics's checks therefore hold on every snapshot, even one
 // taken mid-Record.
 class LatencyHistogram {
  public:
@@ -140,7 +140,7 @@ class LatencyHistogram {
   HistogramSnapshot Snapshot() const;
   void Reset();
 
-  // Corruption drill for the MetricsValidator tests: inflates one
+  // Corruption drill for the CheckMetrics tests: inflates one
   // shard's count without touching its buckets, breaking the
   // bucket_sum >= count invariant. Never call outside tests.
   void TestOnlyCorruptCount(uint64_t delta) {
@@ -240,7 +240,7 @@ class [[nodiscard]] ScopedTimer {
 // for the process lifetime — the idiom is a function-local static).
 // Looking a name up as the wrong kind is counted as a type collision
 // and returns a process-shared dummy metric instead of crashing; the
-// MetricsValidator requires the collision count to stay zero.
+// CheckMetrics requires the collision count to stay zero.
 class MetricsRegistry {
  public:
   enum class Kind { kCounter, kGauge, kHistogram };

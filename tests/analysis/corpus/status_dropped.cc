@@ -7,6 +7,12 @@ namespace corpus {
 
 void Careless() {
   DoWork();  // lint:expect(status-ignored)
+  Lookup(7);  // lint:expect(status-ignored)
+}
+
+void Receivers(Tree& tree, Table* table) {
+  tree.Insert(1);  // void on Tree: nothing to drop
+  table->Insert(2);  // lint:expect(status-ignored)
 }
 
 Status Careful() {

@@ -26,7 +26,7 @@ TEST(BTree, EmptyTree) {
   EXPECT_EQ(tree.height(), 1u);
   EXPECT_EQ(tree.num_nodes(), 1u);
   EXPECT_FALSE(tree.Contains(Key(1)));
-  EXPECT_TRUE(tree.CheckInvariants());
+  EXPECT_EQ(tree.ValidateStructure().ToString(), "Ok");
 }
 
 TEST(BTree, InsertAndLookup) {
@@ -35,7 +35,7 @@ TEST(BTree, InsertAndLookup) {
   EXPECT_EQ(tree.num_entries(), 100u);
   EXPECT_TRUE(tree.Contains(Key(50)));
   EXPECT_FALSE(tree.Contains(Key(51)));
-  EXPECT_TRUE(tree.CheckInvariants());
+  EXPECT_EQ(tree.ValidateStructure().ToString(), "Ok");
 }
 
 TEST(BTree, SplitsGrowHeight) {
@@ -44,7 +44,7 @@ TEST(BTree, SplitsGrowHeight) {
   EXPECT_GT(tree.height(), 2u);
   EXPECT_GT(tree.num_splits(), 10u);
   EXPECT_GT(tree.num_nodes(), 20u);
-  EXPECT_TRUE(tree.CheckInvariants());
+  EXPECT_EQ(tree.ValidateStructure().ToString(), "Ok");
 }
 
 TEST(BTree, DuplicateKeysAllowed) {
@@ -53,7 +53,7 @@ TEST(BTree, DuplicateKeysAllowed) {
   EXPECT_EQ(tree.num_entries(), 50u);
   const auto rids = tree.PrefixLookup(Key(7));
   EXPECT_EQ(rids.size(), 50u);
-  EXPECT_TRUE(tree.CheckInvariants());
+  EXPECT_EQ(tree.ValidateStructure().ToString(), "Ok");
 }
 
 TEST(BTree, DeleteSpecificEntry) {
@@ -81,7 +81,7 @@ TEST(BTree, DeleteThenReinsertStaysScannable) {
     return true;
   });
   EXPECT_EQ(count, 64u);
-  EXPECT_TRUE(tree.CheckInvariants());
+  EXPECT_EQ(tree.ValidateStructure().ToString(), "Ok");
 }
 
 TEST(BTree, RangeScanInclusiveExclusive) {
@@ -246,7 +246,7 @@ TEST(BTree, ScanBoundsMatchBruteForceWithHeavyDuplicates) {
     const int c = CompareRows(a.first, b.first);
     return c != 0 ? c < 0 : a.second < b.second;
   });
-  ASSERT_TRUE(tree.CheckInvariants());
+  ASSERT_EQ(tree.ValidateStructure().ToString(), "Ok");
 
   struct Bound {
     std::optional<Row> key;
@@ -338,7 +338,7 @@ TEST_P(BTreeDifferential, MatchesReferenceModel) {
     }
   }
   EXPECT_EQ(tree.num_entries(), reference.size());
-  ASSERT_TRUE(tree.CheckInvariants());
+  ASSERT_EQ(tree.ValidateStructure().ToString(), "Ok");
 
   // Full scans agree in order and content.
   std::vector<RefKey> scanned;

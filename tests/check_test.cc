@@ -7,12 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 
-#include "check/btree_validator.h"
-#include "check/catalog_validator.h"
-#include "check/heap_validator.h"
-#include "check/mcts_validator.h"
 #include "check/validator.h"
 #include "core/benefit_estimator.h"
 #include "core/mcts.h"
@@ -266,36 +263,7 @@ TEST_F(CheckMctsTest, MctsValidatorNoOpsWithoutSelector) {
   EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
-// --- Registry and debug-mode wiring -------------------------------------
-
-class CountingValidator : public Validator {
- public:
-  explicit CountingValidator(int* runs) : runs_(runs) {}
-  const char* name() const override { return "counting"; }
-  void Validate(const CheckContext&, CheckReport* report) const override {
-    ++*runs_;
-    report->NoteStructureChecked();
-  }
-
- private:
-  int* runs_;
-};
-
-TEST(ValidatorRegistryTest, RunsRegisteredValidatorsInOrder) {
-  ValidatorRegistry registry;
-  int runs = 0;
-  registry.Register(std::make_unique<CountingValidator>(&runs));
-  registry.Register(std::make_unique<CountingValidator>(&runs));
-  EXPECT_EQ(registry.size(), 2u);
-  const CheckReport report = registry.RunAll(CheckContext{});
-  EXPECT_EQ(runs, 2);
-  EXPECT_EQ(report.structures_checked(), 2u);
-  EXPECT_TRUE(report.ok());
-}
-
-TEST(ValidatorRegistryTest, DefaultRegistryCarriesBuiltInValidators) {
-  EXPECT_GE(ValidatorRegistry::Default().size(), 4u);
-}
+// --- Debug-mode wiring -------------------------------------------------
 
 TEST_F(CheckTest, DebugHookFailsMutationsAfterCorruption) {
   ASSERT_TRUE(db_.CreateIndex(IndexDef("t", {"a"})).ok());

@@ -1,4 +1,4 @@
-// Concurrency layer: LatchManager semantics, the LatchValidator audit,
+// Concurrency layer: LatchManager semantics, the CheckLatches audit,
 // session isolation, a readers+writers+tuning stress run and TPC-C and
 // banking replays from several sessions under a live tuner (the tests the
 // TSan stage of scripts/check.sh gates on), regression tests for
@@ -17,7 +17,6 @@
 #include <thread>
 #include <vector>
 
-#include "check/latch_validator.h"
 #include "check/validator.h"
 #include "core/benefit_estimator.h"
 #include "core/manager.h"
@@ -166,22 +165,20 @@ TEST(LatchManagerTest, MultiAcquireSortsAndCoalesces) {
   EXPECT_TRUE(latches.Snapshot().latches.empty());
 }
 
-// --- LatchValidator ------------------------------------------------------
+// --- CheckLatches --------------------------------------------------------
 
-CheckReport RunLatchValidator(const LatchManager& latches) {
-  CheckContext ctx;
-  ctx.latches = &latches;
+CheckReport RunLatchCheck(const LatchManager& latches) {
   CheckReport report;
-  LatchValidator().Validate(ctx, &report);
+  CheckLatches(latches, &report);
   return report;
 }
 
 TEST(LatchValidatorTest, CleanStateAndHeldLatchesPass) {
   LatchManager latches;
-  EXPECT_TRUE(RunLatchValidator(latches).ok());
+  EXPECT_TRUE(RunLatchCheck(latches).ok());
   LatchManager::Guard g =
       latches.Acquire({{"a", LatchMode::kShared}, {"b", LatchMode::kExclusive}});
-  const CheckReport held = RunLatchValidator(latches);
+  const CheckReport held = RunLatchCheck(latches);
   EXPECT_TRUE(held.ok()) << held.ToString();
   EXPECT_GT(held.structures_checked(), 0u);
 }
@@ -191,7 +188,7 @@ TEST(LatchValidatorTest, PhantomReaderIsCaught) {
   // A reader count with no thread recording the hold — exactly the leak
   // shape a missed Guard::Release would produce.
   latches.TestOnlyAddPhantomReader("t");
-  const CheckReport report = RunLatchValidator(latches);
+  const CheckReport report = RunLatchCheck(latches);
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.ToString().find("leak or double-release"),
             std::string::npos)
@@ -253,7 +250,7 @@ void RunOrRecord(Session* session, const std::string& sql,
 
 TEST_F(ConcurrencyDbTest, ReadersWritersAndTunerRaceCleanly) {
   // Debug checks on: every write statement triggers a full CheckAll
-  // (including the LatchValidator) from the writing thread, which also
+  // (including CheckLatches) from the writing thread, which also
   // exercises the all-table shared re-latch under contention.
   InstallDebugChecks(&db_);
   AutoIndexManager manager(&db_);

@@ -3,7 +3,7 @@
 // from-scratch rebuild; in-flight builds stay invisible to the planner
 // and to checkpoints (crash mid-build recovers to "index absent");
 // aborted builds leak nothing; the tuning apply pass reports each failed
-// definition; and the LifecycleValidator actually fires on injected
+// definition; and CheckLifecycle actually fires on injected
 // lifecycle corruption.
 
 #include <gtest/gtest.h>

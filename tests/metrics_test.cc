@@ -1,6 +1,6 @@
 // Observability layer tests (DESIGN.md §11): histogram determinism, shard
 // merge equivalence, multi-writer stress (run under TSan by the
-// concurrency label), registry semantics, the MetricsValidator's
+// concurrency label), registry semantics, CheckMetrics's
 // corruption drills, and the engine and executor statement counters.
 
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "check/metrics_validator.h"
 #include "check/validator.h"
 #include "core/manager.h"
 #include "persist/file_format.h"
@@ -26,14 +25,6 @@ namespace {
 using util::HistogramSnapshot;
 using util::LatencyHistogram;
 using util::MetricsRegistry;
-
-// Runs just the MetricsValidator (empty context — it only reads the
-// process-wide registry).
-void RunMetricsValidator(CheckReport* report) {
-  MetricsValidator validator;
-  CheckContext ctx;
-  validator.Validate(ctx, report);
-}
 
 // --- bucket scheme ------------------------------------------------------
 
@@ -211,7 +202,7 @@ TEST(Registry, KindCollisionYieldsDummyAndIsCounted) {
   EXPECT_EQ(registry.type_collisions(), 1u);
 
   CheckReport report;
-  RunMetricsValidator(&report);
+  CheckMetrics(MetricsRegistry::Default(), &report);
   EXPECT_FALSE(report.ok());
 
   registry.ResetForTest();  // clears the collision for later tests
@@ -258,7 +249,7 @@ TEST(MetricsValidator, PassesOnHealthyRegistry) {
   registry.GetCounter("testval.ok")->Add(3);
   registry.GetHistogram("testval.lat_us")->Record(50);
   CheckReport report;
-  RunMetricsValidator(&report);
+  CheckMetrics(MetricsRegistry::Default(), &report);
   EXPECT_TRUE(report.ok()) << report.ToString();
   EXPECT_GT(report.structures_checked(), 0u);
   registry.ResetForTest();
@@ -274,7 +265,7 @@ TEST(MetricsValidator, FlagsCorruptHistogramCount) {
   // breaks bucket_sum >= count.
   hist->TestOnlyCorruptCount(5);
   CheckReport report;
-  RunMetricsValidator(&report);
+  CheckMetrics(MetricsRegistry::Default(), &report);
   ASSERT_FALSE(report.ok());
   bool found = false;
   for (const CheckIssue& issue : report.issues()) {
@@ -285,7 +276,7 @@ TEST(MetricsValidator, FlagsCorruptHistogramCount) {
   EXPECT_TRUE(found) << report.ToString();
   registry.ResetForTest();  // heals: zeroed count == zeroed buckets
   CheckReport clean;
-  RunMetricsValidator(&clean);
+  CheckMetrics(MetricsRegistry::Default(), &clean);
   EXPECT_TRUE(clean.ok()) << clean.ToString();
 }
 
@@ -312,7 +303,7 @@ TEST(MetricsValidator, SilentWhileFirstRecordIsInFlight) {
     go.store(true, std::memory_order_release);
     do {
       CheckReport report;
-      RunMetricsValidator(&report);
+      CheckMetrics(MetricsRegistry::Default(), &report);
       if (!report.ok() && reports++ == 0) first_report = report.ToString();
     } while (!done.load(std::memory_order_acquire));
     writer.join();
@@ -337,13 +328,13 @@ TEST(MetricsValidator, MonotonePairCatchesBackwardCounters) {
       CounterValue("a.events", 12), CounterValue("b.events", 3),
       CounterValue("c.new", 1)};  // c.new registered between snapshots: fine
   CheckReport ok_report;
-  MetricsValidator::CheckMonotonePair(before, after, &ok_report);
+  CheckMetricsMonotone(before, after, &ok_report);
   EXPECT_TRUE(ok_report.ok()) << ok_report.ToString();
   EXPECT_EQ(ok_report.structures_checked(), 2u);
 
   after[0].counter = 9;  // went backwards
   CheckReport bad_report;
-  MetricsValidator::CheckMonotonePair(before, after, &bad_report);
+  CheckMetricsMonotone(before, after, &bad_report);
   ASSERT_FALSE(bad_report.ok());
   EXPECT_NE(bad_report.issues()[0].detail.find("a.events"),
             std::string::npos);
@@ -359,7 +350,7 @@ TEST(MetricsValidator, MonotonePairCatchesShrinkingHistogram) {
   MetricsRegistry::MetricValue shrunk = h;
   shrunk.hist.count = 9;
   CheckReport report;
-  MetricsValidator::CheckMonotonePair({h}, {shrunk}, &report);
+  CheckMetricsMonotone({h}, {shrunk}, &report);
   EXPECT_FALSE(report.ok());
 }
 
@@ -462,7 +453,7 @@ TEST(MetricsEndToEnd, MixedWorkloadPopulatesSubsystemSeries) {
   EXPECT_GT(CounterOf(snap, "executor.tuples_examined"), 0u);
   EXPECT_GT(CounterOf(snap, "executor.heap_pages_read"), 0u);
 
-  // Full structural check (includes the MetricsValidator) stays green.
+  // Full structural check (includes CheckMetrics) stays green.
   const CheckReport report = CheckAll(db);
   EXPECT_TRUE(report.ok()) << report.ToString();
 

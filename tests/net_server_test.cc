@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "check/validator.h"
 #include "engine/database.h"
 #include "net/client.h"
 #include "net/server.h"
@@ -254,6 +255,41 @@ TEST(NetServer, StatementTimeoutReturnsDeadlineExceeded) {
   EXPECT_GE(server.stats().statement_timeouts, 2u);
   EXPECT_EQ(server.stats().requests_started,
             server.stats().responses_sent);
+}
+
+TEST(NetServer, StatementTimeoutNeverFailsACommittedWrite) {
+  Database db;
+  CheckOk(db.CreateTable("t", Schema({{"id", ValueType::kInt}})).status());
+  std::vector<Row> rows;
+  for (int i = 0; i < 5000; ++i) rows.push_back({Value(int64_t(i))});
+  CheckOk(db.BulkInsert("t", std::move(rows)));
+  db.Analyze();
+  // Every write then runs a full CheckAll over the 5000 rows inside the
+  // timed statement, so the INSERT surely overruns its 1 us deadline.
+  InstallDebugChecks(&db);
+
+  ServerConfig config;
+  config.statement_timeout_us = 1;
+  Server server(&db, config);
+  ASSERT_TRUE(server.Start().ok());
+
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  // The write committed, so it is reported as done despite the overrun.
+  StatusOr<QueryResult> insert = client.Query("INSERT INTO t VALUES (90001)");
+  EXPECT_TRUE(insert.ok()) << insert.status().ToString();
+  StatusOr<ExecResult> local = db.Execute("SELECT id FROM t WHERE id = 90001");
+  ASSERT_TRUE(local.ok()) << local.status().ToString();
+  EXPECT_EQ(local->rows.size(), 1u);
+  // A read that overruns still loses its rows.
+  StatusOr<QueryResult> select = client.Query("SELECT * FROM t WHERE id >= 0");
+  ASSERT_FALSE(select.ok());
+  EXPECT_EQ(select.status().code(), StatusCode::kOutOfRange)
+      << select.status().ToString();
+
+  client.Close();
+  server.Stop();
+  EXPECT_GE(server.stats().statement_timeouts, 2u);
 }
 
 TEST(NetServer, GracefulDrainUnderLoadLosesNothing) {

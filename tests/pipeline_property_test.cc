@@ -2,7 +2,7 @@
 // SELECTs run through the Volcano pipeline must produce the exact row
 // multiset of the naive reference evaluator (query_gen.h), AND the
 // per-operator counters in the returned plan snapshot must sum exactly to
-// the statement-level ExecStats — the invariant the PhysicalPlanValidator
+// the statement-level ExecStats — the invariant CheckLastPlan
 // enforces. 6 seeds x 40 queries = 240 deterministic queries, each checked
 // with a mixed index set built so IndexScan / IndexNestedLoopJoin paths are
 // exercised alongside SeqScan / HashJoin, whose two build directions
@@ -100,7 +100,7 @@ TEST_P(PipelinePropertyTest, PipelineMatchesReferenceAndCountersAreConsistent) {
     ExpectCountersSumToStats(*r->plan, r->stats, sql);
     CountHashedSides(*r->plan, &hashed_sides);
 
-    // The registered PhysicalPlanValidator re-checks the retained snapshot
+    // CheckAll's CheckLastPlan re-checks the retained snapshot
     // (plus every storage structure) after each statement.
     const CheckReport report = CheckAll(db);
     EXPECT_TRUE(report.ok()) << sql << "\n" << report.ToString();

@@ -1,6 +1,6 @@
 // Request-scoped tracing tests (DESIGN.md §13): span-tree shape, the
 // flight recorder's keep policy and ring semantics, wraparound
-// attribution under 8 concurrent sessions, every TraceValidator check
+// attribution under 8 concurrent sessions, every CheckTraces check
 // driven by a deliberate corruption drill, Chrome trace-event export
 // structure, and the end-to-end acceptance path — a statement arriving
 // over real loopback TCP while an online index build is in flight must
@@ -19,7 +19,6 @@
 #include <thread>
 #include <vector>
 
-#include "check/trace_validator.h"
 #include "check/validator.h"
 #include "core/manager.h"
 #include "engine/database.h"
@@ -196,7 +195,7 @@ TEST(Tracing, SpanTreeShape) {
   EXPECT_EQ(t.spans[1].attr_value, 7);
 
   CheckReport report;
-  TraceValidator::CheckSnapshot(snap, &report);
+  CheckTraces(snap, &report);
   EXPECT_TRUE(report.ok()) << report.ToString();
   EXPECT_EQ(report.structures_checked(), 1u);
 }
@@ -250,7 +249,7 @@ TEST(Tracing, CancelDiscardsAndKeepPolicyFilters) {
   EXPECT_TRUE(snap.traces[0].sampled);
 
   CheckReport report;
-  TraceValidator::CheckSnapshot(snap, &report);
+  CheckTraces(snap, &report);
   EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
@@ -275,7 +274,7 @@ TEST(Tracing, SpanCapDropsAndCounts) {
   EXPECT_EQ(snap.stats.spans_dropped, kExtra + 1);
 
   CheckReport report;
-  TraceValidator::CheckSnapshot(snap, &report);
+  CheckTraces(snap, &report);
   EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
@@ -316,7 +315,7 @@ TEST(Tracing, RingWraparoundKeepsAttribution) {
         << "spans from different traces spliced into one ring slot";
   }
   CheckReport report;
-  TraceValidator::CheckSnapshot(snap, &report);
+  CheckTraces(snap, &report);
   EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
@@ -343,7 +342,7 @@ TEST(Tracing, SnapshotsRaceRecordingSessions) {
   for (int round = 0; round < 50; ++round) {
     const obs::Tracer::Snapshot snap = tracer.TakeSnapshot();
     CheckReport report;
-    TraceValidator::CheckSnapshot(snap, &report);
+    CheckTraces(snap, &report);
     EXPECT_TRUE(report.ok()) << report.ToString();
     const std::string json = obs::TracesToChromeJson(snap);
     EXPECT_TRUE(JsonChecker(json).Valid());
@@ -352,7 +351,7 @@ TEST(Tracing, SnapshotsRaceRecordingSessions) {
   for (std::thread& t : threads) t.join();
 }
 
-// --- TraceValidator corruption drills ---------------------------------
+// --- CheckTraces corruption drills ------------------------------------
 
 class TraceValidatorDrill : public ::testing::Test {
  protected:
@@ -377,10 +376,10 @@ class TraceValidatorDrill : public ::testing::Test {
     return *trace != nullptr;
   }
 
-  // Runs the validator and returns the concatenated issue text ("" = ok).
+  // Runs CheckTraces and returns the concatenated issue text ("" = ok).
   std::string Issues() {
     CheckReport report;
-    TraceValidator::CheckSnapshot(tracer_.TakeSnapshot(), &report);
+    CheckTraces(tracer_.TakeSnapshot(), &report);
     std::string all;
     for (const CheckIssue& issue : report.issues()) {
       all += issue.detail + "\n";
@@ -519,7 +518,7 @@ TEST(Tracing, LocalStatementTracesAndChromeExport) {
   EXPECT_NE(tree.find("parse"), std::string::npos);
 
   CheckReport report;
-  TraceValidator::CheckSnapshot(snap, &report);
+  CheckTraces(snap, &report);
   EXPECT_TRUE(report.ok()) << report.ToString();
   tracer.ResetForTest();
 }
@@ -615,7 +614,7 @@ TEST(Tracing, TuningRoundProducesPhaseSpans) {
   ASSERT_NE(round, nullptr);
   EXPECT_NE(FindSpan(*round, "tuning.search"), nullptr);
   CheckReport report;
-  TraceValidator::CheckSnapshot(snap, &report);
+  CheckTraces(snap, &report);
   EXPECT_TRUE(report.ok()) << report.ToString();
   tracer.ResetForTest();
 }
@@ -701,7 +700,7 @@ TEST(Tracing, RemoteStatementDuringBuildDecomposesEndToEnd) {
   db.set_durability_log(nullptr);
   std::remove(persist::WalPath(dir).c_str());
   CheckReport report;
-  TraceValidator::CheckSnapshot(snap, &report);
+  CheckTraces(snap, &report);
   EXPECT_TRUE(report.ok()) << report.ToString();
   if (CompiledOut(snap)) return;
 
