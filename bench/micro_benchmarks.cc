@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical
 // substrate pieces: B+Tree operations, SQL parsing, fingerprinting, DNF
-// rewriting, what-if estimation, and MCTS iteration throughput.
+// rewriting, ANALYZE, what-if estimation, and MCTS iteration throughput.
 
 #include <benchmark/benchmark.h>
 
@@ -12,7 +12,9 @@
 #include "sql/dnf.h"
 #include "sql/fingerprint.h"
 #include "sql/parser.h"
+#include "stats/column_stats.h"
 #include "util/random.h"
+#include "workload/tpcds.h"
 
 namespace autoindex {
 namespace {
@@ -119,6 +121,30 @@ void BM_DnfRewrite(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DnfRewrite);
+
+// ANALYZE of the TPC-DS fact table at wallbench scale: 30,000 rows of
+// eight columns (six small-range ints, two doubles).
+struct StoreSalesFixture {
+  StoreSalesFixture() {
+    TpcdsConfig config;
+    config.sales_rows = 30000;
+    config.items = 3000;
+    config.customers = 4000;
+    TpcdsWorkload::Populate(&db, config);
+  }
+  Database db;
+};
+
+void BM_AnalyzeTable(benchmark::State& state) {
+  static StoreSalesFixture fixture;
+  const HeapTable& table = *fixture.db.catalog().GetTable("store_sales");
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ColumnStats::BuildTable(table));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(table.num_rows()));
+}
+BENCHMARK(BM_AnalyzeTable)->Unit(benchmark::kMillisecond);
 
 // Shared fixture state for estimator/MCTS benches.
 struct WhatIfFixture {

@@ -8,8 +8,7 @@ Concepts:
               self-register via the @register decorator.
   ProjectRule project-scope rule: sees every scanned file at once
               (e.g. include-cycle detection).
-  Context     shared state for one run: repo root, the scanned file
-              set, and lazily harvested project facts (Status names).
+  Context     shared state for one run (the repo root).
 
 The runner applies every enabled rule to every file, then drops any
 finding whose line carries a matching lint:allow marker. Suppressions
@@ -27,25 +26,6 @@ REPO_ROOT = os.path.dirname(
 
 # `// lint:allow(rule-a, rule-b)` suppresses those rules on its line.
 _ALLOW_RE = re.compile(r"lint:allow\(([^)]*)\)")
-
-# Declarations like `Status Foo(...)`, `StatusOr<T> Bar(...)`, including
-# qualified definitions `Status BTree::Insert(...)`. The bare method name
-# is harvested; call sites match on `obj.Name(` / `Name(`.
-_STATUS_DECL_RE = re.compile(
-    r"\b(?:static\s+)?(?:virtual\s+)?Status(?:Or<[^;>]*>)?\s+"
-    r"(?:([A-Za-z_]\w*)::)?([A-Z]\w*)\s*\(")
-# A declaration that starts its line with any other return type
-# (`void Insert(`, `bool Delete(`, `std::string Query(`).
-_OTHER_DECL_RE = re.compile(
-    r"^\s*(?:(?:static|virtual|inline|constexpr|explicit|friend)\s+)*"
-    r"(?:const\s+)?"
-    r"(?!(?:Status|StatusOr|return|else|new|delete|case|throw)\b)"
-    r"[A-Za-z_][\w:]*(?:<[^;()]*>)?[\s*&]+"
-    r"(?:([A-Za-z_]\w*)::)?([A-Z]\w*)\s*\(")
-# `class Foo {` / `struct Foo : Base {`, not a forward declaration.
-_CLASS_RE = re.compile(
-    r"^\s*(?:template\s*<[^>]*>\s*)?(?:class|struct)\s+"
-    r"(?:\[\[\w+\]\]\s+)?([A-Za-z_]\w*)[^;]*$")
 
 
 class Finding(object):
@@ -138,57 +118,10 @@ def all_rules():
 
 
 class Context(object):
-    """Shared per-run state. Project facts (the Status-returning function
-    names) are harvested lazily so runs that don't need them stay fast."""
+    """Shared per-run state handed to every rule."""
 
-    def __init__(self, root=REPO_ROOT, api_paths=("src",)):
+    def __init__(self, root=REPO_ROOT):
         self.root = root
-        self.api_paths = list(api_paths)
-        self._returns = None
-
-    def function_returns(self):
-        """{name: {"status": classes, "other": classes}}: the classes
-        (None for free functions) that declare `name` in a header with a
-        Status/StatusOr return, and with any other return type."""
-        if self._returns is None:
-            returns = {}
-
-            def note(name, kind, cls):
-                entry = returns.setdefault(name,
-                                           {"status": set(), "other": set()})
-                entry[kind].add(cls)
-
-            for rel in collect_files(self.api_paths, self.root):
-                if not rel.endswith(cpp.HEADER_EXTS):
-                    continue
-                # (class, brace depth inside it), innermost last.
-                scopes, depth, pending = [], 0, None
-                for _, code in SourceFile(rel, self.root).code_lines:
-                    scope = scopes[-1][0] if scopes else None
-                    for m in _STATUS_DECL_RE.finditer(code):
-                        note(m.group(2), "status", m.group(1) or scope)
-                    m = _OTHER_DECL_RE.match(code)
-                    if m:
-                        note(m.group(2), "other", m.group(1) or scope)
-                    m = _CLASS_RE.match(code)
-                    if m:
-                        pending = m.group(1)
-                    for ch in code:
-                        if ch == "{":
-                            depth += 1
-                            if pending:
-                                scopes.append((pending, depth))
-                                pending = None
-                        elif ch == "}":
-                            if scopes and scopes[-1][1] == depth:
-                                scopes.pop()
-                            depth -= 1
-            self._returns = returns
-        return self._returns
-
-    def status_function_names(self):
-        return {name for name, kinds in self.function_returns().items()
-                if kinds["status"]}
 
 
 def collect_files(paths, root=REPO_ROOT):
@@ -206,7 +139,7 @@ def collect_files(paths, root=REPO_ROOT):
     return sorted(set(files))
 
 
-def run(paths, rule_names=None, root=REPO_ROOT, api_paths=None):
+def run(paths, rule_names=None, root=REPO_ROOT):
     """Run the analysis.
 
     Returns (findings, files, rules): the surviving findings sorted by
@@ -220,12 +153,7 @@ def run(paths, rule_names=None, root=REPO_ROOT, api_paths=None):
         rules = {n: r for n, r in rules.items() if n in rule_names}
 
     rels = collect_files(paths, root)
-    # Status-returning names come from all project headers plus whatever
-    # is being scanned, so call sites resolve consistently and fixture
-    # trees (tests/analysis/corpus) stay self-contained.
-    if api_paths is None:
-        api_paths = ["src"] + [p for p in paths if p != "src"]
-    ctx = Context(root, api_paths)
+    ctx = Context(root)
     sources = [SourceFile(rel, root) for rel in rels]
     by_rel = {sf.rel: sf for sf in sources}
 

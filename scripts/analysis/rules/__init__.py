@@ -13,4 +13,3 @@ from . import raw_file_io       # noqa: F401
 from . import raw_new_delete    # noqa: F401
 from . import raw_socket        # noqa: F401
 from . import raw_trace_span    # noqa: F401
-from . import status_ignored    # noqa: F401

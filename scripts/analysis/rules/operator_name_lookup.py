@@ -19,7 +19,7 @@ from .. import framework
 _SCOPE_RE = re.compile(r"(?:^|/)engine/operators/")
 
 # Operator entry points that run per tuple or per probe.
-PER_TUPLE_BODIES = ("DoNext", "Rebind", "EnsureMaterialized",
+PER_TUPLE_BODIES = ("DoNext", "Rebind", "NextMatch",
                     "EnsureSorted", "EnsureAggregated", "Start", "BuildTable",
                     "NextHashedInner", "NextHashedOuter", "InnerKeyHash",
                     "OuterKeyHash", "Drain", "Eval", "EvalGeneric")

@@ -9,12 +9,13 @@ namespace autoindex {
 namespace {
 
 // Tuning-loop observability (DESIGN.md §11): round cadence and the
-// split between candidate generation and MCTS search.
+// split between ANALYZE, candidate generation and MCTS search.
 struct TuningMetrics {
   util::Counter* rounds;
   util::Counter* observations;
   util::Counter* decays;
   util::LatencyHistogram* round_us;
+  util::LatencyHistogram* analyze_us;
   util::LatencyHistogram* candidate_gen_us;
   util::LatencyHistogram* search_us;
 
@@ -25,6 +26,7 @@ struct TuningMetrics {
                            registry.GetCounter("tuning.observations"),
                            registry.GetCounter("tuning.decays"),
                            registry.GetHistogram("tuning.round_us"),
+                           registry.GetHistogram("tuning.analyze_us"),
                            registry.GetHistogram("tuning.candidate_gen_us"),
                            registry.GetHistogram("tuning.search_us")};
     }();
@@ -140,8 +142,8 @@ DiagnosisReport AutoIndexManager::Diagnose() {
 
 TuningResult AutoIndexManager::RunManagementRound(bool apply) {
   const TuningMetrics& metrics = TuningMetrics::Get();
-  // Tuning rounds get their own traces: candidate generation, MCTS
-  // search, and apply each appear as a span.
+  // Tuning rounds get their own traces: ANALYZE, candidate generation,
+  // MCTS search, and apply each appear as a span.
   obs::ScopedTrace trace("tuning.round");
   const util::Stopwatch round_watch;
   TuningResult result;
@@ -157,7 +159,12 @@ TuningResult AutoIndexManager::RunManagementRound(bool apply) {
 
   // Refresh statistics & train the learned estimator when enough history
   // has accumulated.
-  db_->Analyze();
+  util::Stopwatch phase_watch;
+  {
+    obs::ScopedSpan analyze_span("tuning.analyze");
+    db_->Analyze();
+  }
+  metrics.analyze_us->Record(phase_watch.ElapsedUs());
   if (config_.learn_cost_model && !estimator_->model_trained()) {
     estimator_->TrainModel(kMinTrainingObservations);
   }
@@ -168,7 +175,7 @@ TuningResult AutoIndexManager::RunManagementRound(bool apply) {
   const WorkloadModel workload = WorkloadModel::FromTemplates(templates);
   const IndexConfig existing = db_->CurrentConfig();
 
-  util::Stopwatch phase_watch;
+  phase_watch.Restart();
   const std::vector<IndexDef> candidates = [&] {
     obs::ScopedSpan gen_span("tuning.candidate_gen");
     return generator_->Generate(templates, existing);

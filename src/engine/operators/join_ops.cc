@@ -195,14 +195,19 @@ bool NestedLoopJoinOp::DoNext(ExecTuple* out) {
   while (true) {
     if (!inner_active_) {
       if (!NextOuter()) return false;
-      inner_->Rewind();
+      if (!inner_drained_) {
+        inner_->Drain(&inner_rows_, &inner_rids_);
+        inner_drained_ = true;
+      }
+      cursor_ = 0;
       inner_active_ = true;
     }
-    if (!inner_->Next(&inner_tuple_)) {
+    if (cursor_ == inner_rows_.size()) {
       inner_active_ = false;
       continue;
     }
-    if (!Place(inner_tuple_.slots[0], inner_tuple_.rids[0])) continue;
+    const size_t i = cursor_++;
+    if (!Place(inner_rows_[i], inner_rids_[i])) continue;
     Emit(out);
     return true;
   }

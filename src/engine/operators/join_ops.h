@@ -57,7 +57,6 @@ class JoinOpBase : public PhysicalOperator {
   std::unique_ptr<PhysicalOperator> outer_;
   std::vector<BoundPredicate> join_conds_;
   ExecTuple tuple_;  // current outer tuple plus the inner row's slot
-  ExecTuple inner_tuple_;
   bool inner_active_ = false;
 };
 
@@ -87,6 +86,7 @@ class IndexNestedLoopJoinOp : public JoinOpBase {
 
  private:
   std::unique_ptr<IndexScanOp> inner_;
+  ExecTuple inner_tuple_;
 };
 
 // Hash join over whichever input is smaller, decided at run time from
@@ -166,8 +166,9 @@ class HashJoinOp : public JoinOpBase {
   size_t cursor_ = 0;      // next buffered outer tuple / inner row
 };
 
-// Cartesian nested-loop join (no equality key): replays the materialized
-// filtered inner SeqScan per outer tuple.
+// Cartesian nested-loop join (no equality key). The first outer tuple
+// drains the inner SeqScan into a buffer (an empty outer never runs it),
+// which every outer tuple then replays.
 class NestedLoopJoinOp : public JoinOpBase {
  public:
   NestedLoopJoinOp(ExecContext* ctx, const std::vector<TablePlan>& tables,
@@ -193,6 +194,10 @@ class NestedLoopJoinOp : public JoinOpBase {
 
  private:
   std::unique_ptr<SeqScanOp> inner_;
+  bool inner_drained_ = false;
+  std::vector<const Row*> inner_rows_;
+  std::vector<RowId> inner_rids_;
+  size_t cursor_ = 0;  // next inner row to place against tuple_
 };
 
 }  // namespace autoindex

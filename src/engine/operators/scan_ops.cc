@@ -17,45 +17,56 @@ SeqScanOp::SeqScanOp(ExecContext* ctx, const std::vector<TablePlan>& tables,
   candidate_.slots.assign(level + 1, nullptr);
 }
 
-void SeqScanOp::EnsureMaterialized() {
-  if (materialized_done_) return;
-  if (local_.empty()) {
-    materialized_.reserve(table_->num_rows());
-    table_->Scan([&](RowId rid, const Row&) { materialized_.push_back(rid); });
-    stats_.tuples_examined += static_cast<int64_t>(materialized_.size());
-  } else {
-    table_->Scan([&](RowId rid, const Row& row) {
-      ++stats_.tuples_examined;
+const Row* SeqScanOp::NextMatch(RowId* rid) {
+  started_ = true;
+  // The cursor and counter live in locals through the loop: predicate
+  // calls would otherwise force them through memory on every row.
+  const RowId end = table_->num_slots();
+  RowId slot = next_slot_;
+  int64_t examined = 0;
+  const Row* match = nullptr;
+  for (; slot < end; ++slot) {
+    if (!table_->IsLive(slot)) continue;
+    const Row& row = table_->Get(slot);
+    ++examined;
+    if (!local_.empty()) {
       candidate_.slots[level_] = &row;
-      if (AllHold(local_, candidate_, &stats_.comparisons)) {
-        materialized_.push_back(rid);
-      }
-    });
+      if (!AllHold(local_, candidate_, &stats_.comparisons)) continue;
+    }
+    match = &row;
+    break;
   }
-  stats_.heap_pages_read += static_cast<int64_t>(table_->NumPages());
-  materialized_done_ = true;
+  stats_.tuples_examined += examined;
+  if (match == nullptr) {
+    next_slot_ = end;
+    stats_.heap_pages_read = static_cast<int64_t>(table_->NumPages());
+    return nullptr;
+  }
+  next_slot_ = slot + 1;
+  if (slot >= counted_pages_end_) {
+    const size_t pages = table_->PageOfRow(slot) + 1;
+    stats_.heap_pages_read = static_cast<int64_t>(pages);
+    counted_pages_end_ = pages * table_->RowsPerPage();
+  }
+  *rid = slot;
+  return match;
 }
 
 bool SeqScanOp::DoNext(ExecTuple* out) {
-  EnsureMaterialized();
-  while (cursor_ < materialized_.size()) {
-    const RowId rid = materialized_[cursor_++];
-    if (!table_->IsLive(rid)) continue;
-    out->slots.assign(1, &table_->Get(rid));
-    out->rids.assign(1, rid);
-    ++stats_.rows_out;
-    return true;
-  }
-  return false;
+  RowId rid;
+  const Row* row = NextMatch(&rid);
+  if (row == nullptr) return false;
+  out->slots.assign(1, row);
+  out->rids.assign(1, rid);
+  ++stats_.rows_out;
+  return true;
 }
 
 void SeqScanOp::Drain(std::vector<const Row*>* rows,
                       std::vector<RowId>* rids) {
-  EnsureMaterialized();
-  for (; cursor_ < materialized_.size(); ++cursor_) {
-    const RowId rid = materialized_[cursor_];
-    if (!table_->IsLive(rid)) continue;
-    rows->push_back(&table_->Get(rid));
+  RowId rid;
+  while (const Row* row = NextMatch(&rid)) {
+    rows->push_back(row);
     rids->push_back(rid);
     ++stats_.rows_out;
   }
@@ -66,11 +77,11 @@ std::string SeqScanOp::detail() const {
 }
 
 void SeqScanOp::AppendFeedback(std::vector<AccessPathFeedback>* out) const {
-  if (!materialized_done_) return;  // never executed
+  if (!started_) return;  // never executed
   AccessPathFeedback fb;
   fb.table = tables_[level_].ref.table;
   fb.est_rows = tables_[level_].access.est_rows;
-  fb.actual_rows = static_cast<double>(materialized_.size());
+  fb.actual_rows = static_cast<double>(stats_.rows_out);
   fb.est_cost = tables_[level_].access.est_cost;
   fb.actual_cost =
       static_cast<double>(stats_.heap_pages_read) * kSeqPageCost +

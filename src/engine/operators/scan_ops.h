@@ -9,10 +9,11 @@
 namespace autoindex {
 
 // Sequential scan over one table, filtered by the level's local (literal)
-// conditions. The filtered RowIds are materialized once on first pull;
-// Rewind() replays them without rescanning, which is how NestedLoopJoin
-// re-reads its inner side per outer tuple (liveness is rechecked per
-// emission, materialization counters are paid once).
+// conditions. It filters and emits in one pass in slot order, so a parent
+// that stops pulling (LIMIT) stops the scan: the counters then cover the
+// slots visited and the pages up to the last one. A full scan counts every
+// live row and every page. Joins that re-read their inner side buffer it
+// once through Drain.
 class SeqScanOp : public PhysicalOperator {
  public:
   SeqScanOp(ExecContext* ctx, const std::vector<TablePlan>& tables,
@@ -26,16 +27,16 @@ class SeqScanOp : public PhysicalOperator {
   std::string detail() const override;
   size_t out_width() const override { return 1; }
 
-  void Rewind() { cursor_ = 0; }
-
   // Appends every row the remaining Next calls would emit, and its RowId,
-  // with the same counters; a hash join's build reads its input this way.
+  // with the same counters.
   void Drain(std::vector<const Row*>* rows, std::vector<RowId>* rids);
 
   void AppendFeedback(std::vector<AccessPathFeedback>* out) const override;
 
  private:
-  void EnsureMaterialized();
+  // The next live row from next_slot_ on that passes the local conditions,
+  // or null once the table is exhausted; *rid is set to its slot.
+  const Row* NextMatch(RowId* rid);
 
   ExecContext* ctx_;
   const std::vector<TablePlan>& tables_;
@@ -43,9 +44,9 @@ class SeqScanOp : public PhysicalOperator {
   const HeapTable* table_;
   std::vector<BoundPredicate> local_;  // over slot `level` alone
   ExecTuple candidate_;                // the row under test at slot `level`
-  std::vector<RowId> materialized_;
-  bool materialized_done_ = false;
-  size_t cursor_ = 0;
+  bool started_ = false;
+  RowId next_slot_ = 0;
+  RowId counted_pages_end_ = 0;  // first slot past the pages counted so far
 };
 
 // Index scan over one table. Standalone (leftmost table / write lookup) it

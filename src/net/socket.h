@@ -92,9 +92,7 @@ class ListenSocket {
   ListenSocket& operator=(const ListenSocket&) = delete;
 
   // Binds host:port and listens. port 0 binds an ephemeral port; the
-  // actual port is reported by port(). (Named Listen, not Bind: the
-  // status-ignored lint harvests Status-returning method names
-  // project-wide, and the executor already has an unrelated Bind.)
+  // actual port is reported by port().
   static StatusOr<ListenSocket> Listen(const std::string& host, int port,
                                        int backlog = 64);
 

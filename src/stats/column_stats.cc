@@ -2,35 +2,148 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <string_view>
 
 namespace autoindex {
 
 namespace {
 
-// A non-null numeric cell as ANALYZE sorts it: by its value as a double,
-// which is what Value::Compare orders numbers by. `cell` keeps the int or
-// double the statistics copy out.
+constexpr uint64_t kSignBit = uint64_t{1} << 63;
+// Every NaN's image: one value above +inf's.
+constexpr uint64_t kNanImage = ~uint64_t{0};
+// Ints within this magnitude are exact as doubles.
+constexpr int64_t kExactIntLimit = int64_t{1} << 53;
+
+// The order-preserving 64-bit image of a number: unsigned order on images
+// is `<` on doubles, which is what Value::Compare orders numbers by. -0.0
+// folds onto +0.0 so the two tie, as they compare; NaN, which `<` leaves
+// unordered, gets kNanImage.
+uint64_t NumberImage(double d) {
+  if (std::isnan(d)) return kNanImage;
+  if (d == 0.0) d = 0.0;
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return (bits >> 63) != 0 ? ~bits : bits | kSignBit;
+}
+
+// The key of an int within ±kExactIntLimit, for a column whose numbers are
+// all such ints: unsigned order on these keys is the ints' order, which is
+// their doubles' order, and a small-range column gets dense keys.
+uint64_t IntKey(int64_t i) { return static_cast<uint64_t>(i) ^ kSignBit; }
+
+// A non-null numeric cell as ANALYZE sorts it: its key (an image, or an
+// IntKey when the column's numbers are all exact ints), and the index of
+// its row in the table walk, from which the statistics copy the cell.
 struct NumberKey {
-  double number;
-  const Value* cell;
+  uint64_t key;
+  uint32_t row;
 };
+
+// Stable counting pass: scatters `keys` into `buffer` by digit(key), at
+// the exclusive prefix sums of `counts` (one count per digit value), and
+// swaps the two.
+template <typename Digit>
+void ScatterPass(std::vector<uint32_t>::iterator counts, size_t num_digits,
+                 Digit digit, std::vector<NumberKey>* keys,
+                 std::vector<NumberKey>* buffer) {
+  uint32_t sum = 0;
+  for (size_t d = 0; d < num_digits; ++d) {
+    const uint32_t bucket = counts[d];
+    counts[d] = sum;
+    sum += bucket;
+  }
+  NumberKey* out = buffer->data();
+  for (const NumberKey& k : *keys) out[counts[digit(k.key)]++] = k;
+  keys->swap(*buffer);
+}
+
+// Stable sort of `keys` by key, so ties keep scan order. Keys are sorted as
+// offsets from the least: when the offsets span fewer values than there
+// are keys (a small-range int column), one counting pass sorts them;
+// otherwise an LSD radix sort takes a byte per pass and skips every byte
+// that all offsets share, whose pass would move nothing. `buffer` and
+// `counts` are scratch.
+void SortKeys(std::vector<NumberKey>* keys, std::vector<NumberKey>* buffer,
+              std::vector<uint32_t>* counts) {
+  const size_t n = keys->size();
+  if (n < 2) return;
+  uint64_t lo = ~uint64_t{0};
+  uint64_t hi = 0;
+  for (const NumberKey& k : *keys) {
+    lo = std::min(lo, k.key);
+    hi = std::max(hi, k.key);
+  }
+  buffer->resize(n);
+  const uint64_t range = hi - lo;
+  if (range < n) {
+    counts->assign(range + 1, 0);
+    for (const NumberKey& k : *keys) ++(*counts)[k.key - lo];
+    ScatterPass(counts->begin(), range + 1,
+                [lo](uint64_t key) { return key - lo; }, keys, buffer);
+    return;
+  }
+  size_t num_bytes = 0;
+  while (num_bytes < 8 && (range >> (8 * num_bytes)) != 0) ++num_bytes;
+  counts->assign(256 * num_bytes, 0);
+  for (const NumberKey& k : *keys) {
+    for (size_t b = 0; b < num_bytes; ++b) {
+      ++(*counts)[256 * b + (((k.key - lo) >> (8 * b)) & 0xFF)];
+    }
+  }
+  for (size_t b = 0; b < num_bytes; ++b) {
+    const auto byte_counts = counts->begin() + 256 * b;
+    const auto digit = [lo, shift = 8 * b](uint64_t key) {
+      return ((key - lo) >> shift) & 0xFF;
+    };
+    if (byte_counts[digit((*keys)[0].key)] == n) continue;
+    ScatterPass(byte_counts, 256, digit, keys, buffer);
+  }
+}
 
 }  // namespace
 
-ColumnStats ColumnStats::Build(const HeapTable& table, size_t ordinal,
-                               size_t num_buckets) {
+struct ColumnStats::SortScratch {
+  std::vector<NumberKey> numbers;
+  std::vector<NumberKey> buffer;
+  std::vector<uint32_t> counts;
+  std::vector<std::string_view> strings;
+};
+
+std::vector<ColumnStats> ColumnStats::BuildTable(const HeapTable& table,
+                                                 size_t num_buckets) {
+  // One walk of the heap; each column then reads its cells through these.
+  // Row indexes are 32-bit sort payloads.
+  std::vector<const Row*> rows;
+  rows.reserve(table.num_rows());
+  table.Scan([&](RowId, const Row& row) { rows.push_back(&row); });
+  SortScratch scratch;
+  scratch.numbers.reserve(rows.size());
+  std::vector<ColumnStats> columns;
+  columns.reserve(table.schema().num_columns());
+  for (size_t i = 0; i < table.schema().num_columns(); ++i) {
+    columns.push_back(BuildColumn(rows, i, num_buckets, &scratch));
+  }
+  return columns;
+}
+
+ColumnStats ColumnStats::BuildColumn(const std::vector<const Row*>& rows,
+                                     size_t ordinal, size_t num_buckets,
+                                     SortScratch* scratch) {
   ColumnStats stats;
+  stats.num_rows_ = rows.size();
   // One compact key per non-null cell: Compare puts every number before
   // every string, so the sorted column is `numbers` then `strings`.
-  std::vector<NumberKey> numbers;
-  std::vector<std::string_view> strings;
-  numbers.reserve(table.num_rows());
+  std::vector<NumberKey>& numbers = scratch->numbers;
+  std::vector<std::string_view>& strings = scratch->strings;
+  numbers.clear();
+  strings.clear();
   // Accumulators for physical-order correlation (numeric columns).
   double sum_x = 0, sum_y = 0, sum_xx = 0, sum_yy = 0, sum_xy = 0;
-  table.Scan([&](RowId, const Row& row) {
-    const Value& v = row[ordinal];
-    ++stats.num_rows_;
+  bool exact_ints = true;  // every number so far is keyed by IntKey
+  for (size_t r = 0; r < rows.size(); ++r) {
+    const Value& v = (*rows[r])[ordinal];
     double y = 0.0;
     if (v.AsNumber(&y)) {
       const double x = static_cast<double>(numbers.size());
@@ -39,13 +152,24 @@ ColumnStats ColumnStats::Build(const HeapTable& table, size_t ordinal,
       sum_xx += x * x;
       sum_yy += y * y;
       sum_xy += x * y;
-      numbers.push_back({y, &v});
+      if (exact_ints && (v.type() != ValueType::kInt ||
+                         v.AsInt() < -kExactIntLimit ||
+                         v.AsInt() > kExactIntLimit)) {
+        // The first other number: the column is keyed by images.
+        exact_ints = false;
+        for (NumberKey& k : numbers) {
+          k.key = NumberImage(
+              static_cast<double>(static_cast<int64_t>(k.key ^ kSignBit)));
+        }
+      }
+      numbers.push_back({exact_ints ? IntKey(v.AsInt()) : NumberImage(y),
+                         static_cast<uint32_t>(r)});
     } else if (std::string_view str; v.IfString(&str)) {
       strings.push_back(str);
     } else {
       ++stats.num_nulls_;
     }
-  });
+  }
   const size_t numeric_n = numbers.size();
   if (numeric_n > 2) {
     const double n = static_cast<double>(numeric_n);
@@ -60,21 +184,19 @@ ColumnStats ColumnStats::Build(const HeapTable& table, size_t ordinal,
   const size_t count = numeric_n + strings.size();
   if (count == 0) return stats;
 
-  std::sort(numbers.begin(), numbers.end(),
-            [](const NumberKey& a, const NumberKey& b) {
-              return a.number < b.number;
-            });
+  SortKeys(&numbers, &scratch->buffer, &scratch->counts);
   std::sort(strings.begin(), strings.end());
-  // The i-th smallest cell, copied.
+  // The i-th smallest cell, copied: a number keeps its int or double.
   const auto value_at = [&](size_t i) {
-    return i < numeric_n ? *numbers[i].cell : Value(strings[i - numeric_n]);
+    return i < numeric_n ? (*rows[numbers[i].row])[ordinal]
+                         : Value(strings[i - numeric_n]);
   };
   stats.min_ = value_at(0);
   stats.max_ = value_at(count - 1);
 
   size_t distinct = 0;
   for (size_t i = 0; i < numeric_n; ++i) {
-    if (i == 0 || numbers[i].number != numbers[i - 1].number) ++distinct;
+    if (i == 0 || numbers[i].key != numbers[i - 1].key) ++distinct;
   }
   for (size_t i = 0; i < strings.size(); ++i) {
     if (i == 0 || strings[i] != strings[i - 1]) ++distinct;

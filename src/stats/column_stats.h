@@ -21,10 +21,10 @@ class ColumnStats {
  public:
   ColumnStats() = default;
 
-  // Builds stats by scanning the column `ordinal` of `table`.
-  // `num_buckets` bounds the histogram resolution.
-  static ColumnStats Build(const HeapTable& table, size_t ordinal,
-                           size_t num_buckets = 32);
+  // Builds the stats of every column of `table`, in schema order, from
+  // one walk of its heap. `num_buckets` bounds the histogram resolution.
+  static std::vector<ColumnStats> BuildTable(const HeapTable& table,
+                                             size_t num_buckets = 32);
 
   size_t num_rows() const { return num_rows_; }
   size_t num_nulls() const { return num_nulls_; }
@@ -60,6 +60,15 @@ class ColumnStats {
   static ColumnStats Load(persist::Reader* r);
 
  private:
+  // Sort buffers one BuildTable call reuses across its columns.
+  struct SortScratch;
+
+  // Stats of column `ordinal` over `rows`, the table's live rows in slot
+  // order.
+  static ColumnStats BuildColumn(const std::vector<const Row*>& rows,
+                                 size_t ordinal, size_t num_buckets,
+                                 SortScratch* scratch);
+
   // Fraction of non-null rows strictly below v (histogram interpolation).
   double FractionBelow(const Value& v) const;
 

@@ -47,9 +47,10 @@ void StatsManager::Analyze(const std::string& table) {
     }
   }
   TableStats built{t->id(), modifications, {}};
-  for (size_t i = 0; i < t->schema().num_columns(); ++i) {
+  std::vector<ColumnStats> columns = ColumnStats::BuildTable(*t);
+  for (size_t i = 0; i < columns.size(); ++i) {
     built.columns[t->schema().column(i).name] =
-        std::make_shared<const ColumnStats>(ColumnStats::Build(*t, i));
+        std::make_shared<const ColumnStats>(std::move(columns[i]));
   }
   guard.Release();
   AnalyzeMetrics::Get().tables_built->Add();

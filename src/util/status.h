@@ -23,8 +23,7 @@ enum class StatusCode {
 
 // A lightweight absl::Status-like result carrier. Copyable, cheap for the
 // kOk case (no allocation). [[nodiscard]] so that dropping an error on the
-// floor requires an explicit (void) cast — scripts/analysis enforces the
-// same rule textually for toolchains that miss the attribute.
+// floor requires an explicit (void) cast.
 class [[nodiscard]] Status {
  public:
   Status() : code_(StatusCode::kOk) {}
@@ -64,9 +63,9 @@ class [[nodiscard]] Status {
 };
 
 // A value-or-error holder in the spirit of absl::StatusOr. The value is
-// only accessible when ok().
+// only accessible when ok(). [[nodiscard]] for the same reason as Status.
 template <typename T>
-class StatusOr {
+class [[nodiscard]] StatusOr {
  public:
   StatusOr(Status status) : status_(std::move(status)) {}  // NOLINT
   StatusOr(T value) : value_(std::move(value)) {}          // NOLINT

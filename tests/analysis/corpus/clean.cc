@@ -4,16 +4,15 @@
 // them before the regexes run.
 
 #include "clean.h"
-#include "corpus_api.h"
 
 namespace corpus {
 
 const char* kProse = "never call rand() or detach(); new is banned too";
 
-Status UseGadget() {
+int UseGadget() {
   std::unique_ptr<Gadget> g = MakeGadget();  /* not a raw new Gadget() */
   g->value = 7;
-  return DoWork();
+  return g->value;
 }
 
 }  // namespace corpus

@@ -2,8 +2,6 @@
 // outside the Database facade, plus the facade-call spellings that must
 // stay clean.
 
-#include "corpus_api.h"
-
 namespace corpus {
 
 struct IndexManager {

@@ -37,7 +37,7 @@ class ScanOp {
   int ord() const { return table_->schema().FindColumn("k"); }
 
  private:
-  void EnsureMaterialized();
+  void NextMatch();
   void BuildTable();
 
   const Catalog* catalog_ = nullptr;
@@ -53,7 +53,7 @@ bool ScanOp::DoNext(Tuple* out) {
   return t != nullptr && ord_ >= 0;
 }
 
-void ScanOp::EnsureMaterialized() {
+void ScanOp::NextMatch() {
   const Table* t = catalog_->GetTable(  // lint:expect(operator-name-lookup)
       "t");
   (void)t->schema().FindColumn("k");  // lint:expect(operator-name-lookup)

@@ -1,8 +1,6 @@
 // raw-trace-span fixture: direct span bookkeeping outside src/obs/,
 // next to the RAII spellings that must stay clean.
 
-#include "corpus_api.h"
-
 namespace corpus {
 
 struct SpanRecord {

@@ -2,8 +2,6 @@
 // `lint:allow(<rule>)` marker, so the file must come out clean. A
 // marker for the wrong rule does NOT suppress (the last function).
 
-#include "corpus_api.h"
-
 namespace corpus {
 
 struct Widget {
@@ -18,12 +16,12 @@ void LegacyFree(Widget* w) {
   delete w;  // lint:allow(raw-new-delete)
 }
 
-void DeliberatelyLossy() {
-  DoWork();  // lint:allow(status-ignored)
+int DeliberatelyUnseeded() {
+  return rand();  // lint:allow(banned-random)
 }
 
-void WrongMarkerDoesNotSuppress() {
-  DoWork();  // lint:allow(raw-new-delete) lint:expect(status-ignored)
+int WrongMarkerDoesNotSuppress() {
+  return rand();  // lint:allow(raw-new-delete) lint:expect(banned-random)
 }
 
 }  // namespace corpus

@@ -22,8 +22,8 @@ namespace {
 class BenefitEstimatorTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    db_.CreateTable("t", Schema({{"a", ValueType::kInt},
-                                 {"b", ValueType::kInt}}));
+    CheckOk(db_.CreateTable("t", Schema({{"a", ValueType::kInt},
+                                         {"b", ValueType::kInt}})));
     std::vector<Row> rows;
     for (int i = 0; i < 30000; ++i) {
       rows.push_back({Value(int64_t(i)), Value(int64_t(i % 100))});

@@ -14,12 +14,12 @@ namespace {
 class CandidateGenTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    db_.CreateTable("t", Schema({{"a", ValueType::kInt},
-                                 {"b", ValueType::kInt},
-                                 {"c", ValueType::kInt},
-                                 {"flag", ValueType::kInt}}));
-    db_.CreateTable("u", Schema({{"x", ValueType::kInt},
-                                 {"y", ValueType::kInt}}));
+    CheckOk(db_.CreateTable("t", Schema({{"a", ValueType::kInt},
+                                         {"b", ValueType::kInt},
+                                         {"c", ValueType::kInt},
+                                         {"flag", ValueType::kInt}})));
+    CheckOk(db_.CreateTable("u", Schema({{"x", ValueType::kInt},
+                                         {"y", ValueType::kInt}})));
     std::vector<Row> t_rows, u_rows;
     for (int i = 0; i < 5000; ++i) {
       t_rows.push_back({Value(int64_t(i)), Value(int64_t(i % 100)),
@@ -120,7 +120,7 @@ TEST_F(CandidateGenTest, InsertGeneratesNothing) {
 }
 
 TEST_F(CandidateGenTest, SmallTablesSkipped) {
-  db_.CreateTable("tiny", Schema({{"z", ValueType::kInt}}));
+  CheckOk(db_.CreateTable("tiny", Schema({{"z", ValueType::kInt}})));
   std::vector<Row> rows;
   for (int i = 0; i < 10; ++i) rows.push_back({Value(int64_t(i))});
   ASSERT_TRUE(db_.BulkInsert("tiny", std::move(rows)).ok());
@@ -190,7 +190,7 @@ TEST_F(CandidateGenTest, GenerateHonorsMaxCandidates) {
   for (int c = 0; c < kColumns; ++c) {
     columns.push_back({"k" + std::to_string(c), ValueType::kInt});
   }
-  db_.CreateTable("wide", Schema(columns));
+  CheckOk(db_.CreateTable("wide", Schema(columns)));
   std::vector<Row> rows;
   for (int i = 0; i < 5000; ++i) {
     Row row;

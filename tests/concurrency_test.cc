@@ -200,9 +200,9 @@ TEST(LatchValidatorTest, PhantomReaderIsCaught) {
 class ConcurrencyDbTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    db_.CreateTable("t", Schema({{"a", ValueType::kInt},
-                                 {"b", ValueType::kInt},
-                                 {"s", ValueType::kString}}));
+    CheckOk(db_.CreateTable("t", Schema({{"a", ValueType::kInt},
+                                         {"b", ValueType::kInt},
+                                         {"s", ValueType::kString}})));
     std::vector<Row> rows;
     for (int i = 0; i < 1000; ++i) {
       rows.push_back({Value(int64_t(i)), Value(int64_t(i % 10)),
@@ -408,12 +408,15 @@ TEST_F(ConcurrencyDbTest, LimitShortCircuitsUpstreamScan) {
   EXPECT_EQ(r->stats.rows_returned, 5u);
   // Before the fix LimitOp drained its child dry: the scan below it
   // emitted all 1000 rows. With genuine early termination the scan is
-  // pulled exactly `limit` times. (tuples_examined stays at table size —
-  // the sequential scan materializes its match list up front by design.)
+  // pulled exactly `limit` times, and it streams, so it examines only the
+  // rows it emits and reads only the first page.
   ASSERT_NE(r->plan, nullptr);
   const PlanNodeSnapshot* node = r->plan.get();  // Project -> Limit -> Scan
   while (!node->children.empty()) node = &node->children[0];
   EXPECT_EQ(node->actual.rows_out, 5);
+  EXPECT_EQ(node->actual.tuples_examined, 5);
+  EXPECT_EQ(node->actual.heap_pages_read, 1);
+  EXPECT_EQ(r->stats.tuples_examined, 5u);
 }
 
 // --- Regression: estimator cost memo invalidates on data change ----------

@@ -16,9 +16,9 @@ namespace {
 class CostPropertyTest : public ::testing::TestWithParam<int> {
  protected:
   void SetUp() override {
-    db_.CreateTable("t", Schema({{"a", ValueType::kInt},
-                                 {"b", ValueType::kInt},
-                                 {"c", ValueType::kInt}}));
+    CheckOk(db_.CreateTable("t", Schema({{"a", ValueType::kInt},
+                                         {"b", ValueType::kInt},
+                                         {"c", ValueType::kInt}})));
     Random rng(GetParam() * 31 + 7);
     std::vector<Row> rows;
     const int n = 10000 + static_cast<int>(rng.Uniform(30000));

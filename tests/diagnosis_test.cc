@@ -14,9 +14,9 @@ namespace {
 class DiagnosisTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    db_.CreateTable("t", Schema({{"a", ValueType::kInt},
-                                 {"b", ValueType::kInt},
-                                 {"c", ValueType::kInt}}));
+    CheckOk(db_.CreateTable("t", Schema({{"a", ValueType::kInt},
+                                         {"b", ValueType::kInt},
+                                         {"c", ValueType::kInt}})));
     std::vector<Row> rows;
     for (int i = 0; i < 30000; ++i) {
       rows.push_back({Value(int64_t(i)), Value(int64_t(i % 1000)),
@@ -107,7 +107,7 @@ TEST_F(DiagnosisTest, TriggersOnlyAboveProblemRatio) {
   for (int c = 0; c < kUsed; ++c) {
     columns.push_back({"k" + std::to_string(c), ValueType::kInt});
   }
-  db_.CreateTable("w", Schema(columns));
+  CheckOk(db_.CreateTable("w", Schema(columns)));
   std::vector<Row> rows;
   for (int i = 0; i < 5000; ++i) {
     Row row;  // cold, then k0..k4: every column holds i

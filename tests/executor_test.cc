@@ -20,13 +20,13 @@ namespace {
 class ExecutorTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    db_.CreateTable("emp", Schema({{"id", ValueType::kInt},
-                                   {"dept", ValueType::kInt},
-                                   {"salary", ValueType::kDouble},
-                                   {"name", ValueType::kString}}));
-    db_.CreateTable("dept", Schema({{"did", ValueType::kInt},
-                                    {"dname", ValueType::kString},
-                                    {"budget", ValueType::kDouble}}));
+    CheckOk(db_.CreateTable("emp", Schema({{"id", ValueType::kInt},
+                                           {"dept", ValueType::kInt},
+                                           {"salary", ValueType::kDouble},
+                                           {"name", ValueType::kString}})));
+    CheckOk(db_.CreateTable("dept", Schema({{"did", ValueType::kInt},
+                                            {"dname", ValueType::kString},
+                                            {"budget", ValueType::kDouble}})));
     std::vector<Row> emps;
     for (int i = 0; i < 1000; ++i) {
       emps.push_back({Value(int64_t(i)), Value(int64_t(i % 20)),
@@ -123,8 +123,9 @@ TEST_F(ExecutorTest, JoinHash) {
 TEST_F(ExecutorTest, JoinIndexNestedLoop) {
   // A dimension table large enough that per-probe index lookups beat a
   // hash-join build (tiny inner tables correctly favor hash join).
-  db_.CreateTable("big_dim", Schema({{"k", ValueType::kInt},
-                                     {"payload", ValueType::kDouble}}));
+  CheckOk(db_.CreateTable(
+      "big_dim",
+      Schema({{"k", ValueType::kInt}, {"payload", ValueType::kDouble}})));
   std::vector<Row> rows;
   for (int i = 0; i < 20000; ++i) {
     rows.push_back({Value(int64_t(i)), Value(i * 2.0)});
@@ -163,8 +164,8 @@ TEST_F(ExecutorTest, JoinWithGroupBy) {
 }
 
 TEST_F(ExecutorTest, ThreeWayJoin) {
-  db_.CreateTable("bonus", Schema({{"bdept", ValueType::kInt},
-                                   {"amount", ValueType::kDouble}}));
+  CheckOk(db_.CreateTable("bonus", Schema({{"bdept", ValueType::kInt},
+                                           {"amount", ValueType::kDouble}})));
   std::vector<Row> bonuses;
   for (int d = 0; d < 20; ++d) {
     bonuses.push_back({Value(int64_t(d)), Value(100.0 * d)});
@@ -198,8 +199,8 @@ TEST_F(ExecutorTest, SeqScanWhenPredicateWeak) {
 }
 
 TEST_F(ExecutorTest, MultiColumnIndexPrefixAndRange) {
-  db_.CreateTable("big", Schema({{"dept", ValueType::kInt},
-                                 {"id", ValueType::kInt}}));
+  CheckOk(db_.CreateTable("big", Schema({{"dept", ValueType::kInt},
+                                         {"id", ValueType::kInt}})));
   std::vector<Row> rows;
   for (int i = 0; i < 20000; ++i) {
     rows.push_back({Value(int64_t(i % 20)), Value(int64_t(i))});
@@ -371,8 +372,8 @@ class ColumnResolutionTest : public ::testing::Test {
     // l.v = 1000 + k and r.v = 2000 + k, except l(3).v = 5 and r(5).v = 5,
     // which lets a probe of r.k by l.v find a row when it binds.
     for (const char* name : {"l", "r"}) {
-      db_.CreateTable(name, Schema({{"k", ValueType::kInt},
-                                    {"v", ValueType::kInt}}));
+      CheckOk(db_.CreateTable(name, Schema({{"k", ValueType::kInt},
+                                            {"v", ValueType::kInt}})));
     }
     std::vector<Row> l, r;
     for (int64_t k = 0; k < 50; ++k) {
@@ -437,9 +438,9 @@ class HashJoinTest : public ::testing::Test {
  protected:
   // Creates `name`(k, k2, v) from rows holding (k, k2); v numbers them.
   void Load(const std::string& name, std::vector<Row> rows) {
-    db_.CreateTable(name, Schema({{"k", ValueType::kInt},
-                                  {"k2", ValueType::kInt},
-                                  {"v", ValueType::kInt}}));
+    CheckOk(db_.CreateTable(name, Schema({{"k", ValueType::kInt},
+                                          {"k2", ValueType::kInt},
+                                          {"v", ValueType::kInt}})));
     for (size_t i = 0; i < rows.size(); ++i) {
       rows[i].emplace_back(static_cast<int64_t>(i));
     }
@@ -562,7 +563,7 @@ TEST_F(HashJoinTest, NullKeysNeverMatch) {
 
 TEST_F(HashJoinTest, IntKeysMeetEqualDoubles) {
   Load("l", Keys(40, [](int i) { return Value(int64_t{i}); }));
-  db_.CreateTable("d", Schema({{"x", ValueType::kDouble}}));
+  CheckOk(db_.CreateTable("d", Schema({{"x", ValueType::kDouble}})));
   ASSERT_TRUE(
       db_.BulkInsert("d", {{Value(1.0)}, {Value(1.5)}, {Value(7.0)},
                            {Value(-0.0)}, {Value(39.0)}, {Value(40.0)}})
@@ -671,8 +672,8 @@ TEST(ClusteringTest, CorrelatedRangeScanTouchesFewPages) {
   // window must touch contiguous heap pages (few), and the planner must
   // therefore prefer the index over the full scan.
   Database db;
-  db.CreateTable("events", Schema({{"day", ValueType::kInt},
-                                   {"payload", ValueType::kInt}}));
+  CheckOk(db.CreateTable("events", Schema({{"day", ValueType::kInt},
+                                           {"payload", ValueType::kInt}})));
   std::vector<Row> rows;
   for (int i = 0; i < 60000; ++i) {
     rows.push_back({Value(int64_t(i / 40)), Value(int64_t(i))});
@@ -694,8 +695,8 @@ TEST(ClusteringTest, CorrelatedRangeScanTouchesFewPages) {
 
 TEST(ClusteringTest, UncorrelatedScanStillCountsRandomPages) {
   Database db;
-  db.CreateTable("shuffled", Schema({{"v", ValueType::kInt},
-                                     {"payload", ValueType::kInt}}));
+  CheckOk(db.CreateTable("shuffled", Schema({{"v", ValueType::kInt},
+                                             {"payload", ValueType::kInt}})));
   Random rng(5);
   std::vector<Row> rows;
   for (int i = 0; i < 60000; ++i) {

@@ -10,10 +10,10 @@ namespace {
 class ExplainTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    db_.CreateTable("t", Schema({{"a", ValueType::kInt},
-                                 {"b", ValueType::kInt}}));
-    db_.CreateTable("d", Schema({{"k", ValueType::kInt},
-                                 {"v", ValueType::kInt}}));
+    CheckOk(db_.CreateTable("t", Schema({{"a", ValueType::kInt},
+                                         {"b", ValueType::kInt}})));
+    CheckOk(db_.CreateTable("d", Schema({{"k", ValueType::kInt},
+                                         {"v", ValueType::kInt}})));
     std::vector<Row> rows;
     for (int i = 0; i < 30000; ++i) {
       rows.push_back({Value(int64_t(i)), Value(int64_t(i % 100))});
@@ -157,8 +157,8 @@ TEST_F(ExplainTest, HashedSideShownOnlyAfterExecution) {
   // Three-way join: the second hash join's outer side is the 3,000-row
   // result of the first, its inner side the 100 rows of d2, so it hashes
   // the inner side. The first join hashes its 100-row outer side.
-  db_.CreateTable("d2", Schema({{"k2", ValueType::kInt},
-                                {"w", ValueType::kInt}}));
+  CheckOk(db_.CreateTable("d2", Schema({{"k2", ValueType::kInt},
+                                        {"w", ValueType::kInt}})));
   std::vector<Row> rows;
   for (int i = 0; i < 100; ++i) {
     rows.push_back({Value(int64_t(i)), Value(int64_t(i))});

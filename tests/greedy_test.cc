@@ -12,9 +12,9 @@ namespace {
 class GreedyTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    db_.CreateTable("t", Schema({{"a", ValueType::kInt},
-                                 {"b", ValueType::kInt},
-                                 {"c", ValueType::kInt}}));
+    CheckOk(db_.CreateTable("t", Schema({{"a", ValueType::kInt},
+                                         {"b", ValueType::kInt},
+                                         {"c", ValueType::kInt}})));
     std::vector<Row> rows;
     for (int i = 0; i < 30000; ++i) {
       rows.push_back({Value(int64_t(i)), Value(int64_t(i % 1000)),

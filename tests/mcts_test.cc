@@ -19,9 +19,9 @@ namespace {
 class MctsTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    db_.CreateTable("t", Schema({{"a", ValueType::kInt},
-                                 {"b", ValueType::kInt},
-                                 {"c", ValueType::kInt}}));
+    CheckOk(db_.CreateTable("t", Schema({{"a", ValueType::kInt},
+                                         {"b", ValueType::kInt},
+                                         {"c", ValueType::kInt}})));
     std::vector<Row> rows;
     for (int i = 0; i < 30000; ++i) {
       rows.push_back({Value(int64_t(i)), Value(int64_t(i % 1000)),
@@ -113,12 +113,12 @@ TEST_F(MctsTest, FigFourBudgetScenarioBeatsGreedyChoice) {
   // benefit but fills the whole budget; the pair {I1, I2} fits together
   // and beats it. Greedy's top-k picks I3 and stalls; MCTS's exploration
   // must find the pair.
-  db_.CreateTable("big1", Schema({{"w", ValueType::kString, 40},
-                                  {"p", ValueType::kInt}}));
-  db_.CreateTable("s1", Schema({{"k1", ValueType::kInt},
-                                {"v", ValueType::kInt}}));
-  db_.CreateTable("s2", Schema({{"k2", ValueType::kInt},
-                                {"v", ValueType::kInt}}));
+  CheckOk(db_.CreateTable("big1", Schema({{"w", ValueType::kString, 40},
+                                          {"p", ValueType::kInt}})));
+  CheckOk(db_.CreateTable("s1", Schema({{"k1", ValueType::kInt},
+                                        {"v", ValueType::kInt}})));
+  CheckOk(db_.CreateTable("s2", Schema({{"k2", ValueType::kInt},
+                                        {"v", ValueType::kInt}})));
   std::vector<Row> rows;
   for (int i = 0; i < 30000; ++i) {
     rows.push_back({Value("key_" + std::to_string(i)),
@@ -265,8 +265,8 @@ class MctsGammaSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(MctsGammaSweep, FindsIndexAcrossGammas) {
   Database db;
-  db.CreateTable("t", Schema({{"a", ValueType::kInt},
-                              {"b", ValueType::kInt}}));
+  CheckOk(db.CreateTable("t", Schema({{"a", ValueType::kInt},
+                                      {"b", ValueType::kInt}})));
   std::vector<Row> rows;
   for (int i = 0; i < 20000; ++i) {
     rows.push_back({Value(int64_t(i)), Value(int64_t(i % 10))});

@@ -87,7 +87,7 @@ TEST_P(ParserFuzz, MutatedValidQueriesNeverCrash) {
           break;
       }
     }
-    ParseSql(sql);        // must not crash
+    (void)ParseSql(sql);  // must not crash
     FingerprintSql(sql);  // must not crash
   }
 }

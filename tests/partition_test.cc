@@ -15,9 +15,9 @@ namespace {
 class PartitionTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    db_.CreateTable("pt", Schema({{"region", ValueType::kInt},
-                                  {"k", ValueType::kInt},
-                                  {"v", ValueType::kInt}}));
+    CheckOk(db_.CreateTable("pt", Schema({{"region", ValueType::kInt},
+                                          {"k", ValueType::kInt},
+                                          {"v", ValueType::kInt}})));
     HeapTable* t = db_.catalog().GetTable("pt");
     ASSERT_TRUE(t->SetPartitioning("region", 8));
     std::vector<Row> rows;
@@ -72,9 +72,9 @@ TEST_F(PartitionTest, GlobalIndexOnPartitionedTableSingleTree) {
 TEST_F(PartitionTest, LocalIndexSmallerThanGlobal) {
   // The global index carries per-entry partition pointers: more bytes.
   Database db2;
-  db2.CreateTable("pt", Schema({{"region", ValueType::kInt},
-                                {"k", ValueType::kInt},
-                                {"v", ValueType::kInt}}));
+  CheckOk(db2.CreateTable("pt", Schema({{"region", ValueType::kInt},
+                                        {"k", ValueType::kInt},
+                                        {"v", ValueType::kInt}})));
   db2.catalog().GetTable("pt")->SetPartitioning("region", 8);
   std::vector<Row> rows;
   for (int i = 0; i < 40000; ++i) {
@@ -199,10 +199,10 @@ TEST_F(PartitionTest, EstimatorPrefersPrunableLocalOverGlobalWhenTight) {
   AutoIndexManager manager(&db_, ai);
   Random rng(3);
   for (int i = 0; i < 200; ++i) {
-    manager.ExecuteAndObserve(StrFormat(
+    CheckOk(manager.ExecuteAndObserve(StrFormat(
         "SELECT v FROM pt WHERE region = %d AND k = %d",
         static_cast<int>(rng.Uniform(64)),
-        static_cast<int>(rng.Uniform(40000))));
+        static_cast<int>(rng.Uniform(40000)))));
   }
   TuningResult tuning = manager.RunManagementRound();
   ASSERT_FALSE(tuning.added.empty());
@@ -214,7 +214,7 @@ TEST_F(PartitionTest, EstimatorPrefersPrunableLocalOverGlobalWhenTight) {
 }
 
 TEST_F(PartitionTest, UnpartitionedTableLocalFallsBackToSingleTree) {
-  db_.CreateTable("plain", Schema({{"a", ValueType::kInt}}));
+  CheckOk(db_.CreateTable("plain", Schema({{"a", ValueType::kInt}})));
   std::vector<Row> rows;
   for (int i = 0; i < 1000; ++i) rows.push_back({Value(int64_t(i))});
   ASSERT_TRUE(db_.BulkInsert("plain", std::move(rows)).ok());

@@ -340,12 +340,12 @@ struct GenContext {
 // and t2(x,y) with 60 rows, then runs ANALYZE. Data is a pure function of
 // `seed`.
 inline void BuildPropertyTestTables(Database* db, uint64_t seed) {
-  db->CreateTable("t1", Schema({{"a", ValueType::kInt},
-                                {"b", ValueType::kInt},
-                                {"c", ValueType::kInt},
-                                {"s", ValueType::kString}}));
-  db->CreateTable("t2", Schema({{"x", ValueType::kInt},
-                                {"y", ValueType::kInt}}));
+  CheckOk(db->CreateTable("t1", Schema({{"a", ValueType::kInt},
+                                        {"b", ValueType::kInt},
+                                        {"c", ValueType::kInt},
+                                        {"s", ValueType::kString}})));
+  CheckOk(db->CreateTable("t2", Schema({{"x", ValueType::kInt},
+                                        {"y", ValueType::kInt}})));
   Random data_rng(seed * 977 + 13);
   std::vector<Row> t1_rows, t2_rows;
   for (int i = 0; i < 400; ++i) {

@@ -14,10 +14,10 @@ namespace {
 class RetirementTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    db_.CreateTable("hot", Schema({{"a", ValueType::kInt},
-                                   {"b", ValueType::kInt}}));
-    db_.CreateTable("cold", Schema({{"x", ValueType::kInt},
-                                    {"y", ValueType::kInt}}));
+    CheckOk(db_.CreateTable("hot", Schema({{"a", ValueType::kInt},
+                                           {"b", ValueType::kInt}})));
+    CheckOk(db_.CreateTable("cold", Schema({{"x", ValueType::kInt},
+                                            {"y", ValueType::kInt}})));
     std::vector<Row> rows;
     Random rng(99);
     for (int i = 0; i < 20000; ++i) {
@@ -54,8 +54,8 @@ TEST_F(RetirementTest, DropsIndexOnUntouchedTable) {
   AutoIndexManager manager(&db_, FastConfig());
   // Workload only touches `hot`.
   for (int i = 0; i < 50; ++i) {
-    manager.ExecuteAndObserve("SELECT b FROM hot WHERE a = " +
-                              std::to_string(i * 17 % 20000));
+    CheckOk(manager.ExecuteAndObserve("SELECT b FROM hot WHERE a = " +
+                                      std::to_string(i * 17 % 20000)));
   }
   manager.RunManagementRound();
   EXPECT_FALSE(Built(IndexDef("cold", {"x"})))
@@ -66,8 +66,8 @@ TEST_F(RetirementTest, KeepsIndexThePlannerUses) {
   ASSERT_TRUE(db_.CreateIndex(IndexDef("hot", {"a"})).ok());
   AutoIndexManager manager(&db_, FastConfig());
   for (int i = 0; i < 50; ++i) {
-    manager.ExecuteAndObserve("SELECT b FROM hot WHERE a = " +
-                              std::to_string(i * 17 % 2000));
+    CheckOk(manager.ExecuteAndObserve("SELECT b FROM hot WHERE a = " +
+                                      std::to_string(i * 17 % 2000)));
   }
   manager.RunManagementRound();
   EXPECT_TRUE(Built(IndexDef("hot", {"a"})));
@@ -80,9 +80,9 @@ TEST_F(RetirementTest, DropsPrefixShadowedIndex) {
   ASSERT_TRUE(db_.CreateIndex(IndexDef("hot", {"a", "b"})).ok());
   AutoIndexManager manager(&db_, FastConfig());
   for (int i = 0; i < 60; ++i) {
-    manager.ExecuteAndObserve(
+    CheckOk(manager.ExecuteAndObserve(
         "SELECT b FROM hot WHERE a = " + std::to_string(i * 31 % 2000) +
-        " AND b = " + std::to_string(i % 50));
+        " AND b = " + std::to_string(i % 50)));
   }
   manager.RunManagementRound();
   EXPECT_TRUE(Built(IndexDef("hot", {"a", "b"})));
@@ -94,8 +94,8 @@ TEST_F(RetirementTest, RetirementPassAloneDropsDeadIndex) {
   // With zero MCTS iterations, the search cannot remove anything; only
   // the retirement pass can, so the dead index going isolates the pass.
   Database db;
-  db.CreateTable("hot", Schema({{"a", ValueType::kInt}}));
-  db.CreateTable("cold", Schema({{"x", ValueType::kInt}}));
+  CheckOk(db.CreateTable("hot", Schema({{"a", ValueType::kInt}})));
+  CheckOk(db.CreateTable("cold", Schema({{"x", ValueType::kInt}})));
   std::vector<Row> rows;
   for (int i = 0; i < 5000; ++i) rows.push_back({Value(int64_t(i))});
   ASSERT_TRUE(db.BulkInsert("hot", std::move(rows)).ok());
@@ -109,7 +109,7 @@ TEST_F(RetirementTest, RetirementPassAloneDropsDeadIndex) {
   config.mcts.iterations = 0;
   AutoIndexManager manager(&db, config);
   for (int i = 0; i < 30; ++i) {
-    manager.ExecuteAndObserve("SELECT a FROM hot WHERE a = 5");
+    CheckOk(manager.ExecuteAndObserve("SELECT a FROM hot WHERE a = 5"));
   }
   manager.RunManagementRound();
   EXPECT_FALSE(db.index_manager().HasIndex(IndexDef("cold", {"x"})));
@@ -118,8 +118,8 @@ TEST_F(RetirementTest, RetirementPassAloneDropsDeadIndex) {
 TEST_F(RetirementTest, FreshlyAddedIndexSurvivesItsOwnRound) {
   AutoIndexManager manager(&db_, FastConfig());
   for (int i = 0; i < 50; ++i) {
-    manager.ExecuteAndObserve("SELECT b FROM hot WHERE a = " +
-                              std::to_string(i * 17 % 20000));
+    CheckOk(manager.ExecuteAndObserve("SELECT b FROM hot WHERE a = " +
+                                      std::to_string(i * 17 % 20000)));
   }
   TuningResult tuning = manager.RunManagementRound();
   ASSERT_FALSE(tuning.added.empty());

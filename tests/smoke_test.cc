@@ -43,9 +43,9 @@ TEST(Smoke, EpidemicScenarioEndToEnd) {
 
 TEST(Smoke, BasicSqlRoundTrip) {
   Database db;
-  db.CreateTable("t", Schema({{"a", ValueType::kInt},
-                              {"b", ValueType::kInt},
-                              {"c", ValueType::kString}}));
+  CheckOk(db.CreateTable("t", Schema({{"a", ValueType::kInt},
+                                      {"b", ValueType::kInt},
+                                      {"c", ValueType::kString}})));
   for (int i = 0; i < 100; ++i) {
     auto r = db.Execute("INSERT INTO t VALUES (" + std::to_string(i) + ", " +
                         std::to_string(i % 10) + ", 'x" +
@@ -79,8 +79,8 @@ TEST(Smoke, BasicSqlRoundTrip) {
 
 TEST(Smoke, IndexChangesMeasuredCost) {
   Database db;
-  db.CreateTable("t", Schema({{"a", ValueType::kInt},
-                              {"b", ValueType::kInt}}));
+  CheckOk(db.CreateTable("t", Schema({{"a", ValueType::kInt},
+                                      {"b", ValueType::kInt}})));
   std::vector<Row> rows;
   for (int i = 0; i < 20000; ++i) {
     rows.push_back({Value(int64_t(i)), Value(int64_t(i % 100))});

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <limits>
 
+#include "persist/serde.h"
 #include "sql/parser.h"
 #include "stats/column_stats.h"
 #include "stats/stats_manager.h"
@@ -37,7 +38,7 @@ class StatsTest : public ::testing::Test {
 };
 
 TEST_F(StatsTest, BasicCounters) {
-  const ColumnStats stats = ColumnStats::Build(*catalog_.GetTable("t"), 0);
+  const ColumnStats stats = ColumnStats::BuildTable(*catalog_.GetTable("t"))[0];
   EXPECT_EQ(stats.num_rows(), 10000u);
   EXPECT_EQ(stats.num_nulls(), 0u);
   EXPECT_EQ(stats.num_distinct(), 10000u);
@@ -46,12 +47,12 @@ TEST_F(StatsTest, BasicCounters) {
 }
 
 TEST_F(StatsTest, NullTracking) {
-  const ColumnStats stats = ColumnStats::Build(*catalog_.GetTable("t"), 3);
+  const ColumnStats stats = ColumnStats::BuildTable(*catalog_.GetTable("t"))[3];
   EXPECT_EQ(stats.num_nulls(), 2000u);
 }
 
 TEST_F(StatsTest, EqualitySelectivity) {
-  const ColumnStats mod10 = ColumnStats::Build(*catalog_.GetTable("t"), 1);
+  const ColumnStats mod10 = ColumnStats::BuildTable(*catalog_.GetTable("t"))[1];
   EXPECT_EQ(mod10.num_distinct(), 10u);
   EXPECT_NEAR(mod10.Selectivity(CompareOp::kEq, Value(int64_t(3))), 0.1,
               0.02);
@@ -61,7 +62,7 @@ TEST_F(StatsTest, EqualitySelectivity) {
 }
 
 TEST_F(StatsTest, RangeSelectivityViaHistogram) {
-  const ColumnStats u = ColumnStats::Build(*catalog_.GetTable("t"), 0);
+  const ColumnStats u = ColumnStats::BuildTable(*catalog_.GetTable("t"))[0];
   EXPECT_NEAR(u.Selectivity(CompareOp::kLt, Value(int64_t(5000))), 0.5,
               0.06);
   EXPECT_NEAR(u.Selectivity(CompareOp::kGt, Value(int64_t(9000))), 0.1,
@@ -73,7 +74,7 @@ TEST_F(StatsTest, RangeSelectivityViaHistogram) {
 }
 
 TEST_F(StatsTest, BoundaryBehaviour) {
-  const ColumnStats u = ColumnStats::Build(*catalog_.GetTable("t"), 0);
+  const ColumnStats u = ColumnStats::BuildTable(*catalog_.GetTable("t"))[0];
   EXPECT_NEAR(u.Selectivity(CompareOp::kLt, Value(int64_t(0))), 0.0, 1e-9);
   EXPECT_NEAR(u.Selectivity(CompareOp::kGe, Value(int64_t(0))), 1.0, 1e-9);
   EXPECT_NEAR(u.Selectivity(CompareOp::kGt, Value(int64_t(9999))), 0.0,
@@ -84,7 +85,7 @@ TEST_F(StatsTest, BoundaryBehaviour) {
 // leaking EqSelectivity / histogram fractions. The mod10 column holds
 // 0..9 with no nulls, so each predicate below has a known exact answer.
 TEST_F(StatsTest, OutOfRangeLiteralsResolveExactly) {
-  const ColumnStats mod10 = ColumnStats::Build(*catalog_.GetTable("t"), 1);
+  const ColumnStats mod10 = ColumnStats::BuildTable(*catalog_.GetTable("t"))[1];
   // Equality against values outside [0, 9] matches nothing.
   EXPECT_DOUBLE_EQ(mod10.Selectivity(CompareOp::kEq, Value(int64_t(-1))),
                    0.0);
@@ -117,7 +118,7 @@ TEST_F(StatsTest, OutOfRangeLiteralsResolveExactly) {
 TEST_F(StatsTest, OutOfRangeScalesByNullFraction) {
   // Column n is null for every 5th row: out-of-range kNe/kLt answers must
   // exclude the null fifth, not report 1.0.
-  const ColumnStats n = ColumnStats::Build(*catalog_.GetTable("t"), 3);
+  const ColumnStats n = ColumnStats::BuildTable(*catalog_.GetTable("t"))[3];
   EXPECT_NEAR(n.Selectivity(CompareOp::kNe, Value(int64_t(-1))), 0.8, 1e-9);
   EXPECT_NEAR(n.Selectivity(CompareOp::kLt, Value(int64_t(999999))), 0.8,
               1e-9);
@@ -125,7 +126,7 @@ TEST_F(StatsTest, OutOfRangeScalesByNullFraction) {
 
 TEST_F(StatsTest, NullLiteralNeverMatches) {
   // `col <op> NULL` is UNKNOWN for every row under three-valued logic.
-  const ColumnStats mod10 = ColumnStats::Build(*catalog_.GetTable("t"), 1);
+  const ColumnStats mod10 = ColumnStats::BuildTable(*catalog_.GetTable("t"))[1];
   EXPECT_DOUBLE_EQ(mod10.Selectivity(CompareOp::kEq, Value()), 0.0);
   EXPECT_DOUBLE_EQ(mod10.Selectivity(CompareOp::kNe, Value()), 0.0);
   EXPECT_DOUBLE_EQ(mod10.Selectivity(CompareOp::kGe, Value()), 0.0);
@@ -133,7 +134,7 @@ TEST_F(StatsTest, NullLiteralNeverMatches) {
 }
 
 TEST_F(StatsTest, DisjointRangeSelectivityIsZero) {
-  const ColumnStats mod10 = ColumnStats::Build(*catalog_.GetTable("t"), 1);
+  const ColumnStats mod10 = ColumnStats::BuildTable(*catalog_.GetTable("t"))[1];
   // Entirely above max / below min: no overlap with [0, 9].
   EXPECT_DOUBLE_EQ(
       mod10.RangeSelectivity(Value(int64_t(20)), Value(int64_t(30))), 0.0);
@@ -145,14 +146,14 @@ TEST_F(StatsTest, DisjointRangeSelectivityIsZero) {
 }
 
 TEST_F(StatsTest, InListSelectivityAdds) {
-  const ColumnStats mod10 = ColumnStats::Build(*catalog_.GetTable("t"), 1);
+  const ColumnStats mod10 = ColumnStats::BuildTable(*catalog_.GetTable("t"))[1];
   const double sel = mod10.InListSelectivity(
       {Value(int64_t(1)), Value(int64_t(2)), Value(int64_t(3))});
   EXPECT_NEAR(sel, 0.3, 0.05);
 }
 
 TEST_F(StatsTest, StringColumnStats) {
-  const ColumnStats s = ColumnStats::Build(*catalog_.GetTable("t"), 2);
+  const ColumnStats s = ColumnStats::BuildTable(*catalog_.GetTable("t"))[2];
   EXPECT_EQ(s.num_distinct(), 4u);
   EXPECT_NEAR(s.Selectivity(CompareOp::kEq, Value("cat2")), 0.25, 0.01);
 }
@@ -218,7 +219,7 @@ TEST(StatsEdge, EmptyTable) {
   Catalog catalog;
   auto t = catalog.CreateTable("e", Schema({{"a", ValueType::kInt}}));
   ASSERT_TRUE(t.ok());
-  const ColumnStats stats = ColumnStats::Build(**t, 0);
+  const ColumnStats stats = ColumnStats::BuildTable(**t)[0];
   EXPECT_EQ(stats.num_rows(), 0u);
   EXPECT_DOUBLE_EQ(stats.Selectivity(CompareOp::kEq, Value(int64_t(1))), 0.0);
   EXPECT_DOUBLE_EQ(stats.EqSelectivity(), 0.0);
@@ -229,7 +230,7 @@ TEST(StatsEdge, AllNullColumn) {
   auto t = catalog.CreateTable("e", Schema({{"a", ValueType::kInt}}));
   ASSERT_TRUE(t.ok());
   for (int i = 0; i < 10; ++i) ASSERT_TRUE((*t)->Insert({Value()}).ok());
-  const ColumnStats stats = ColumnStats::Build(**t, 0);
+  const ColumnStats stats = ColumnStats::BuildTable(**t)[0];
   EXPECT_EQ(stats.num_nulls(), 10u);
   EXPECT_DOUBLE_EQ(stats.Selectivity(CompareOp::kEq, Value(int64_t(1))), 0.0);
 }
@@ -241,7 +242,7 @@ TEST(StatsEdge, SingleValueColumn) {
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE((*t)->Insert({Value(int64_t(7))}).ok());
   }
-  const ColumnStats stats = ColumnStats::Build(**t, 0);
+  const ColumnStats stats = ColumnStats::BuildTable(**t)[0];
   EXPECT_EQ(stats.num_distinct(), 1u);
   EXPECT_NEAR(stats.Selectivity(CompareOp::kEq, Value(int64_t(7))), 1.0,
               1e-9);
@@ -261,7 +262,7 @@ TEST(Correlation, SequentialColumnFullyCorrelated) {
   for (int i = 0; i < 5000; ++i) {
     ASSERT_TRUE((*t)->Insert({Value(int64_t(i))}).ok());
   }
-  const ColumnStats stats = ColumnStats::Build(**t, 0);
+  const ColumnStats stats = ColumnStats::BuildTable(**t)[0];
   EXPECT_GT(stats.correlation(), 0.99);
 }
 
@@ -272,7 +273,7 @@ TEST(Correlation, ReversedColumnNegativelyCorrelated) {
   for (int i = 5000; i > 0; --i) {
     ASSERT_TRUE((*t)->Insert({Value(int64_t(i))}).ok());
   }
-  const ColumnStats stats = ColumnStats::Build(**t, 0);
+  const ColumnStats stats = ColumnStats::BuildTable(**t)[0];
   EXPECT_LT(stats.correlation(), -0.99);
 }
 
@@ -284,7 +285,7 @@ TEST(Correlation, ShuffledColumnUncorrelated) {
   for (int i = 0; i < 5000; ++i) {
     ASSERT_TRUE((*t)->Insert({Value(rng.UniformInt(0, 100000))}).ok());
   }
-  const ColumnStats stats = ColumnStats::Build(**t, 0);
+  const ColumnStats stats = ColumnStats::BuildTable(**t)[0];
   EXPECT_LT(std::abs(stats.correlation()), 0.1);
 }
 
@@ -295,15 +296,15 @@ TEST(Correlation, StringColumnReportsZero) {
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE((*t)->Insert({Value("v" + std::to_string(i))}).ok());
   }
-  const ColumnStats stats = ColumnStats::Build(**t, 0);
+  const ColumnStats stats = ColumnStats::BuildTable(**t)[0];
   EXPECT_DOUBLE_EQ(stats.correlation(), 0.0);
 }
 
 // --- typed-key ANALYZE against the Value sort it replaced ---------------
 
-// What ColumnStats::Build computed when it copied every non-null cell into
+// What ANALYZE computed when it copied every non-null cell into
 // a std::vector<Value> and sorted that with Value::Compare. Kept here only
-// as the reference the typed-key Build must agree with.
+// as the reference the typed-key BuildTable must agree with.
 struct ReferenceStats {
   size_t num_rows = 0;
   size_t num_nulls = 0;
@@ -434,7 +435,7 @@ TEST(ColumnStatsDifferential, TypedKeysAgreeWithValueSort) {
     SCOPED_TRACE("trial " + std::to_string(trial) + ", rows " +
                  std::to_string(rows) + ", buckets " +
                  std::to_string(buckets));
-    const ColumnStats got = ColumnStats::Build(**t, 0, buckets);
+    const ColumnStats got = ColumnStats::BuildTable(**t, buckets)[0];
     const ReferenceStats want = BuildByValueSort(**t, 0, buckets);
     EXPECT_EQ(got.num_rows(), want.num_rows);
     EXPECT_EQ(got.num_nulls(), want.num_nulls);
@@ -449,6 +450,110 @@ TEST(ColumnStatsDifferential, TypedKeysAgreeWithValueSort) {
           << "bound " << b;
     }
   }
+}
+
+// BuildTable walks the heap once for all columns and reuses its sort
+// buffers from column to column; each column must still come out as if it
+// had been built alone. Tables here have several columns of different
+// mixes, and tombstones the walk must skip. Besides RandomCell's two
+// mixes, a column may hold NULLs and ints of one span: narrower than the
+// row count, wider, or beyond ±2^53, where a single large int re-keys
+// every earlier cell of the column.
+TEST(ColumnStatsDifferential, EveryColumnOfATableAgreesWithValueSort) {
+  constexpr int64_t kSpans[] = {3, 100, 1 << 20, int64_t{1} << 60};
+  Random rng(2626);
+  for (int trial = 0; trial < 100; ++trial) {
+    const size_t num_columns = 1 + rng.Uniform(6);
+    std::vector<Column> columns;
+    std::vector<int> modes;
+    std::vector<int64_t> spans;
+    for (size_t c = 0; c < num_columns; ++c) {
+      columns.push_back({"c" + std::to_string(c), ValueType::kInt});
+      modes.push_back(static_cast<int>(rng.Uniform(3)));
+      spans.push_back(kSpans[rng.Uniform(4)]);
+    }
+    Catalog catalog;
+    auto t = catalog.CreateTable("m", Schema(columns));
+    ASSERT_TRUE(t.ok());
+    const int rows = static_cast<int>(rng.UniformInt(0, 300));
+    for (int i = 0; i < rows; ++i) {
+      Row row;
+      for (size_t c = 0; c < num_columns; ++c) {
+        if (modes[c] < 2) {
+          row.push_back(RandomCell(&rng, modes[c]));
+        } else if (rng.Bernoulli(0.1)) {
+          row.push_back(Value());
+        } else {
+          row.push_back(Value(rng.UniformInt(-spans[c], spans[c])));
+        }
+      }
+      ASSERT_TRUE((*t)->Insert(std::move(row)).ok());
+    }
+    for (int i = 0; i < rows; ++i) {
+      if (rng.Bernoulli(0.2)) {
+        ASSERT_TRUE((*t)->Delete(static_cast<RowId>(i)).ok());
+      }
+    }
+    const size_t buckets = 1 + rng.Uniform(40);
+    const std::vector<ColumnStats> got = ColumnStats::BuildTable(**t, buckets);
+    ASSERT_EQ(got.size(), num_columns);
+    for (size_t c = 0; c < num_columns; ++c) {
+      SCOPED_TRACE("trial " + std::to_string(trial) + ", column " +
+                   std::to_string(c) + ", buckets " + std::to_string(buckets));
+      const ReferenceStats want = BuildByValueSort(**t, c, buckets);
+      EXPECT_EQ(got[c].num_rows(), want.num_rows);
+      EXPECT_EQ(got[c].num_nulls(), want.num_nulls);
+      EXPECT_EQ(got[c].num_distinct(), want.num_distinct);
+      EXPECT_EQ(Bits(got[c].correlation()), Bits(want.correlation));
+      EXPECT_EQ(got[c].min().Compare(want.min), 0);
+      EXPECT_EQ(got[c].max().Compare(want.max), 0);
+      EXPECT_EQ(got[c].min().is_null(), want.min.is_null());
+      ASSERT_EQ(got[c].bucket_bounds().size(), want.bounds.size());
+      for (size_t b = 0; b < want.bounds.size(); ++b) {
+        EXPECT_EQ(got[c].bucket_bounds()[b].Compare(want.bounds[b]), 0)
+            << "bound " << b;
+      }
+    }
+  }
+}
+
+// NaN is unordered under `<`, so a comparison sort leaves a column holding
+// it in no defined order. ANALYZE orders every NaN, whatever its sign or
+// payload, as one value above +inf, and ties keep scan order.
+TEST(ColumnStatsNaN, EveryNaNIsOneValueAboveInfinity) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  Catalog catalog;
+  auto t = catalog.CreateTable("n", Schema({{"v", ValueType::kDouble}}));
+  ASSERT_TRUE(t.ok());
+  for (const Value& v :
+       {Value(int64_t(3)), Value(nan), Value(-inf), Value(int64_t(1)),
+        Value(std::copysign(nan, -1.0)), Value(inf), Value(int64_t(2)),
+        Value(nan)}) {
+    ASSERT_TRUE((*t)->Insert({v}).ok());
+  }
+  // Sorted: -inf, 1, 2, 3, +inf, NaN, -NaN, NaN.
+  const ColumnStats stats = ColumnStats::BuildTable(**t, 4)[0];
+  EXPECT_EQ(stats.num_rows(), 8u);
+  EXPECT_EQ(stats.num_distinct(), 6u);  // -inf, 1, 2, 3, +inf and NaN
+  EXPECT_EQ(stats.min().AsDouble(), -inf);
+  EXPECT_TRUE(std::isnan(stats.max().AsDouble()));
+  EXPECT_DOUBLE_EQ(stats.correlation(), 0.0);
+  // Bounds at ranks 2, 4, 6 and the max; a bound copies its cell, so the
+  // int 2 stays an int, and the NaN at rank 6 is the sign-flipped one.
+  ASSERT_EQ(stats.bucket_bounds().size(), 4u);
+  EXPECT_EQ(stats.bucket_bounds()[0].type(), ValueType::kInt);
+  EXPECT_EQ(stats.bucket_bounds()[0].AsInt(), 2);
+  EXPECT_EQ(stats.bucket_bounds()[1].AsDouble(), inf);
+  EXPECT_TRUE(std::signbit(stats.bucket_bounds()[2].AsDouble()));
+  EXPECT_TRUE(std::isnan(stats.bucket_bounds()[2].AsDouble()));
+  EXPECT_TRUE(std::isnan(stats.bucket_bounds()[3].AsDouble()));
+
+  // Two builds of one column agree byte for byte.
+  persist::Writer first, second;
+  stats.Save(&first);
+  ColumnStats::BuildTable(**t, 4)[0].Save(&second);
+  EXPECT_EQ(first.buffer(), second.buffer());
 }
 
 // --- ANALYZE skips unchanged tables ---------------------------------------

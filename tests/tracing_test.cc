@@ -612,10 +612,29 @@ TEST(Tracing, TuningRoundProducesPhaseSpans) {
   const obs::TraceData* round =
       FindTraceWithSpan(snap, "tuning.round", "tuning.candidate_gen");
   ASSERT_NE(round, nullptr);
+  EXPECT_NE(FindSpan(*round, "tuning.analyze"), nullptr);
   EXPECT_NE(FindSpan(*round, "tuning.search"), nullptr);
   CheckReport report;
   CheckTraces(snap, &report);
   EXPECT_TRUE(report.ok()) << report.ToString();
+
+  // After a write the next round's ANALYZE rebuilds the table's
+  // statistics, inside that round's own tuning.analyze span.
+  CheckOk(manager.ExecuteAndObserve("INSERT INTO t VALUES (2000, 7)")
+              .status());
+  tracer.ResetForTest();
+  tracer.Configure(kKeepAll, 0.0);
+  const util::Counter* built = util::MetricsRegistry::Default().GetCounter(
+      "stats.analyze.tables_built");
+  const uint64_t built_before = built->value();
+  manager.RunManagementRound();
+  EXPECT_EQ(built->value(), built_before + 1);
+  const obs::Tracer::Snapshot after = tracer.TakeSnapshot();
+  const obs::TraceData* next =
+      FindTraceWithSpan(after, "tuning.round", "tuning.analyze");
+  ASSERT_NE(next, nullptr);
+  EXPECT_NE(FindSpan(*next, "tuning.candidate_gen"), nullptr);
+  EXPECT_NE(FindSpan(*next, "tuning.search"), nullptr);
   tracer.ResetForTest();
 }
 

@@ -15,9 +15,9 @@ namespace {
 class WhatIfTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    db_.CreateTable("t", Schema({{"a", ValueType::kInt},
-                                 {"b", ValueType::kInt},
-                                 {"c", ValueType::kDouble}}));
+    CheckOk(db_.CreateTable("t", Schema({{"a", ValueType::kInt},
+                                         {"b", ValueType::kInt},
+                                         {"c", ValueType::kDouble}})));
     std::vector<Row> rows;
     for (int i = 0; i < 30000; ++i) {
       rows.push_back({Value(int64_t(i)), Value(int64_t(i % 50)),
@@ -143,8 +143,8 @@ TEST_F(WhatIfTest, CurrentConfigTracksBuiltIndexes) {
 }
 
 TEST_F(WhatIfTest, JoinEstimatePrefersIndexedInner) {
-  db_.CreateTable("d", Schema({{"k", ValueType::kInt},
-                               {"v", ValueType::kInt}}));
+  CheckOk(db_.CreateTable("d", Schema({{"k", ValueType::kInt},
+                                       {"v", ValueType::kInt}})));
   std::vector<Row> rows;
   for (int i = 0; i < 5000; ++i) {
     rows.push_back({Value(int64_t(i)), Value(int64_t(i))});
@@ -164,9 +164,9 @@ TEST_F(WhatIfTest, JoinEstimatePrefersIndexedInner) {
 class WhatIfPartitionedTest : public WhatIfTest {
  protected:
   void SetUp() override {
-    db_.CreateTable("pt", Schema({{"region", ValueType::kInt},
-                                  {"k", ValueType::kInt},
-                                  {"v", ValueType::kInt}}));
+    CheckOk(db_.CreateTable("pt", Schema({{"region", ValueType::kInt},
+                                          {"k", ValueType::kInt},
+                                          {"v", ValueType::kInt}})));
     ASSERT_TRUE(db_.catalog().GetTable("pt")->SetPartitioning("region", 8));
     std::vector<Row> rows;
     for (int i = 0; i < 40000; ++i) {

@@ -212,7 +212,7 @@ TEST(Epidemic, AllPhasesExecute) {
 
 TEST(Runner, MetricsAreConsistent) {
   Database db;
-  db.CreateTable("t", Schema({{"a", ValueType::kInt}}));
+  CheckOk(db.CreateTable("t", Schema({{"a", ValueType::kInt}})));
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(
         db.Execute("INSERT INTO t VALUES (" + std::to_string(i) + ")").ok());
@@ -231,7 +231,7 @@ TEST(Runner, MetricsAreConsistent) {
 
 TEST(Runner, FailedQueriesCounted) {
   Database db;
-  db.CreateTable("t", Schema({{"a", ValueType::kInt}}));
+  CheckOk(db.CreateTable("t", Schema({{"a", ValueType::kInt}})));
   RunMetrics m = RunWorkload(&db, {"SELECT a FROM missing_table"});
   EXPECT_EQ(m.failed, 1u);
 }
