@@ -52,7 +52,7 @@ int main() {
     RunMetrics metrics = RunWorkloadObserved(&manager, phase.queries);
     std::printf("ran %zu queries, cost %.1f (read %.1f, maintenance %.1f)\n",
                 metrics.queries, metrics.total_cost,
-                metrics.breakdown.CData(),
+                metrics.breakdown.data,
                 metrics.breakdown.maint_io + metrics.breakdown.maint_cpu);
 
     TuningResult tuning = manager.RunManagementRound();

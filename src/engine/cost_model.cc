@@ -3,6 +3,18 @@
 #include <cmath>
 
 namespace autoindex {
+namespace {
+
+// IO cost of touching `pages` pages sequentially / randomly.
+double SeqIoCost(size_t pages) {
+  return static_cast<double>(pages) * kSeqPageCost;
+}
+
+double RandomIoCost(size_t pages) {
+  return static_cast<double>(pages) * kRandomPageCost;
+}
+
+}  // namespace
 
 double IndexUpdateCpuCost(size_t num_entries, size_t height,
                           size_t num_insert) {
@@ -15,34 +27,22 @@ double IndexUpdateCpuCost(size_t num_entries, size_t height,
   return t_start + t_running;
 }
 
-double SeqIoCost(size_t pages) {
-  return static_cast<double>(pages) * kSeqPageCost;
-}
-
-double RandomIoCost(size_t pages) {
-  return static_cast<double>(pages) * kRandomPageCost;
-}
-
-HashJoinCost PriceHashJoin(size_t table_pages, size_t table_rows,
-                           double outer_rows) {
-  HashJoinCost cost;
-  cost.build_io = SeqIoCost(table_pages);
-  cost.build_cpu = static_cast<double>(table_rows) * kCpuTupleCost;
-  cost.probe_cpu = outer_rows * kCpuOperatorCost;
-  return cost;
+double PriceHashJoin(size_t table_pages, size_t table_rows, double outer_rows) {
+  return SeqIoCost(table_pages) +
+         static_cast<double>(table_rows) * kCpuTupleCost +
+         outer_rows * kCpuOperatorCost;
 }
 
 CostBreakdown ExecStats::ToCost() const {
   CostBreakdown cost;
-  cost.data_io = SeqIoCost(heap_pages_read) + RandomIoCost(index_pages_read);
-  cost.data_cpu =
-      static_cast<double>(tuples_examined) * kCpuTupleCost +
-      static_cast<double>(index_tuples_read) * kCpuIndexTupleCost;
+  const double io = SeqIoCost(heap_pages_read) + RandomIoCost(index_pages_read);
+  double cpu = static_cast<double>(tuples_examined) * kCpuTupleCost +
+               static_cast<double>(index_tuples_read) * kCpuIndexTupleCost;
   if (sort_rows > 1) {
-    cost.data_cpu += static_cast<double>(sort_rows) *
-                     std::log2(static_cast<double>(sort_rows)) *
-                     kCpuOperatorCost;
+    cpu += static_cast<double>(sort_rows) *
+           std::log2(static_cast<double>(sort_rows)) * kCpuOperatorCost;
   }
+  cost.data = io + cpu;
   cost.maint_io = SeqIoCost(pages_written + index_pages_written);
   cost.maint_cpu = maint_cpu_cost;
   return cost;

@@ -21,42 +21,27 @@ constexpr double kCpuIndexTupleCost = 0.005;
 double IndexUpdateCpuCost(size_t num_entries, size_t height,
                           size_t num_insert);
 
-// IO cost of touching `pages` pages sequentially / randomly.
-double SeqIoCost(size_t pages);
-double RandomIoCost(size_t pages);
-
 // A hash join over a table of `table_pages` pages and `table_rows` rows:
-// one sequential build scan plus one probe per outer row. The terms stay
-// apart so that callers splitting IO from CPU sum them in their own order.
-struct HashJoinCost {
-  double build_io = 0.0;
-  double build_cpu = 0.0;
-  double probe_cpu = 0.0;
-};
-HashJoinCost PriceHashJoin(size_t table_pages, size_t table_rows,
-                           double outer_rows);
+// one sequential build scan plus one probe per outer row.
+double PriceHashJoin(size_t table_pages, size_t table_rows, double outer_rows);
 
 // Aggregated cost of one statement execution, split the way the paper's
-// estimator consumes it: data-processing cost C_data (read-side IO+CPU),
-// index-maintenance IO C_io and CPU C_cpu (write-side).
+// estimator consumes it: data-processing cost C_data (the read side: pages
+// read, tuples examined, sort/agg work), index-maintenance IO C_io and CPU
+// C_cpu (write-side).
 struct CostBreakdown {
-  double data_io = 0.0;    // heap + index pages read
-  double data_cpu = 0.0;   // tuples examined, sort/agg work
+  double data = 0.0;       // C_data
   double maint_io = 0.0;   // index pages dirtied by writes (C^io)
   double maint_cpu = 0.0;  // index-update CPU (C^cpu)
 
-  double CData() const { return data_io + data_cpu; }
-  double Total() const { return data_io + data_cpu + maint_io + maint_cpu; }
+  double Total() const { return data + maint_io + maint_cpu; }
 
   // Feature vector {C_data, C_io, C_cpu} consumed by the learned estimator
   // (Sec. V-B).
-  std::vector<double> Features() const {
-    return {CData(), maint_io, maint_cpu};
-  }
+  std::vector<double> Features() const { return {data, maint_io, maint_cpu}; }
 
   CostBreakdown& operator+=(const CostBreakdown& o) {
-    data_io += o.data_io;
-    data_cpu += o.data_cpu;
+    data += o.data;
     maint_io += o.maint_io;
     maint_cpu += o.maint_cpu;
     return *this;

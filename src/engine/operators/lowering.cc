@@ -184,9 +184,7 @@ std::unique_ptr<PhysicalPlan> LowerWriteLookup(TablePlan tp,
 
   BuiltIndex* bi = FindBuiltIndex(indexes, t0);
   std::unique_ptr<PhysicalOperator> root;
-  // Write lookups bind key columns from literals only; an index without an
-  // equality prefix cannot seed a probe, so fall back to a scan.
-  if (bi != nullptr && t0.access.eq_prefix_len > 0) {
+  if (bi != nullptr) {
     std::unordered_set<std::string> seen;
     NoteIndexUse(bi, pp.get(), &seen);
     root = std::make_unique<IndexScanOp>(ctx, tables, 0, bi);

@@ -39,9 +39,10 @@ std::unique_ptr<PhysicalPlan> LowerSelect(const SelectStatement& stmt,
                                           const Catalog* catalog,
                                           IndexManager* indexes);
 
-// Lowers the row-location part of UPDATE/DELETE: a single scan (index when
-// the planner found a usable equality prefix) under an optional Filter with
-// the full WHERE. Matched RowIds surface through ExecTuple::rids.
+// Lowers the row-location part of UPDATE/DELETE: a single scan (the index
+// the planner chose, bound by its equality prefix and/or range, else a
+// sequential scan) under an optional Filter with the full WHERE. Matched
+// RowIds surface through ExecTuple::rids.
 std::unique_ptr<PhysicalPlan> LowerWriteLookup(TablePlan tp,
                                                const Expr* where,
                                                const Catalog* catalog,

@@ -47,12 +47,7 @@ std::vector<ColumnCondition> Planner::ExtractConditions(
   std::vector<ColumnCondition> conditions;
   if (where == nullptr) return conditions;
   std::vector<const Expr*> atoms;
-  if (!ExtractConjunctionAtoms(*where, &atoms)) {
-    // OR at the top level: no sargable conjuncts; the executor filters with
-    // the full predicate. (DNF-based candidate generation still sees the
-    // ORs — this only affects access-path choice.)
-    return conditions;
-  }
+  ExtractConjunctionAtoms(*where, &atoms);
   // Does this column belong to one of the already-placed tables? Qualified
   // names match on alias/table; unqualified names are resolved by probing
   // the earlier tables' schemas.
@@ -410,41 +405,56 @@ StatusOr<SelectPlan> Planner::PlanSelect(
     plan.tables.push_back(std::move(tp));
   }
 
-  // Estimated cost: outer cardinality times inner access cost per level.
-  // ChooseAccessPath prices a single probe; here, with the outer
-  // cardinality known, a join level's index choice is revisited against
-  // the hash-join alternative (build once + cheap probes) — otherwise
-  // per-tuple random index descents get chosen even when thousands of
-  // probes would dwarf one build scan.
+  // Estimated cost: each join level priced the way LowerSelect runs it.
+  //   - An index level probes once per outer row, paying the per-probe
+  //     page and tuple terms. Its heap fetches are capped at one pass over
+  //     the table, because ExecContext::probed_heap_pages counts each page
+  //     once per query.
+  //   - A join level builds a HashJoinOp unless it keeps its index: one
+  //     build scan, one probe per outer row. ChooseAccessPath priced a
+  //     single probe; with the outer cardinality known, the index stays
+  //     only if its probes cost less than the hash join.
+  //   - Any other level is scanned once; NestedLoopJoinOp drains its inner
+  //     side once.
   double outer_rows = 1.0;
   double total = 0.0;
   for (TablePlan& tp : plan.tables) {
-    bool has_join = false;
-    for (const ColumnCondition& c : tp.conditions) {
-      if (c.join_source.has_value() &&
-          c.kind == ColumnCondition::kEq) {
-        has_join = true;
-      }
+    const HeapTable* t = catalog_->GetTable(tp.ref.table);
+    AccessDecision& access = tp.access;
+    double level_cost = access.est_cost;  // one sequential scan
+    if (access.use_index) {
+      const double heap_pages =
+          std::min(static_cast<double>(t->NumPages()),
+                   outer_rows * access.heap_fetch_pages);
+      level_cost =
+          (outer_rows * (access.descent_pages + access.leaf_pages) +
+           heap_pages) *
+              kRandomPageCost +
+          outer_rows * access.est_match_rows *
+              (kCpuIndexTupleCost + kCpuTupleCost);
     }
-    // The chosen access path, run once per outer row.
-    const double path_total = outer_rows * tp.access.est_cost;
-    if (!has_join) {
-      total += path_total;
-    } else {
-      // Hash join: build once, probe per outer row.
-      const HeapTable* t = catalog_->GetTable(tp.ref.table);
-      const HashJoinCost hash =
+    const bool has_join =
+        std::any_of(tp.conditions.begin(), tp.conditions.end(),
+                    [](const ColumnCondition& c) {
+                      return c.join_source.has_value();
+                    });
+    if (has_join) {
+      const double hash_total =
           PriceHashJoin(t->NumPages(), t->num_rows(), outer_rows);
-      const double hash_total = hash.build_io + hash.build_cpu + hash.probe_cpu;
-      if (tp.access.use_index && outer_rows > 1.0 && hash_total < path_total) {
-        tp.access.use_index = false;
+      if (!access.use_index || hash_total < level_cost) {
+        access.use_index = false;
+        level_cost = hash_total;
       }
-      total += tp.access.use_index ? path_total : hash_total;
     }
+    total += level_cost;
     // est_rows already folds the join-equality selectivity (1/distinct),
     // so expected matches per outer row times outer cardinality is simply
     // the product.
-    outer_rows = std::max(1.0, outer_rows * tp.access.est_rows);
+    outer_rows = std::max(1.0, outer_rows * access.est_rows);
+  }
+  // Sort / aggregation CPU over the joined rows.
+  if ((!stmt.order_by.empty() || !stmt.group_by.empty()) && outer_rows > 1.0) {
+    total += outer_rows * std::log2(outer_rows) * kCpuOperatorCost;
   }
   plan.est_result_rows = outer_rows;
   plan.est_total_cost = total;

@@ -52,6 +52,8 @@ struct TablePlan {
 // A left-deep plan over the FROM list (joined in `tables` order).
 struct SelectPlan {
   std::vector<TablePlan> tables;
+  // The plan's price, level by level as lowering runs it, plus sort and
+  // aggregation; also the what-if cost of the SELECT.
   double est_total_cost = 0.0;
   double est_result_rows = 0.0;
 };

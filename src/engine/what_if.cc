@@ -1,7 +1,6 @@
 #include "engine/what_if.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/string_util.h"
 
@@ -110,57 +109,6 @@ size_t IndexConfig::TotalBytes(const Catalog& catalog) const {
   return total;
 }
 
-CostBreakdown WhatIfCostModel::EstimateSelect(
-    const SelectStatement& stmt,
-    const std::vector<IndexStatsView>& views) const {
-  CostBreakdown cost;
-  StatusOr<SelectPlan> plan = planner_.PlanSelect(stmt, views);
-  if (!plan.ok()) return cost;
-  // Split the planner's scalar estimate into io/cpu heuristically: access
-  // paths are IO-dominated, per-tuple work is CPU.
-  double outer_rows = 1.0;
-  for (const TablePlan& tp : plan->tables) {
-    const HeapTable* t = catalog_->GetTable(tp.ref.table);
-    if (t == nullptr) continue;
-    bool has_join = false;
-    for (const ColumnCondition& c : tp.conditions) {
-      if (c.join_source.has_value()) has_join = true;
-    }
-    if (tp.access.use_index) {
-      // One index probe per outer tuple, each paying the planner's
-      // per-probe page terms; heap fetches are capped at one pass over the
-      // table per query (buffer-cache behaviour).
-      const double probes = outer_rows;
-      const double heap_pages =
-          std::min(static_cast<double>(t->NumPages()),
-                   probes * tp.access.heap_fetch_pages);
-      cost.data_io += (probes * (tp.access.descent_pages +
-                                 tp.access.leaf_pages) +
-                       heap_pages) *
-                      kRandomPageCost;
-      cost.data_cpu += probes * tp.access.est_match_rows *
-                       (kCpuIndexTupleCost + kCpuTupleCost);
-    } else if (has_join && outer_rows > 1.0) {
-      // Hash join: build scan once + probe CPU.
-      const HashJoinCost hash =
-          PriceHashJoin(t->NumPages(), t->num_rows(), outer_rows);
-      cost.data_io += hash.build_io;
-      cost.data_cpu += hash.build_cpu + hash.probe_cpu;
-    } else {
-      cost.data_io += SeqIoCost(t->NumPages());
-      cost.data_cpu += t->num_rows() * kCpuTupleCost;
-    }
-    outer_rows = std::max(1.0, outer_rows * tp.access.est_rows);
-  }
-  // Sort / aggregation CPU.
-  if (!stmt.order_by.empty() || !stmt.group_by.empty()) {
-    if (outer_rows > 1.0) {
-      cost.data_cpu += outer_rows * std::log2(outer_rows) * kCpuOperatorCost;
-    }
-  }
-  return cost;
-}
-
 CostBreakdown WhatIfCostModel::EstimateWrite(
     const Statement& stmt, const std::vector<IndexStatsView>& views) const {
   CostBreakdown cost;
@@ -184,19 +132,13 @@ CostBreakdown WhatIfCostModel::EstimateWrite(
   const HeapTable* t = catalog_->GetTable(table);
   if (t == nullptr) return cost;
 
-  // Read side: locate the rows (UPDATE/DELETE).
+  // Read side: locate the rows (UPDATE/DELETE) by the planned access path.
   double matched_rows = static_cast<double>(rows_written);
   if (op != kIns) {
-    StatusOr<TablePlan> tp_or = planner_.PlanWriteLookup(table, where, views);
-    if (tp_or.ok()) {
-      const TablePlan& tp = *tp_or;
-      cost.data_io += tp.access.use_index
-                          ? tp.access.est_cost * 0.8
-                          : SeqIoCost(t->NumPages());
-      cost.data_cpu += tp.access.use_index
-                           ? tp.access.est_cost * 0.2
-                           : t->num_rows() * kCpuTupleCost;
-      matched_rows = std::max(1.0, tp.access.est_rows);
+    StatusOr<TablePlan> tp = planner_.PlanWriteLookup(table, where, views);
+    if (tp.ok()) {
+      cost.data = tp->access.est_cost;
+      matched_rows = std::max(1.0, tp->access.est_rows);
     }
   }
 
@@ -236,10 +178,12 @@ CostBreakdown WhatIfCostModel::EstimateWrite(
 CostBreakdown WhatIfCostModel::EstimateStatement(
     const Statement& stmt, const IndexConfig& config) const {
   const std::vector<IndexStatsView> views = config.ToStatsViews(*catalog_);
-  if (stmt.kind == StatementKind::kSelect) {
-    return EstimateSelect(*stmt.select, views);
-  }
-  return EstimateWrite(stmt, views);
+  if (stmt.kind != StatementKind::kSelect) return EstimateWrite(stmt, views);
+  // A read costs exactly what the planner charges for the plan it picks.
+  CostBreakdown cost;
+  StatusOr<SelectPlan> plan = planner_.PlanSelect(*stmt.select, views);
+  if (plan.ok()) cost.data = plan->est_total_cost;
+  return cost;
 }
 
 }  // namespace autoindex

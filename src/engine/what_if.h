@@ -37,10 +37,11 @@ class IndexConfig {
 };
 
 // Which indexes a statement's what-if cost can read: a superset, fixed by
-// the statement's shape alone, of every def EstimateStatement (planner and
-// EstimateWrite alike) looks at. Dropping the other defs from a config
-// leaves the statement's cost bit-identical, so a memo may key the cost by
-// the defs this admits. A def on a table the statement names is readable
+// the statement's shape alone, of every def the planner can choose for it
+// and every def its write maintenance charges. Dropping the other defs from
+// a config leaves the statement's cost bit-identical, so a memo may key the
+// cost by the defs this admits. A def on a table the statement names is
+// readable
 //   - by a SELECT, DELETE or UPDATE when its leading column appears anywhere
 //     in the WHERE (the planner only uses an index through an equality or
 //     range atom on that column; joins are WHERE atoms, and it never uses
@@ -67,9 +68,10 @@ class IndexRelevance {
 };
 
 // Prices statements under arbitrary index configurations without executing
-// them — the substrate equivalent of hypopg + EXPLAIN. Read costs come from
-// the planner's access-path estimates; write costs apply the paper's
-// maintenance formulas (Sec. V-A) per affected index.
+// them — the substrate equivalent of hypopg + EXPLAIN. The read side is the
+// planner's price for the plan it picks: a SELECT's est_total_cost, an
+// UPDATE/DELETE's write-lookup est_cost. Writes add the paper's maintenance
+// formulas (Sec. V-A) per affected index.
 class WhatIfCostModel {
  public:
   WhatIfCostModel(Catalog* catalog, StatsManager* stats)
@@ -86,8 +88,6 @@ class WhatIfCostModel {
   }
 
  private:
-  CostBreakdown EstimateSelect(const SelectStatement& stmt,
-                               const std::vector<IndexStatsView>& views) const;
   CostBreakdown EstimateWrite(const Statement& stmt,
                               const std::vector<IndexStatsView>& views) const;
 

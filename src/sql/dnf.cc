@@ -126,24 +126,13 @@ std::vector<DnfConjunction> ToDnf(const Expr& expr, size_t max_conjunctions) {
   return out;
 }
 
-bool ExtractConjunctionAtoms(const Expr& expr,
+void ExtractConjunctionAtoms(const Expr& expr,
                              std::vector<const Expr*>* out) {
-  switch (expr.kind) {
-    case ExprKind::kOr:
-      return false;
-    case ExprKind::kAnd:
-      for (const ExprPtr& c : expr.children) {
-        if (!ExtractConjunctionAtoms(*c, out)) return false;
-      }
-      return true;
-    case ExprKind::kNot:
-      // Treat a NOT-wrapped subtree as opaque only if it has no OR inside.
-      out->push_back(&expr);
-      return true;
-    default:
-      out->push_back(&expr);
-      return true;
+  if (expr.kind != ExprKind::kAnd) {
+    out->push_back(&expr);
+    return;
   }
+  for (const ExprPtr& c : expr.children) ExtractConjunctionAtoms(*c, out);
 }
 
 }  // namespace autoindex

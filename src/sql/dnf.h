@@ -21,8 +21,8 @@ using DnfConjunction = std::vector<ExprPtr>;
 std::vector<DnfConjunction> ToDnf(const Expr& expr,
                                   size_t max_conjunctions = 64);
 
-// Extracts the atoms of a pure conjunction (no ORs anywhere). Returns false
-// if the expression contains an OR; useful as a fast path before full DNF.
-bool ExtractConjunctionAtoms(const Expr& expr, std::vector<const Expr*>* out);
+// Flattens nested ANDs into their conjuncts. Anything else, an OR or a NOT
+// included, is one opaque atom; the conjunction of the atoms is `expr`.
+void ExtractConjunctionAtoms(const Expr& expr, std::vector<const Expr*>* out);
 
 }  // namespace autoindex

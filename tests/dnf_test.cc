@@ -129,12 +129,16 @@ TEST(Dnf, CapBoundsBlowup) {
 TEST(Dnf, ExtractConjunctionAtomsFastPath) {
   std::vector<const Expr*> atoms;
   ExprPtr conj = WhereOf("a = 1 AND b > 2 AND c IS NULL");
-  EXPECT_TRUE(ExtractConjunctionAtoms(*conj, &atoms));
+  ExtractConjunctionAtoms(*conj, &atoms);
   EXPECT_EQ(atoms.size(), 3u);
 
+  // An OR under the AND stays one opaque atom beside the other conjuncts.
   atoms.clear();
   ExprPtr with_or = WhereOf("a = 1 AND (b = 2 OR c = 3)");
-  EXPECT_FALSE(ExtractConjunctionAtoms(*with_or, &atoms));
+  ExtractConjunctionAtoms(*with_or, &atoms);
+  ASSERT_EQ(atoms.size(), 2u);
+  EXPECT_EQ(atoms[0]->kind, ExprKind::kCompare);
+  EXPECT_EQ(atoms[1]->kind, ExprKind::kOr);
 }
 
 // Property test: ToDnf(e) is logically equivalent to e on random

@@ -127,6 +127,24 @@ TEST_F(PlannerTest, TopLevelOrYieldsNoSargableConditions) {
   EXPECT_TRUE(conds.empty());
 }
 
+// An OR under the AND is one residual atom: the other conjuncts still
+// reach access-path choice, and the Filter checks the OR.
+TEST_F(PlannerTest, OrUnderAndLeavesOtherConjunctsSargable) {
+  SelectStatement& s =
+      Select("SELECT c FROM big WHERE a = 3 AND (b > 1 OR c > 2)");
+  auto plan =
+      planner_->PlanSelect(s, {View(IndexDef("big", {"a"}), 50000)});
+  ASSERT_TRUE(plan.ok());
+  ASSERT_EQ(plan->tables.size(), 1u);
+  const TablePlan& tp = plan->tables[0];
+  ASSERT_EQ(tp.conditions.size(), 1u);
+  EXPECT_EQ(tp.conditions[0].column, "a");
+  EXPECT_TRUE(tp.access.use_index);
+  EXPECT_EQ(tp.access.index, IndexDef("big", {"a"}));
+  EXPECT_EQ(tp.access.eq_prefix_len, 1u);
+  EXPECT_LT(plan->est_result_rows, 5.0);
+}
+
 TEST_F(PlannerTest, ChoosesSelectiveIndexOverSeqScan) {
   SelectStatement& s = Select("SELECT b FROM big WHERE a = 77");
   auto conds = planner_->ExtractConditions(s.where.get(), "big", "big", {});

@@ -3,11 +3,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <utility>
+#include <vector>
 
+#include "core/candidate_gen.h"
+#include "core/query_template.h"
 #include "engine/database.h"
 #include "engine/planner.h"
 #include "sql/parser.h"
+#include "util/random.h"
+#include "workload/banking.h"
+#include "workload/tpcc.h"
+#include "workload/tpcds.h"
 
 namespace autoindex {
 namespace {
@@ -231,6 +240,156 @@ TEST_F(WhatIfPartitionedTest, SingleTableCostEqualsPlannerEstimate) {
     EXPECT_DOUBLE_EQ(db_.WhatIfCost(stmt, IndexConfig()).Total(),
                      PlannerEstimate(stmt, IndexConfig()).first);
   }
+}
+
+// --- one plan, one price ---------------------------------------------------
+
+// The plan a statement is priced by under `config`: for a SELECT the
+// planner's plan, for UPDATE/DELETE its write lookup, for INSERT none.
+// Holds the plan's read-side price and the indexes it probes, deduplicated
+// in plan order as ExecResult::indexes_used lists them.
+struct PricedPlan {
+  double read_cost = 0.0;
+  std::vector<std::string> indexes;
+};
+
+PricedPlan PlanOf(const Database& db, const Statement& stmt,
+                  const IndexConfig& config) {
+  const Planner& planner = db.executor().planner();
+  const std::vector<IndexStatsView> views = config.ToStatsViews(db.catalog());
+  PricedPlan out;
+  std::vector<TablePlan> tables;
+  if (stmt.kind == StatementKind::kSelect) {
+    StatusOr<SelectPlan> plan = planner.PlanSelect(*stmt.select, views);
+    EXPECT_TRUE(plan.ok());
+    if (!plan.ok()) return out;
+    out.read_cost = plan->est_total_cost;
+    tables = std::move(plan->tables);
+  } else if (stmt.kind != StatementKind::kInsert) {
+    const std::string& table = stmt.kind == StatementKind::kUpdate
+                                   ? stmt.update->table
+                                   : stmt.del->table;
+    StatusOr<TablePlan> lookup =
+        planner.PlanWriteLookup(table, stmt.where(), views);
+    EXPECT_TRUE(lookup.ok());
+    if (!lookup.ok()) return out;
+    out.read_cost = lookup->access.est_cost;
+    tables.push_back(std::move(*lookup));
+  }
+  for (const TablePlan& tp : tables) {
+    if (!tp.access.use_index) continue;
+    const std::string name = tp.access.index.DisplayName();
+    if (std::find(out.indexes.begin(), out.indexes.end(), name) ==
+        out.indexes.end()) {
+      out.indexes.push_back(name);
+    }
+  }
+  return out;
+}
+
+// Makes the built indexes exactly `defs`.
+void BuildConfig(Database* db, const std::vector<IndexDef>& defs) {
+  const IndexConfig target(defs);
+  const IndexConfig current = db->CurrentConfig();
+  for (const IndexDef& def : current.defs()) {
+    if (!target.Contains(def)) {
+      ASSERT_TRUE(db->DropIndex(def.Key()).ok());
+    }
+  }
+  for (const IndexDef& def : target.defs()) {
+    if (!db->HasIndex(def)) {
+      ASSERT_TRUE(db->CreateIndex(def).ok());
+    }
+  }
+}
+
+// For every template of `queries`, under the built indexes and random
+// configurations drawn from the workload's candidates:
+//   - the what-if cost is the price of the plan: a SELECT's est_total_cost,
+//     a write lookup's est_cost plus maintenance, nothing read for INSERT;
+//   - once a configuration is built, executing the statement probes
+//     exactly the indexes that plan chose.
+void ExpectOnePlanOnePrice(Database* db,
+                           const std::vector<std::string>& queries,
+                           uint64_t seed) {
+  TemplateStore store(5000);
+  for (const std::string& sql : queries) {
+    ASSERT_NE(store.Observe(sql), nullptr) << sql;
+  }
+  const std::vector<const QueryTemplate*> templates =
+      store.TemplatesByFrequency();
+  const IndexConfig defaults = db->CurrentConfig();
+  std::vector<IndexDef> pool =
+      CandidateGenerator(db).Generate(templates, defaults);
+  pool.insert(pool.end(), defaults.defs().begin(), defaults.defs().end());
+
+  Random rng(seed);
+  std::vector<std::vector<IndexDef>> configs = {defaults.defs()};
+  for (int i = 0; i < 6; ++i) {
+    std::vector<IndexDef> defs;
+    for (const IndexDef& def : pool) {
+      if (rng.Bernoulli(0.3)) defs.push_back(def);
+    }
+    configs.push_back(std::move(defs));
+  }
+  for (size_t c = 0; c < configs.size(); ++c) {
+    const IndexConfig config(configs[c]);
+    // Build every other configuration; the rest are only priced.
+    const bool built = c % 2 == 0;
+    if (built) BuildConfig(db, configs[c]);
+    for (const QueryTemplate* t : templates) {
+      const Statement& stmt = t->representative;
+      SCOPED_TRACE(stmt.ToString() + " under config " + std::to_string(c));
+      const CostBreakdown cost = db->WhatIfCost(stmt, config);
+      const PricedPlan plan = PlanOf(*db, stmt, config);
+      EXPECT_DOUBLE_EQ(cost.data, plan.read_cost);
+      if (stmt.kind == StatementKind::kSelect) {
+        EXPECT_EQ(cost.maint_io + cost.maint_cpu, 0.0);
+      }
+      if (!built) continue;
+      StatusOr<ExecResult> result = db->Execute(stmt);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_EQ(result->indexes_used, plan.indexes);
+    }
+  }
+}
+
+TEST(OnePlanOnePrice, Tpcc) {
+  Database db;
+  TpccConfig config;
+  config.customers_per_district = 60;
+  config.items = 300;
+  config.orders_per_district = 40;
+  TpccWorkload::Populate(&db, config);
+  TpccWorkload::CreateDefaultIndexes(&db);
+  ExpectOnePlanOnePrice(&db, TpccWorkload::Generate(config, 400, 7), 21);
+}
+
+TEST(OnePlanOnePrice, Tpcds) {
+  Database db;
+  TpcdsConfig config;
+  config.sales_rows = 6000;
+  config.items = 600;
+  config.customers = 500;
+  config.dates = 365;
+  config.promotions = 50;
+  TpcdsWorkload::Populate(&db, config);
+  TpcdsWorkload::CreateDefaultIndexes(&db);
+  ExpectOnePlanOnePrice(&db, TpcdsWorkload::OneOfEach(config, 7), 22);
+}
+
+TEST(OnePlanOnePrice, Banking) {
+  Database db;
+  BankingConfig config;
+  config.num_tables = 24;
+  config.hot_tables = 6;
+  config.rows_hot = 400;
+  config.rows_cold = 40;
+  config.manual_indexes = 40;
+  BankingWorkload::Populate(&db, config);
+  BankingWorkload::CreateManualIndexes(&db, config);
+  ExpectOnePlanOnePrice(&db, BankingWorkload::HybridService(config, 400, 7),
+                        23);
 }
 
 }  // namespace
