@@ -36,16 +36,18 @@ struct ExecutorMetrics {
 }  // namespace
 
 std::vector<IndexStatsView> Executor::BuiltConfig(
-    const std::string& table) const {
+    const std::vector<TableRef>& tables) const {
   std::vector<IndexStatsView> out;
-  for (const BuiltIndex* index : indexes_->IndexesOnTable(table)) {
-    IndexStatsView view;
-    view.def = index->def();
-    view.num_entries = index->num_entries();
-    view.height = index->height();
-    view.size_bytes = index->SizeBytes();
-    view.partitions = index->num_trees();
-    out.push_back(std::move(view));
+  for (const TableRef& ref : tables) {
+    for (const BuiltIndex* index : indexes_->IndexesOnTable(ref.table)) {
+      IndexStatsView view;
+      view.def = index->def();
+      view.num_entries = index->num_entries();
+      view.height = index->height();
+      view.size_bytes = index->SizeBytes();
+      view.partitions = index->num_trees();
+      out.push_back(std::move(view));
+    }
   }
   return out;
 }
@@ -81,37 +83,56 @@ void Executor::FinishStatement(const ExecResult& result) {
   }
 }
 
-StatusOr<ExecResult> Executor::ExecuteSelect(const SelectStatement& stmt) {
-  // Plan against the real (built) indexes of every referenced table.
-  std::vector<IndexStatsView> config;
-  for (const TableRef& ref : stmt.from) {
-    std::vector<IndexStatsView> per = BuiltConfig(ref.table);
-    config.insert(config.end(), per.begin(), per.end());
-  }
-  std::unique_ptr<PhysicalPlan> pplan;
-  {
-    obs::ScopedSpan plan_span("plan");
-    StatusOr<SelectPlan> plan_or = planner_.PlanSelect(stmt, config);
-    if (!plan_or.ok()) return plan_or.status();
-    pplan = LowerSelect(stmt, std::move(*plan_or), catalog_, indexes_);
-  }
+StatusOr<std::unique_ptr<PhysicalPlan>> Executor::PlanSelect(
+    const SelectStatement& stmt,
+    const std::vector<IndexStatsView>* config) const {
+  obs::ScopedSpan plan_span("plan");
+  StatusOr<SelectPlan> plan = planner_.PlanSelect(
+      stmt, config == nullptr ? BuiltConfig(stmt.from) : *config);
+  if (!plan.ok()) return plan.status();
+  return LowerSelect(stmt, std::move(*plan), catalog_, indexes_);
+}
 
-  ExecResult result;
-  result.indexes_used = pplan->indexes_used;
-  result.stats.used_index = pplan->used_index;
+StatusOr<std::unique_ptr<PhysicalPlan>> Executor::PlanLookup(
+    const std::string& table, const Expr* where,
+    const std::vector<IndexStatsView>* config) const {
+  obs::ScopedSpan plan_span("plan");
+  StatusOr<TablePlan> tp = planner_.PlanWriteLookup(
+      table, where,
+      config == nullptr ? BuiltConfig({TableRef(table)}) : *config);
+  if (!tp.ok()) return tp.status();
+  return LowerWriteLookup(std::move(*tp), where, catalog_, indexes_);
+}
 
-  pplan->root->Open();
+namespace {
+
+// Runs `pp`'s tree to exhaustion, handing each tuple to `emit`, and fills
+// *result's index use, plan snapshot, read-side counters and feedback.
+template <typename Emit>
+void RunPipeline(const PhysicalPlan& pp, bool detail, ExecResult* result,
+                 Emit emit) {
+  result->indexes_used = pp.indexes_used;
+  result->stats.used_index = !pp.indexes_used.empty();
+  pp.root->Open();
   ExecTuple t;
-  while (pplan->root->Next(&t)) {
-    result.rows.push_back(*t.slots[0]);
-  }
-  pplan->root->Close();
+  while (pp.root->Next(&t)) emit(t);
+  pp.root->Close();
+  result->plan =
+      std::make_shared<const PlanNodeSnapshot>(pp.root->Snapshot(detail));
+  AccumulateOperatorCounters(*result->plan, &result->stats);
+  CollectAccessPathFeedback(*pp.root, &result->feedback);
+}
 
-  result.plan = std::make_shared<const PlanNodeSnapshot>(
-      pplan->root->Snapshot(plan_detail_));
-  AccumulateOperatorCounters(*result.plan, &result.stats);
+}  // namespace
+
+StatusOr<ExecResult> Executor::ExecuteSelect(const SelectStatement& stmt) {
+  StatusOr<std::unique_ptr<PhysicalPlan>> pp = PlanSelect(stmt, nullptr);
+  if (!pp.ok()) return pp.status();
+  ExecResult result;
+  RunPipeline(**pp, plan_detail_, &result, [&](const ExecTuple& t) {
+    result.rows.push_back(*t.slots[0]);
+  });
   result.stats.rows_returned = result.rows.size();
-  CollectAccessPathFeedback(*pplan->root, &result.feedback);
   FinishStatement(result);
   return result;
 }
@@ -119,31 +140,12 @@ StatusOr<ExecResult> Executor::ExecuteSelect(const SelectStatement& stmt) {
 StatusOr<std::vector<RowId>> Executor::LookupRows(const std::string& table,
                                                   const Expr* where,
                                                   ExecResult* result) {
-  HeapTable* t = catalog_->GetTable(table);
-  if (t == nullptr) return Status::NotFound("no such table: " + table);
-  std::unique_ptr<PhysicalPlan> pplan;
-  {
-    obs::ScopedSpan plan_span("plan");
-    StatusOr<TablePlan> tp_or =
-        planner_.PlanWriteLookup(table, where, BuiltConfig(table));
-    if (!tp_or.ok()) return tp_or.status();
-    pplan = LowerWriteLookup(std::move(*tp_or), where, catalog_, indexes_);
-  }
-  result->indexes_used = pplan->indexes_used;
-  result->stats.used_index = pplan->used_index;
-
+  StatusOr<std::unique_ptr<PhysicalPlan>> pp =
+      PlanLookup(table, where, nullptr);
+  if (!pp.ok()) return pp.status();
   std::vector<RowId> out;
-  pplan->root->Open();
-  ExecTuple tup;
-  while (pplan->root->Next(&tup)) {
-    out.push_back(tup.rids[0]);
-  }
-  pplan->root->Close();
-
-  result->plan = std::make_shared<const PlanNodeSnapshot>(
-      pplan->root->Snapshot(plan_detail_));
-  AccumulateOperatorCounters(*result->plan, &result->stats);
-  CollectAccessPathFeedback(*pplan->root, &result->feedback);
+  RunPipeline(**pp, plan_detail_, result,
+              [&](const ExecTuple& t) { out.push_back(t.rids[0]); });
   return out;
 }
 

@@ -49,6 +49,16 @@ class Executor {
 
   StatusOr<ExecResult> Execute(const Statement& stmt);
 
+  // Plan and lower a SELECT, or the row lookup of an UPDATE/DELETE on
+  // `table`, into the unopened tree Execute runs and EXPLAIN renders,
+  // against `config` (null: the built indexes, as Execute plans).
+  StatusOr<std::unique_ptr<PhysicalPlan>> PlanSelect(
+      const SelectStatement& stmt,
+      const std::vector<IndexStatsView>* config) const;
+  StatusOr<std::unique_ptr<PhysicalPlan>> PlanLookup(
+      const std::string& table, const Expr* where,
+      const std::vector<IndexStatsView>* config) const;
+
   const Planner& planner() const { return planner_; }
 
   // Whether plan snapshots carry each operator's detail text. Off by
@@ -84,8 +94,9 @@ class Executor {
                                           const Expr* where,
                                           ExecResult* result);
 
-  // Current built-index stats for a table (the real execution config).
-  std::vector<IndexStatsView> BuiltConfig(const std::string& table) const;
+  // Current built-index stats for the tables (the real execution config).
+  std::vector<IndexStatsView> BuiltConfig(
+      const std::vector<TableRef>& tables) const;
 
   void FinishStatement(const ExecResult& result);
 

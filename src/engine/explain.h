@@ -7,30 +7,33 @@
 
 namespace autoindex {
 
-// Renders the plan the engine would run for a statement under a given
-// index configuration — access path per table (seq scan / index scan with
-// the matched prefix / hash join), join order, and estimated
-// rows/costs. The default config is the currently built index set.
+// EXPLAIN: plans and lowers a statement without executing it and renders
+// the operator tree that would run, the one EXPLAIN ANALYZE renders after
+// running it. A null config plans against the built indexes, as execution
+// does; any IndexConfig (hypothetical indexes included) shows its what-if
+// plan. UPDATE/DELETE show their lookup tree under the write; INSERT is
+// one line. A statement that cannot be planned fails.
 //
-//   EXPLAIN SELECT ... =>
-//     -> index scan on orders via idx_orders_customer_id
-//          prefix: customer_id = ?  (est. 10.0 rows, cost 12.4)
-//     -> hash join to items on item_id (est. 40.0 rows)
-//     estimated total cost: 52.4
-std::string ExplainStatement(const Database& db, const Statement& stmt);
-std::string ExplainStatement(const Database& db, const Statement& stmt,
-                             const IndexConfig& config);
+//   -> Project b  (est. 10.0 rows, cost 52.1)
+//     -> Filter a = 5  (est. 10.0 rows, cost 52.1)
+//       -> IndexScan on t via idx_t_a (eq prefix 1)  (est. 10.0 rows, ...)
+//   estimated total cost: 52.1 (est. 10.0 result rows)
+StatusOr<std::string> ExplainStatement(const Database& db,
+                                       const Statement& stmt,
+                                       const IndexConfig* config = nullptr);
 
 // Parses and explains one SQL string.
 StatusOr<std::string> ExplainSql(const Database& db, const std::string& sql);
 
-// Renders an executed operator-tree snapshot: one line per operator with
-// the planner's estimates next to the measured counters.
+// Renders an operator-tree snapshot from `depth` on: one line per
+// operator with the planner's figures, its output rows and the price of
+// its subtree, plus the measured counters for an `executed` tree.
 //
-//   -> Project a, b  (est. 10.0 rows)  (actual: rows=10)
+//   -> Project a, b  (est. 10.0 rows, cost 12.4)  (actual: rows=10)
 //     -> IndexScan on t via idx_t_a (eq prefix 1)  (est. 10.0 rows,
 //        cost 12.4)  (actual: rows=10, heap_pages=3, index_pages=2, ...)
-std::string RenderPlanSnapshot(const PlanNodeSnapshot& node);
+std::string RenderPlanSnapshot(const PlanNodeSnapshot& node, bool executed,
+                               size_t depth = 0);
 
 // EXPLAIN ANALYZE: actually executes the statement, then renders the
 // per-operator tree with estimated vs. measured rows/costs plus a footer

@@ -38,8 +38,7 @@ HashJoinOp::HashJoinOp(ExecContext* ctx,
                        std::unique_ptr<SeqScanOp> inner,
                        std::vector<std::string> join_cols,
                        std::vector<ColumnRef> join_sources)
-    : JoinOpBase(ctx, tables, level, std::move(outer)),
-      inner_(std::move(inner)),
+    : JoinOpBase(ctx, tables, level, std::move(outer), std::move(inner)),
       join_cols_(std::move(join_cols)),
       join_sources_(std::move(join_sources)) {
   const Schema& schema =

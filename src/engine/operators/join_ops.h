@@ -12,19 +12,34 @@ namespace autoindex {
 // Shared shape of the three left-deep join operators: child 0 is the outer
 // pipeline (tuples of `level` slots), child 1 the inner access operator
 // for tables_[level]. Emitted tuples extend the outer tuple by one slot.
+// Open and Close reach both children, so every operator of the tree gets
+// its trace span.
+template <typename Inner>
 class JoinOpBase : public PhysicalOperator {
  public:
   JoinOpBase(ExecContext* ctx, const std::vector<TablePlan>& tables,
-             size_t level, std::unique_ptr<PhysicalOperator> outer)
-      : ctx_(ctx),
-        tables_(tables),
+             size_t level, std::unique_ptr<PhysicalOperator> outer,
+             std::unique_ptr<Inner> inner)
+      : tables_(tables),
         level_(level),
         outer_(std::move(outer)),
+        inner_(std::move(inner)),
         join_conds_(ColumnBinder(*ctx->catalog, tables, level)
                         .BindConditions(tables[level], /*join=*/true)) {}
 
+  void DoOpen() override {
+    outer_->Open();
+    inner_->Open();
+  }
+  void DoClose() override {
+    outer_->Close();
+    inner_->Close();
+  }
   size_t out_width() const override { return level_ + 1; }
   size_t num_children() const override { return 2; }
+  const PhysicalOperator* child(size_t i) const override {
+    return i == 0 ? outer_.get() : static_cast<PhysicalOperator*>(inner_.get());
+  }
   std::string detail() const override {
     return "to " + tables_[level_].ref.alias;
   }
@@ -51,10 +66,10 @@ class JoinOpBase : public PhysicalOperator {
     ++stats_.rows_out;
   }
 
-  ExecContext* ctx_;
   const std::vector<TablePlan>& tables_;
   size_t level_;
   std::unique_ptr<PhysicalOperator> outer_;
+  std::unique_ptr<Inner> inner_;
   std::vector<BoundPredicate> join_conds_;
   ExecTuple tuple_;  // current outer tuple plus the inner row's slot
   bool inner_active_ = false;
@@ -63,29 +78,15 @@ class JoinOpBase : public PhysicalOperator {
 // Index nested-loop join: re-probes the inner IndexScan per outer tuple
 // (runtime-bound key prefix). The inner scan already applies the level's
 // local and join conditions against the bound outer tuple.
-class IndexNestedLoopJoinOp : public JoinOpBase {
+class IndexNestedLoopJoinOp : public JoinOpBase<IndexScanOp> {
  public:
-  IndexNestedLoopJoinOp(ExecContext* ctx,
-                        const std::vector<TablePlan>& tables, size_t level,
-                        std::unique_ptr<PhysicalOperator> outer,
-                        std::unique_ptr<IndexScanOp> inner)
-      : JoinOpBase(ctx, tables, level, std::move(outer)),
-        inner_(std::move(inner)) {}
+  using JoinOpBase::JoinOpBase;
 
-  void DoOpen() override { outer_->Open(); }
   bool DoNext(ExecTuple* out) override;
-  void DoClose() override {
-    outer_->Close();
-    inner_->Close();
-  }
 
   const char* name() const override { return "IndexNestedLoopJoin"; }
-  const PhysicalOperator* child(size_t i) const override {
-    return i == 0 ? outer_.get() : static_cast<PhysicalOperator*>(inner_.get());
-  }
 
  private:
-  std::unique_ptr<IndexScanOp> inner_;
   ExecTuple inner_tuple_;
 };
 
@@ -99,7 +100,7 @@ class IndexNestedLoopJoinOp : public JoinOpBase {
 // matches in heap order. Every hash-equal pair is rechecked exactly with
 // the join conditions (collisions, `1 = 1.0` keys, NULLs), so the counters
 // and results do not depend on which side was hashed.
-class HashJoinOp : public JoinOpBase {
+class HashJoinOp : public JoinOpBase<SeqScanOp> {
  public:
   HashJoinOp(ExecContext* ctx, const std::vector<TablePlan>& tables,
              size_t level, std::unique_ptr<PhysicalOperator> outer,
@@ -107,18 +108,10 @@ class HashJoinOp : public JoinOpBase {
              std::vector<std::string> join_cols,
              std::vector<ColumnRef> join_sources);
 
-  void DoOpen() override { outer_->Open(); }
   bool DoNext(ExecTuple* out) override;
-  void DoClose() override {
-    outer_->Close();
-    inner_->Close();
-  }
 
   const char* name() const override { return "HashJoin"; }
   std::string detail() const override;
-  const PhysicalOperator* child(size_t i) const override {
-    return i == 0 ? outer_.get() : static_cast<PhysicalOperator*>(inner_.get());
-  }
 
  private:
   enum class Hashed { kNotYet, kInner, kOuter };
@@ -143,7 +136,6 @@ class HashJoinOp : public JoinOpBase {
   size_t OuterKeyHash(const ExecTuple& t) const;
   size_t num_buffered() const { return outer_hashes_.size(); }
 
-  std::unique_ptr<SeqScanOp> inner_;
   std::vector<std::string> join_cols_;
   std::vector<ColumnRef> join_sources_;
   std::vector<int> key_ords_;      // inner key columns; -1 reads NULL
@@ -169,31 +161,18 @@ class HashJoinOp : public JoinOpBase {
 // Cartesian nested-loop join (no equality key). The first outer tuple
 // drains the inner SeqScan into a buffer (an empty outer never runs it),
 // which every outer tuple then replays.
-class NestedLoopJoinOp : public JoinOpBase {
+class NestedLoopJoinOp : public JoinOpBase<SeqScanOp> {
  public:
-  NestedLoopJoinOp(ExecContext* ctx, const std::vector<TablePlan>& tables,
-                   size_t level, std::unique_ptr<PhysicalOperator> outer,
-                   std::unique_ptr<SeqScanOp> inner)
-      : JoinOpBase(ctx, tables, level, std::move(outer)),
-        inner_(std::move(inner)) {}
+  using JoinOpBase::JoinOpBase;
 
-  void DoOpen() override { outer_->Open(); }
   bool DoNext(ExecTuple* out) override;
-  void DoClose() override {
-    outer_->Close();
-    inner_->Close();
-  }
 
   const char* name() const override { return "NestedLoopJoin"; }
   std::string detail() const override {
     return JoinOpBase::detail() + " (cartesian)";
   }
-  const PhysicalOperator* child(size_t i) const override {
-    return i == 0 ? outer_.get() : static_cast<PhysicalOperator*>(inner_.get());
-  }
 
  private:
-  std::unique_ptr<SeqScanOp> inner_;
   bool inner_drained_ = false;
   std::vector<const Row*> inner_rows_;
   std::vector<RowId> inner_rids_;

@@ -1,7 +1,6 @@
 #include "engine/operators/lowering.h"
 
 #include <algorithm>
-#include <unordered_set>
 #include <utility>
 
 #include "engine/operators/join_ops.h"
@@ -11,20 +10,23 @@
 namespace autoindex {
 namespace {
 
-BuiltIndex* FindBuiltIndex(IndexManager* indexes, const TablePlan& tp) {
-  if (!tp.access.use_index) return nullptr;
-  for (BuiltIndex* bi : indexes->IndexesOnTable(tp.ref.table)) {
-    if (bi->def() == tp.access.index) return bi;
+// Notes the index an IndexScanOp over `tp` probes in the plan's
+// deduplicated use list.
+void NoteIndexUse(const TablePlan& tp, PhysicalPlan* pp) {
+  const std::string name = tp.access.index.DisplayName();
+  if (std::find(pp->indexes_used.begin(), pp->indexes_used.end(), name) ==
+      pp->indexes_used.end()) {
+    pp->indexes_used.push_back(name);
   }
-  return nullptr;
 }
 
-void NoteIndexUse(BuiltIndex* bi, PhysicalPlan* pp,
-                  std::unordered_set<std::string>* seen) {
-  bi->RecordUse();
-  pp->used_index = true;
-  const std::string name = bi->def().DisplayName();
-  if (seen->insert(name).second) pp->indexes_used.push_back(name);
+std::unique_ptr<PhysicalPlan> NewPlan(const Catalog* catalog,
+                                      IndexManager* indexes) {
+  auto pp = std::make_unique<PhysicalPlan>();
+  pp->ctx = std::make_unique<ExecContext>();
+  pp->ctx->catalog = catalog;
+  pp->ctx->indexes = indexes;
+  return pp;
 }
 
 }  // namespace
@@ -33,81 +35,90 @@ std::unique_ptr<PhysicalPlan> LowerSelect(const SelectStatement& stmt,
                                           SelectPlan plan,
                                           const Catalog* catalog,
                                           IndexManager* indexes) {
-  auto pp = std::make_unique<PhysicalPlan>();
+  std::unique_ptr<PhysicalPlan> pp = NewPlan(catalog, indexes);
   pp->logical = std::move(plan);
-  pp->ctx = std::make_unique<ExecContext>();
-  pp->ctx->catalog = catalog;
   ExecContext* ctx = pp->ctx.get();
   const std::vector<TablePlan>& tables = pp->logical.tables;
 
-  std::unordered_set<std::string> seen_indexes;
+  // Every operator carries the plan's figures: a level's operator its
+  // level's rows and cumulative cost, an inner scan its own access
+  // decision (per probe under an IndexNestedLoopJoin).
   std::unique_ptr<PhysicalOperator> root;
-  double outer_est_rows = 1.0;
-
+  auto push = [&root](std::unique_ptr<PhysicalOperator> op, double rows,
+                      double cost) {
+    op->set_estimates(rows, cost);
+    root = std::move(op);
+  };
   for (size_t level = 0; level < tables.size(); ++level) {
     const TablePlan& tp = tables[level];
-    BuiltIndex* bi = FindBuiltIndex(indexes, tp);
     std::unique_ptr<IndexScanOp> index_scan;
-    if (bi != nullptr) {
-      NoteIndexUse(bi, pp.get(), &seen_indexes);
-      index_scan = std::make_unique<IndexScanOp>(ctx, tables, level, bi);
-      if (!index_scan->key_bound()) index_scan.reset();
-    }
-
-    if (level == 0) {
-      if (index_scan != nullptr) {
-        root = std::move(index_scan);
+    if (tp.access.use_index) {
+      index_scan = std::make_unique<IndexScanOp>(ctx, tables, level);
+      if (index_scan->key_bound()) {
+        NoteIndexUse(tp, pp.get());
       } else {
-        root = std::make_unique<SeqScanOp>(ctx, tables, 0);
+        index_scan.reset();
       }
-      root->set_estimates(tp.access.est_rows, tp.access.est_cost);
-      outer_est_rows = tp.access.est_rows;
+    }
+    if (level == 0) {
+      std::unique_ptr<PhysicalOperator> scan = std::move(index_scan);
+      if (scan == nullptr) scan = std::make_unique<SeqScanOp>(ctx, tables, 0);
+      push(std::move(scan), tp.est_level_rows, tp.est_level_cost);
       continue;
     }
-
-    const double join_est_rows =
-        outer_est_rows * std::max(tp.access.est_match_rows, 0.0);
-    const double join_est_cost = root->est_cost() + tp.access.est_cost;
     if (index_scan != nullptr) {
-      index_scan->set_estimates(tp.access.est_match_rows, tp.access.est_cost);
-      root = std::make_unique<IndexNestedLoopJoinOp>(
-          ctx, tables, level, std::move(root), std::move(index_scan));
-      root->set_estimates(join_est_rows, join_est_cost);
-    } else {
-      // The planner's index pick may be unbindable (a join source shadowed
-      // by this table); degrade to the hash/cartesian paths.
-      std::vector<std::string> join_cols;
-      std::vector<ColumnRef> join_sources;
-      for (const ColumnCondition& c : tp.conditions) {
-        if (c.join_source.has_value() && c.kind == ColumnCondition::kEq) {
-          join_cols.push_back(c.column);
-          join_sources.push_back(*c.join_source);
-        }
-      }
-      auto inner = std::make_unique<SeqScanOp>(ctx, tables, level);
-      inner->set_estimates(tp.access.est_rows, tp.access.est_cost);
-      if (!join_cols.empty()) {
-        root = std::make_unique<HashJoinOp>(
-            ctx, tables, level, std::move(root), std::move(inner),
-            std::move(join_cols), std::move(join_sources));
-        root->set_estimates(join_est_rows, join_est_cost);
-      } else {
-        root = std::make_unique<NestedLoopJoinOp>(
-            ctx, tables, level, std::move(root), std::move(inner));
-        root->set_estimates(outer_est_rows * tp.access.est_rows,
-                            join_est_cost);
+      index_scan->set_estimates(tp.access.est_rows, tp.access.est_cost);
+      push(std::make_unique<IndexNestedLoopJoinOp>(
+               ctx, tables, level, std::move(root), std::move(index_scan)),
+           tp.est_level_rows, tp.est_level_cost);
+      continue;
+    }
+    std::vector<std::string> join_cols;
+    std::vector<ColumnRef> join_sources;
+    for (const ColumnCondition& c : tp.conditions) {
+      if (c.join_source.has_value() && c.kind == ColumnCondition::kEq) {
+        join_cols.push_back(c.column);
+        join_sources.push_back(*c.join_source);
       }
     }
-    outer_est_rows = root->est_rows();
+    auto inner = std::make_unique<SeqScanOp>(ctx, tables, level);
+    inner->set_estimates(tp.access.est_rows, tp.access.est_cost);
+    double join_cost = tp.est_level_cost;
+    if (tp.access.use_index) {
+      // The planner kept an index whose key a join source shadowed by this
+      // table leaves unbound. The level runs a hash join instead, with the
+      // figures PlanSelect gives one.
+      const HeapTable& table = *catalog->GetTable(tp.ref.table);
+      const TablePlan& outer = tables[level - 1];
+      inner->set_estimates(tp.access.est_rows,
+                           SeqScanAccess(table, tp.access.est_rows).est_cost);
+      join_cost = outer.est_level_cost +
+                  PriceHashJoin(table.NumPages(), table.num_rows(),
+                                outer.est_level_rows);
+    }
+    if (join_cols.empty()) {
+      push(std::make_unique<NestedLoopJoinOp>(ctx, tables, level,
+                                              std::move(root),
+                                              std::move(inner)),
+           tp.est_level_rows, join_cost);
+    } else {
+      push(std::make_unique<HashJoinOp>(
+               ctx, tables, level, std::move(root), std::move(inner),
+               std::move(join_cols), std::move(join_sources)),
+           tp.est_level_rows, join_cost);
+    }
   }
 
-  // Everything above the join chain reads the fully-joined tuple.
+  // Everything above the join chain reads the fully-joined tuple. The
+  // sort/aggregate term of the plan's price belongs to HashAggregate under
+  // GROUP BY, else to Sort.
   const ColumnBinder row(*catalog, tables, tables.size() - 1);
-  const double est_rows = pp->logical.est_result_rows;
-  const double est_cost = pp->logical.est_total_cost;
+  const double result_rows = pp->logical.est_result_rows;
+  const double joined_cost = tables.back().est_level_cost;
+  const double total_cost = pp->logical.est_total_cost;
   if (stmt.where != nullptr) {
-    root = std::make_unique<FilterOp>(row.Bind(*stmt.where), std::move(root));
-    root->set_estimates(est_rows, est_cost);
+    push(std::make_unique<FilterOp>(row.Bind(*stmt.where), std::move(root)),
+         result_rows, joined_cost);
   }
 
   const bool has_agg =
@@ -122,10 +133,11 @@ std::unique_ptr<PhysicalPlan> LowerSelect(const SelectStatement& stmt,
   if (has_agg) {
     std::vector<BoundValue> group;
     for (const ColumnRef& g : stmt.group_by) group.push_back(row.Bind(g));
-    root = std::make_unique<HashAggregateOp>(&stmt.items, &stmt.group_by,
-                                             std::move(item_cols),
-                                             std::move(group), std::move(root));
-    root->set_estimates(est_rows, est_cost);
+    const bool grouped = !stmt.group_by.empty();
+    push(std::make_unique<HashAggregateOp>(&stmt.items, &stmt.group_by,
+                                           std::move(item_cols),
+                                           std::move(group), std::move(root)),
+         grouped ? result_rows : 1.0, grouped ? total_cost : joined_cost);
   }
   if (!stmt.order_by.empty()) {
     // Over grouped output, ORDER BY columns match select items by name and
@@ -145,23 +157,25 @@ std::unique_ptr<PhysicalPlan> LowerSelect(const SelectStatement& stmt,
         }
       }
     }
-    root = std::make_unique<SortOp>(
-        &stmt.order_by, std::move(keys),
-        has_agg ? SortOp::Mode::kSlotKeys : SortOp::Mode::kTupleKeys,
-        std::move(root));
-    root->set_estimates(est_rows, est_cost);
+    const double rows = root->est_rows();
+    push(std::make_unique<SortOp>(
+             &stmt.order_by, std::move(keys),
+             has_agg ? SortOp::Mode::kSlotKeys : SortOp::Mode::kTupleKeys,
+             std::move(root)),
+         rows, total_cost);
   }
   if (stmt.limit >= 0) {
     const double capped =
         std::min(static_cast<double>(stmt.limit), root->est_rows());
-    root = std::make_unique<LimitOp>(static_cast<size_t>(stmt.limit),
-                                     std::move(root));
-    root->set_estimates(capped, est_cost);
+    push(std::make_unique<LimitOp>(static_cast<size_t>(stmt.limit),
+                                   std::move(root)),
+         capped, total_cost);
   }
   if (!has_agg) {
-    root = std::make_unique<ProjectOp>(&stmt.items, std::move(item_cols),
-                                       std::move(root));
-    root->set_estimates(est_rows, est_cost);
+    const double rows = root->est_rows();
+    push(std::make_unique<ProjectOp>(&stmt.items, std::move(item_cols),
+                                     std::move(root)),
+         rows, total_cost);
   }
 
   pp->root = std::move(root);
@@ -172,30 +186,22 @@ std::unique_ptr<PhysicalPlan> LowerWriteLookup(TablePlan tp,
                                                const Expr* where,
                                                const Catalog* catalog,
                                                IndexManager* indexes) {
-  auto pp = std::make_unique<PhysicalPlan>();
+  std::unique_ptr<PhysicalPlan> pp = NewPlan(catalog, indexes);
   pp->logical.tables.push_back(std::move(tp));
-  pp->logical.est_result_rows = pp->logical.tables[0].access.est_rows;
-  pp->logical.est_total_cost = pp->logical.tables[0].access.est_cost;
-  pp->ctx = std::make_unique<ExecContext>();
-  pp->ctx->catalog = catalog;
-  ExecContext* ctx = pp->ctx.get();
   const std::vector<TablePlan>& tables = pp->logical.tables;
-  const TablePlan& t0 = tables[0];
-
-  BuiltIndex* bi = FindBuiltIndex(indexes, t0);
+  const AccessDecision& access = tables[0].access;
   std::unique_ptr<PhysicalOperator> root;
-  if (bi != nullptr) {
-    std::unordered_set<std::string> seen;
-    NoteIndexUse(bi, pp.get(), &seen);
-    root = std::make_unique<IndexScanOp>(ctx, tables, 0, bi);
+  if (access.use_index) {
+    NoteIndexUse(tables[0], pp.get());
+    root = std::make_unique<IndexScanOp>(pp->ctx.get(), tables, 0);
   } else {
-    root = std::make_unique<SeqScanOp>(ctx, tables, 0);
+    root = std::make_unique<SeqScanOp>(pp->ctx.get(), tables, 0);
   }
-  root->set_estimates(t0.access.est_rows, t0.access.est_cost);
+  root->set_estimates(access.est_rows, access.est_cost);
   if (where != nullptr) {
     root = std::make_unique<FilterOp>(
         ColumnBinder(*catalog, tables, 0).Bind(*where), std::move(root));
-    root->set_estimates(t0.access.est_rows, t0.access.est_cost);
+    root->set_estimates(access.est_rows, access.est_cost);
   }
   pp->root = std::move(root);
   return pp;

@@ -16,10 +16,10 @@ struct PhysicalPlan {
   SelectPlan logical;
   std::unique_ptr<ExecContext> ctx;
   std::unique_ptr<PhysicalOperator> root;
-  // Display names of the real indexes this plan probes, deduplicated, in
-  // plan (join) order — a self-join probing one index twice lists it once.
+  // Display names of the indexes this plan's IndexScans probe,
+  // deduplicated, in plan (join) order — a self-join probing one index
+  // twice lists it once.
   std::vector<std::string> indexes_used;
-  bool used_index = false;
 };
 
 // Lowers a planned SELECT into a physical operator tree:
@@ -32,8 +32,8 @@ struct PhysicalPlan {
 // Join levels become IndexNestedLoopJoin when the planner chose an index
 // whose key prefix is statically bindable from the outer tuple, HashJoin
 // when equality join conditions exist, and a cartesian NestedLoopJoin
-// otherwise. Side effects mirror execution: each probed index gets
-// RecordUse() here, once per level.
+// otherwise. Operators carry the plan's own figures. Lowering has no side
+// effect, so any IndexConfig lowers, hypothetical indexes included.
 std::unique_ptr<PhysicalPlan> LowerSelect(const SelectStatement& stmt,
                                           SelectPlan plan,
                                           const Catalog* catalog,

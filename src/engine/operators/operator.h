@@ -141,6 +141,8 @@ bool AllHold(const std::vector<BoundPredicate>& preds, const ExecTuple& t,
 // Per-statement state shared by every operator in one tree.
 struct ExecContext {
   const Catalog* catalog = nullptr;
+  // Where an IndexScan finds its built tree when it is opened.
+  IndexManager* indexes = nullptr;
   // Heap pages fetched via index probes, deduplicated query-wide: repeated
   // probes hitting the same (hot or clustered) pages cost one read — the
   // buffer-cache behaviour the cost model's correlation blend mirrors.
@@ -154,9 +156,9 @@ struct ExecContext {
 struct AccessPathFeedback {
   std::string table;         // real table name
   std::string index;         // index display name; empty = sequential scan
-  double est_rows = 0.0;     // planner's expected rows from the path
+  double est_rows = 0.0;     // the scan operator's estimated output rows
   double actual_rows = 0.0;  // observed rows (mean per probe for indexes)
-  double est_cost = 0.0;     // planner's access-path cost (read side)
+  double est_cost = 0.0;     // the scan operator's estimated cost
   double actual_cost = 0.0;  // priced from the operator's own counters
 };
 
@@ -166,8 +168,11 @@ struct AccessPathFeedback {
 struct PlanNodeSnapshot {
   std::string op;         // operator name ("IndexScan", "HashJoin", ...)
   std::string detail;     // target table / keys; empty unless requested
-  double est_rows = 0.0;  // planner estimate of this operator's output
-  double est_cost = 0.0;  // planner estimate of this operator's own cost
+  // Planner estimates: this operator's output rows, and the price of its
+  // whole subtree (the root's is the plan's est_total_cost). Both are per
+  // probe for the inner side of an IndexNestedLoopJoin.
+  double est_rows = 0.0;
+  double est_cost = 0.0;
   size_t out_width = 0;   // slots per emitted tuple
   OperatorStats actual;
   std::vector<PlanNodeSnapshot> children;

@@ -8,8 +8,7 @@ namespace autoindex {
 
 SeqScanOp::SeqScanOp(ExecContext* ctx, const std::vector<TablePlan>& tables,
                      size_t level)
-    : ctx_(ctx),
-      tables_(tables),
+    : tables_(tables),
       level_(level),
       table_(ctx->catalog->GetTable(tables[level].ref.table)),
       local_(ColumnBinder(*ctx->catalog, tables, level, level, level + 1)
@@ -80,9 +79,9 @@ void SeqScanOp::AppendFeedback(std::vector<AccessPathFeedback>* out) const {
   if (!started_) return;  // never executed
   AccessPathFeedback fb;
   fb.table = tables_[level_].ref.table;
-  fb.est_rows = tables_[level_].access.est_rows;
+  fb.est_rows = est_rows_;
   fb.actual_rows = static_cast<double>(stats_.rows_out);
-  fb.est_cost = tables_[level_].access.est_cost;
+  fb.est_cost = est_cost_;
   fb.actual_cost =
       static_cast<double>(stats_.heap_pages_read) * kSeqPageCost +
       static_cast<double>(stats_.tuples_examined) * kCpuTupleCost;
@@ -92,13 +91,11 @@ void SeqScanOp::AppendFeedback(std::vector<AccessPathFeedback>* out) const {
 // --- IndexScanOp ---------------------------------------------------------
 
 IndexScanOp::IndexScanOp(ExecContext* ctx,
-                         const std::vector<TablePlan>& tables, size_t level,
-                         const BuiltIndex* index)
+                         const std::vector<TablePlan>& tables, size_t level)
     : ctx_(ctx),
       tables_(tables),
       level_(level),
       table_(ctx->catalog->GetTable(tables[level].ref.table)),
-      index_(index),
       page_salt_(std::hash<std::string>()(table_->name()) << 1) {
   const TablePlan& tp = tables[level];
   // Key and partition sources read the outer tuple only, so a join source
@@ -130,7 +127,7 @@ IndexScanOp::IndexScanOp(ExecContext* ctx,
       }
     }
   }
-  if (index->is_local() && table_->partitioned()) {
+  if (tp.access.index.kind == IndexKind::kLocal && table_->partitioned()) {
     partition_ = eq_source(
         table_->schema()
             .column(static_cast<size_t>(table_->partition_column()))
@@ -144,12 +141,20 @@ IndexScanOp::IndexScanOp(ExecContext* ctx,
 }
 
 void IndexScanOp::DoOpen() {
+  // The statement holds its tables' latches from planning until Close, so
+  // the built index is the one the planner saw.
+  const IndexDef& def = tables_[level_].access.index;
+  for (BuiltIndex* bi : ctx_->indexes->IndexesOnTable(def.table)) {
+    if (bi->def() == def) {
+      bi->RecordUse();
+      index_ = bi;
+    }
+  }
+  if (index_ == nullptr) CheckOk(Status::Internal("unbuilt " + def.Key()));
   // Standalone use (leftmost table / write lookup): one probe, all key
   // columns bound from literals. As a join inner, the parent Rebind()s
   // per outer tuple instead and this initial probe is never issued.
-  if (level_ == 0) {
-    (void)Rebind(nullptr);
-  }
+  if (level_ == 0) (void)Rebind(nullptr);
 }
 
 bool IndexScanOp::Rebind(const ExecTuple* outer) {
@@ -227,10 +232,10 @@ void IndexScanOp::AppendFeedback(std::vector<AccessPathFeedback>* out) const {
   const double probes = static_cast<double>(probes_);
   AccessPathFeedback fb;
   fb.table = tables_[level_].ref.table;
-  fb.index = tables_[level_].access.index.DisplayName();
-  fb.est_rows = tables_[level_].access.est_match_rows;
-  fb.actual_rows = static_cast<double>(stats_.index_tuples_read) / probes;
-  fb.est_cost = tables_[level_].access.est_cost;
+  fb.index = index_->def().DisplayName();
+  fb.est_rows = est_rows_;
+  fb.actual_rows = static_cast<double>(stats_.rows_out) / probes;
+  fb.est_cost = est_cost_;
   fb.actual_cost =
       (static_cast<double>(stats_.index_pages_read) * kRandomPageCost +
        static_cast<double>(stats_.heap_pages_read) * kRandomPageCost +

@@ -38,7 +38,6 @@ class SeqScanOp : public PhysicalOperator {
   // or null once the table is exhausted; *rid is set to its slot.
   const Row* NextMatch(RowId* rid);
 
-  ExecContext* ctx_;
   const std::vector<TablePlan>& tables_;
   size_t level_;
   const HeapTable* table_;
@@ -49,15 +48,18 @@ class SeqScanOp : public PhysicalOperator {
   RowId counted_pages_end_ = 0;  // first slot past the pages counted so far
 };
 
-// Index scan over one table. Standalone (leftmost table / write lookup) it
-// probes once in Open(); as the inner side of IndexNestedLoopJoin it is
-// re-probed per outer tuple via Rebind(). Emitted rows already passed the
-// level's local and join conditions, evaluated against the bound outer
-// tuple. Heap pages are deduplicated query-wide through the ExecContext.
+// Index scan over one table through the index its access decision names,
+// which may be hypothetical until the scan is opened: Open() finds the
+// built tree and counts a use of it. Standalone (leftmost table / write
+// lookup) it probes once in Open(); as the inner side of
+// IndexNestedLoopJoin it is re-probed per outer tuple via Rebind().
+// Emitted rows already passed the level's local and join conditions,
+// evaluated against the bound outer tuple. Heap pages are deduplicated
+// query-wide through the ExecContext.
 class IndexScanOp : public PhysicalOperator {
  public:
   IndexScanOp(ExecContext* ctx, const std::vector<TablePlan>& tables,
-              size_t level, const BuiltIndex* index);
+              size_t level);
 
   void DoOpen() override;
   bool DoNext(ExecTuple* out) override;
@@ -85,7 +87,7 @@ class IndexScanOp : public PhysicalOperator {
   const std::vector<TablePlan>& tables_;
   size_t level_;
   const HeapTable* table_;
-  const BuiltIndex* index_;
+  const BuiltIndex* index_ = nullptr;  // resolved by Open()
   // Query-wide heap-page keys are salted with the table name's hash.
   size_t page_salt_;
   std::vector<BoundValue> key_;  // eq prefix, read from the outer tuple

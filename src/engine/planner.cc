@@ -219,17 +219,22 @@ double Planner::EstimateHeapFetchPages(const std::string& table,
   return corr2 * clustered_pages + (1.0 - corr2) * random_pages;
 }
 
+AccessDecision SeqScanAccess(const HeapTable& table, double est_rows) {
+  AccessDecision seq;
+  seq.est_rows = est_rows;
+  seq.est_match_rows = static_cast<double>(table.num_rows());
+  seq.est_cost = static_cast<double>(table.NumPages()) * kSeqPageCost +
+                 seq.est_match_rows * kCpuTupleCost;
+  return seq;
+}
+
 AccessDecision Planner::ChooseAccessPath(
-    const std::string& table, const std::string& alias,
+    const std::string& table,
     const std::vector<ColumnCondition>& conditions,
     const std::vector<IndexStatsView>& table_indexes) const {
-  (void)alias;
   const HeapTable* t = catalog_->GetTable(table);
-  AccessDecision best;
   const double table_rows =
       t == nullptr ? 0.0 : static_cast<double>(t->num_rows());
-  const double table_pages =
-      t == nullptr ? 0.0 : static_cast<double>(t->NumPages());
 
   // Selectivity of ALL table-local conditions (applies to any path).
   double full_sel = 1.0;
@@ -239,10 +244,8 @@ AccessDecision Planner::ChooseAccessPath(
   const double result_rows = std::max(0.0, table_rows * full_sel);
 
   // Sequential scan baseline.
-  best.use_index = false;
-  best.est_rows = result_rows;
-  best.est_match_rows = table_rows;
-  best.est_cost = table_pages * kSeqPageCost + table_rows * kCpuTupleCost;
+  AccessDecision best =
+      t == nullptr ? AccessDecision{} : SeqScanAccess(*t, result_rows);
 
   // Index paths: match the longest leading equality prefix, optionally one
   // range on the next column (classic B+Tree sargability).
@@ -399,8 +402,7 @@ StatusOr<SelectPlan> Planner::PlanSelect(
     for (const IndexStatsView& v : config) {
       if (v.def.table == tp.ref.table) table_indexes.push_back(v);
     }
-    tp.access = ChooseAccessPath(tp.ref.table, tp.ref.alias, tp.conditions,
-                                 table_indexes);
+    tp.access = ChooseAccessPath(tp.ref.table, tp.conditions, table_indexes);
     earlier.push_back(tp.ref);
     plan.tables.push_back(std::move(tp));
   }
@@ -413,9 +415,11 @@ StatusOr<SelectPlan> Planner::PlanSelect(
   //   - A join level builds a HashJoinOp unless it keeps its index: one
   //     build scan, one probe per outer row. ChooseAccessPath priced a
   //     single probe; with the outer cardinality known, the index stays
-  //     only if its probes cost less than the hash join.
+  //     only if its probes cost less than the hash join. A dropped index
+  //     leaves the level the sequential scan HashJoinOp runs.
   //   - Any other level is scanned once; NestedLoopJoinOp drains its inner
   //     side once.
+  // Each level records its output rows and the cost through it.
   double outer_rows = 1.0;
   double total = 0.0;
   for (TablePlan& tp : plan.tables) {
@@ -442,7 +446,7 @@ StatusOr<SelectPlan> Planner::PlanSelect(
       const double hash_total =
           PriceHashJoin(t->NumPages(), t->num_rows(), outer_rows);
       if (!access.use_index || hash_total < level_cost) {
-        access.use_index = false;
+        access = SeqScanAccess(*t, access.est_rows);
         level_cost = hash_total;
       }
     }
@@ -451,6 +455,8 @@ StatusOr<SelectPlan> Planner::PlanSelect(
     // so expected matches per outer row times outer cardinality is simply
     // the product.
     outer_rows = std::max(1.0, outer_rows * access.est_rows);
+    tp.est_level_rows = outer_rows;
+    tp.est_level_cost = total;
   }
   // Sort / aggregation CPU over the joined rows.
   if ((!stmt.order_by.empty() || !stmt.group_by.empty()) && outer_rows > 1.0) {
@@ -474,7 +480,7 @@ StatusOr<TablePlan> Planner::PlanWriteLookup(
   for (const IndexStatsView& v : config) {
     if (v.def.table == ToLower(table)) table_indexes.push_back(v);
   }
-  tp.access = ChooseAccessPath(table, table, tp.conditions, table_indexes);
+  tp.access = ChooseAccessPath(table, tp.conditions, table_indexes);
   return tp;
 }
 

@@ -47,6 +47,11 @@ struct TablePlan {
   TableRef ref;
   std::vector<ColumnCondition> conditions;  // all table-local conditions
   AccessDecision access;
+  // PlanSelect's figures for the join pipeline through this level: the
+  // rows it emits and the cumulative cost of levels 0..this one. Lowering
+  // gives them to the level's operator.
+  double est_level_rows = 0.0;
+  double est_level_cost = 0.0;
 };
 
 // A left-deep plan over the FROM list (joined in `tables` order).
@@ -57,6 +62,10 @@ struct SelectPlan {
   double est_total_cost = 0.0;
   double est_result_rows = 0.0;
 };
+
+// The sequential-scan access path over `table`: every page and row read,
+// `est_rows` rows kept.
+AccessDecision SeqScanAccess(const HeapTable& table, double est_rows);
 
 // Builds access plans from statistics only — usable both for real
 // execution (config = built indexes) and what-if estimation (config
@@ -82,7 +91,7 @@ class Planner {
 
   // Chooses the cheapest access path for one table given its conditions.
   AccessDecision ChooseAccessPath(
-      const std::string& table, const std::string& alias,
+      const std::string& table,
       const std::vector<ColumnCondition>& conditions,
       const std::vector<IndexStatsView>& table_indexes) const;
 

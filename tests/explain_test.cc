@@ -1,8 +1,21 @@
-// EXPLAIN output: plan rendering reflects the planner's actual choices.
+// EXPLAIN output: plan rendering reflects the planner's actual choices,
+// and EXPLAIN renders the same operator tree EXPLAIN ANALYZE runs.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "core/manager.h"
+#include "core/query_template.h"
 #include "engine/explain.h"
+#include "workload/banking.h"
+#include "workload/tpcc.h"
+#include "workload/tpcds.h"
+#include "workload/workload.h"
 
 namespace autoindex {
 namespace {
@@ -33,7 +46,7 @@ class ExplainTest : public ::testing::Test {
 TEST_F(ExplainTest, SeqScanWithoutIndexes) {
   auto plan = ExplainSql(db_, "SELECT b FROM t WHERE a = 5");
   ASSERT_TRUE(plan.ok());
-  EXPECT_NE(plan->find("seq scan on t"), std::string::npos) << *plan;
+  EXPECT_NE(plan->find("SeqScan on t"), std::string::npos) << *plan;
   EXPECT_NE(plan->find("estimated total cost"), std::string::npos);
 }
 
@@ -41,24 +54,24 @@ TEST_F(ExplainTest, IndexScanWhenAvailable) {
   ASSERT_TRUE(db_.CreateIndex(IndexDef("t", {"a"})).ok());
   auto plan = ExplainSql(db_, "SELECT b FROM t WHERE a = 5");
   ASSERT_TRUE(plan.ok());
-  EXPECT_NE(plan->find("index scan on t via idx_t_a"), std::string::npos)
+  EXPECT_NE(plan->find("IndexScan on t via idx_t_a (eq prefix 1)"),
+            std::string::npos)
       << *plan;
-  EXPECT_NE(plan->find("a = ?"), std::string::npos);
 }
 
 TEST_F(ExplainTest, HashJoinRendered) {
   auto plan = ExplainSql(
       db_, "SELECT t.b FROM d, t WHERE t.a = d.k AND d.v = 3");
   ASSERT_TRUE(plan.ok());
-  EXPECT_NE(plan->find("hash join to t"), std::string::npos) << *plan;
+  EXPECT_NE(plan->find("HashJoin to t"), std::string::npos) << *plan;
 }
 
 TEST_F(ExplainTest, SortAndAggregateMarkers) {
   auto plan = ExplainSql(
       db_, "SELECT b, COUNT(*) FROM t GROUP BY b ORDER BY b");
   ASSERT_TRUE(plan.ok());
-  EXPECT_NE(plan->find("hash aggregate"), std::string::npos);
-  EXPECT_NE(plan->find("sort"), std::string::npos);
+  EXPECT_NE(plan->find("HashAggregate"), std::string::npos);
+  EXPECT_NE(plan->find("Sort"), std::string::npos);
 }
 
 TEST_F(ExplainTest, WhatIfConfigOverridesBuilt) {
@@ -66,9 +79,10 @@ TEST_F(ExplainTest, WhatIfConfigOverridesBuilt) {
   // the index plan (the hypopg-style workflow).
   auto stmt = ParseSql("SELECT b FROM t WHERE a = 5");
   ASSERT_TRUE(stmt.ok());
-  const std::string plan = ExplainStatement(
-      db_, *stmt, IndexConfig({IndexDef("t", {"a"})}));
-  EXPECT_NE(plan.find("index scan"), std::string::npos) << plan;
+  const IndexConfig config({IndexDef("t", {"a"})});
+  auto plan = ExplainStatement(db_, *stmt, &config);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_NE(plan->find("IndexScan"), std::string::npos) << *plan;
 }
 
 TEST_F(ExplainTest, WriteStatements) {
@@ -76,7 +90,7 @@ TEST_F(ExplainTest, WriteStatements) {
   auto upd = ExplainSql(db_, "UPDATE t SET b = 1 WHERE a = 5");
   ASSERT_TRUE(upd.ok());
   EXPECT_NE(upd->find("update rows"), std::string::npos);
-  EXPECT_NE(upd->find("index scan"), std::string::npos);
+  EXPECT_NE(upd->find("IndexScan"), std::string::npos);
   auto ins = ExplainSql(db_, "INSERT INTO t VALUES (1, 2)");
   ASSERT_TRUE(ins.ok());
   EXPECT_NE(ins->find("insert into t"), std::string::npos);
@@ -177,7 +191,7 @@ TEST_F(ExplainTest, HashedSideShownOnlyAfterExecution) {
   // Plain EXPLAIN renders the planner's choice and executes nothing.
   auto plan = ExplainSql(db_, sql);
   ASSERT_TRUE(plan.ok());
-  EXPECT_NE(plan->find("hash join to"), std::string::npos) << *plan;
+  EXPECT_NE(plan->find("HashJoin to"), std::string::npos) << *plan;
   EXPECT_EQ(plan->find("hashed"), std::string::npos) << *plan;
 }
 
@@ -207,9 +221,148 @@ TEST_F(ExplainTest, AnalyzeErrorsPropagate) {
 
 TEST_F(ExplainTest, ErrorsPropagate) {
   EXPECT_FALSE(ExplainSql(db_, "SELEC nope").ok());
-  auto missing = ExplainSql(db_, "SELECT a FROM missing");
-  ASSERT_TRUE(missing.ok());  // parses fine; planning fails in the text
-  EXPECT_NE(missing->find("error"), std::string::npos);
+  // Parses fine; planning fails, and so does the EXPLAIN.
+  EXPECT_FALSE(ExplainSql(db_, "SELECT a FROM missing").ok());
+}
+
+// --- one plan, one tree -------------------------------------------------
+
+// The operator lines of an EXPLAIN or EXPLAIN ANALYZE text: the measured
+// "(actual: ...)" suffix and HashJoin's post-run "(hashed ...)" note are
+// cut, the write line above an UPDATE/DELETE lookup is dropped, and the
+// tree is re-indented to start at column 0.
+std::vector<std::string> TreeLines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  std::string line;
+  size_t indent = std::string::npos;
+  while (std::getline(in, line)) {
+    const size_t arrow = line.find("-> ");
+    if (arrow == std::string::npos) continue;
+    const std::string body = line.substr(arrow);
+    if (body == "-> update rows" || body == "-> delete rows") continue;
+    const size_t actual = line.find("  (actual: ");
+    if (actual != std::string::npos) line.resize(actual);
+    const size_t hashed = line.find(" (hashed ");
+    if (hashed != std::string::npos) {
+      line.erase(hashed, line.find(')', hashed) + 1 - hashed);
+    }
+    indent = std::min(indent, arrow);
+    lines.push_back(std::move(line));
+  }
+  for (std::string& l : lines) l.erase(0, indent);
+  return lines;
+}
+
+// (b): the executed SELECT's operators carry its plan's figures. The root
+// costs est_total_cost, each join node (and the leftmost scan) its
+// level's rows and cumulative cost, and an inner SeqScan its own
+// sequential-scan figures, never a dropped index path's.
+void ExpectPlanFigures(Database* db, const Statement& stmt) {
+  StatusOr<std::unique_ptr<PhysicalPlan>> planned =
+      db->executor().PlanSelect(*stmt.select, nullptr);
+  ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+  const SelectPlan& plan = (*planned)->logical;
+  StatusOr<ExecResult> result = db->Execute(stmt);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const PlanNodeSnapshot* node = result->plan.get();
+  ASSERT_NE(node, nullptr);
+  EXPECT_EQ(node->est_cost, plan.est_total_cost);
+  while (node->children.size() == 1) node = &node->children[0];
+  for (size_t level = plan.tables.size(); level-- > 0;) {
+    const TablePlan& tp = plan.tables[level];
+    SCOPED_TRACE("level " + std::to_string(level) + " (" + tp.ref.alias +
+                 "): " + node->op);
+    EXPECT_EQ(node->est_rows, tp.est_level_rows);
+    EXPECT_EQ(node->est_cost, tp.est_level_cost);
+    if (level == 0) {
+      EXPECT_TRUE(node->children.empty());
+      break;
+    }
+    ASSERT_EQ(node->children.size(), 2u);
+    const PlanNodeSnapshot& inner = node->children[1];
+    if (inner.op == "SeqScan") {
+      const HeapTable& table = *db->catalog().GetTable(tp.ref.table);
+      const AccessDecision seq = SeqScanAccess(table, tp.access.est_rows);
+      EXPECT_EQ(inner.est_rows, seq.est_rows);
+      EXPECT_EQ(inner.est_cost, seq.est_cost);
+    }
+    node = &node->children[0];
+  }
+}
+
+// For every template of `queries`: (a) EXPLAIN's tree is EXPLAIN
+// ANALYZE's, estimates included, and (b) the executed SELECT carries its
+// plan's figures. Run on the current indexes, then again once an
+// AutoIndex round has tuned them.
+void ExpectOnePlanOneTree(Database* db,
+                          const std::vector<std::string>& queries) {
+  TemplateStore store(5000);
+  for (const std::string& sql : queries) {
+    ASSERT_NE(store.Observe(sql), nullptr) << sql;
+  }
+  auto check_all = [&](const std::string& config) {
+    for (const QueryTemplate* t : store.TemplatesByFrequency()) {
+      const Statement& stmt = t->representative;
+      SCOPED_TRACE(stmt.ToString() + " on the " + config + " indexes");
+      StatusOr<std::string> explain = ExplainStatement(*db, stmt);
+      ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+      StatusOr<std::string> analyze = ExplainAnalyzeStatement(*db, stmt);
+      ASSERT_TRUE(analyze.ok()) << analyze.status().ToString();
+      EXPECT_EQ(TreeLines(*explain), TreeLines(*analyze))
+          << *explain << "\n" << *analyze;
+      if (stmt.kind == StatementKind::kSelect) {
+        ExpectPlanFigures(db, stmt);
+      }
+    }
+  };
+  check_all("default");
+  AutoIndexConfig config;
+  config.mcts.iterations = 80;
+  config.mcts.patience = 40;
+  config.learn_cost_model = false;
+  AutoIndexManager manager(db, config);
+  RunWorkloadObserved(&manager, queries);
+  const TuningResult round = manager.RunManagementRound();
+  EXPECT_TRUE(round.apply_errors.empty());
+  check_all("tuned");
+}
+
+TEST(OnePlanOneTree, Tpcds) {
+  Database db;
+  TpcdsConfig config;
+  config.sales_rows = 6000;
+  config.items = 600;
+  config.customers = 500;
+  config.dates = 365;
+  config.promotions = 50;
+  TpcdsWorkload::Populate(&db, config);
+  TpcdsWorkload::CreateDefaultIndexes(&db);
+  ExpectOnePlanOneTree(&db, TpcdsWorkload::OneOfEach(config, 7));
+}
+
+TEST(OnePlanOneTree, Tpcc) {
+  Database db;
+  TpccConfig config;
+  config.customers_per_district = 60;
+  config.items = 300;
+  config.orders_per_district = 40;
+  TpccWorkload::Populate(&db, config);
+  TpccWorkload::CreateDefaultIndexes(&db);
+  ExpectOnePlanOneTree(&db, TpccWorkload::Generate(config, 400, 7));
+}
+
+TEST(OnePlanOneTree, Banking) {
+  Database db;
+  BankingConfig config;
+  config.num_tables = 24;
+  config.hot_tables = 6;
+  config.rows_hot = 400;
+  config.rows_cold = 40;
+  config.manual_indexes = 40;
+  BankingWorkload::Populate(&db, config);
+  BankingWorkload::CreateManualIndexes(&db, config);
+  ExpectOnePlanOneTree(&db, BankingWorkload::HybridService(config, 400, 7));
 }
 
 }  // namespace

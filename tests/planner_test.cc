@@ -149,7 +149,7 @@ TEST_F(PlannerTest, ChoosesSelectiveIndexOverSeqScan) {
   SelectStatement& s = Select("SELECT b FROM big WHERE a = 77");
   auto conds = planner_->ExtractConditions(s.where.get(), "big", "big", {});
   auto decision = planner_->ChooseAccessPath(
-      "big", "big", conds, {View(IndexDef("big", {"a"}), 50000)});
+      "big", conds, {View(IndexDef("big", {"a"}), 50000)});
   EXPECT_TRUE(decision.use_index);
   EXPECT_EQ(decision.eq_prefix_len, 1u);
   EXPECT_LT(decision.est_match_rows, 5.0);
@@ -160,7 +160,7 @@ TEST_F(PlannerTest, RejectsUnusableIndex) {
   auto conds = planner_->ExtractConditions(s.where.get(), "big", "big", {});
   // Index on (b) cannot serve an a-predicate.
   auto decision = planner_->ChooseAccessPath(
-      "big", "big", conds, {View(IndexDef("big", {"b"}), 50000)});
+      "big", conds, {View(IndexDef("big", {"b"}), 50000)});
   EXPECT_FALSE(decision.use_index);
 }
 
@@ -168,7 +168,7 @@ TEST_F(PlannerTest, PrefersLongerPrefixMatch) {
   SelectStatement& s = Select("SELECT c FROM big WHERE a = 7 AND b = 100");
   auto conds = planner_->ExtractConditions(s.where.get(), "big", "big", {});
   auto decision = planner_->ChooseAccessPath(
-      "big", "big", conds,
+      "big", conds,
       {View(IndexDef("big", {"b"}), 50000),
        View(IndexDef("big", {"a", "b"}), 50000)});
   ASSERT_TRUE(decision.use_index);
@@ -181,7 +181,7 @@ TEST_F(PlannerTest, RangeAfterEqualityPrefix) {
       Select("SELECT c FROM big WHERE b = 100 AND a > 49900");
   auto conds = planner_->ExtractConditions(s.where.get(), "big", "big", {});
   auto decision = planner_->ChooseAccessPath(
-      "big", "big", conds, {View(IndexDef("big", {"b", "a"}), 50000)});
+      "big", conds, {View(IndexDef("big", {"b", "a"}), 50000)});
   ASSERT_TRUE(decision.use_index);
   EXPECT_EQ(decision.eq_prefix_len, 1u);
   EXPECT_TRUE(decision.has_range);
@@ -193,7 +193,7 @@ TEST_F(PlannerTest, WeakPredicatePrefersSeqScan) {
   // c has 5 distinct values: 20% of a 50k-row table; random heap fetches
   // would dominate.
   auto decision = planner_->ChooseAccessPath(
-      "big", "big", conds, {View(IndexDef("big", {"c"}), 50000)});
+      "big", conds, {View(IndexDef("big", {"c"}), 50000)});
   EXPECT_FALSE(decision.use_index);
 }
 

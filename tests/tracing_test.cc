@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -520,6 +521,84 @@ TEST(Tracing, LocalStatementTracesAndChromeExport) {
   CheckReport report;
   CheckTraces(snap, &report);
   EXPECT_TRUE(report.ok()) << report.ToString();
+  tracer.ResetForTest();
+}
+
+// The operator names of a snapshot tree, in pre-order.
+void OperatorNames(const PlanNodeSnapshot& node,
+                   std::vector<std::string>* out) {
+  out->push_back(node.op);
+  for (const PlanNodeSnapshot& child : node.children) {
+    OperatorNames(child, out);
+  }
+}
+
+// Every operator of an executed tree records one span, the inner side of
+// each join kind included: the statement trace's operator spans and the
+// snapshot's operators are the same multiset.
+TEST(Tracing, EveryOperatorRecordsItsSpan) {
+  obs::Tracer& tracer = obs::Tracer::Default();
+  Database db;
+  CheckOk(db.CreateTable("t", Schema({{"a", ValueType::kInt},
+                                      {"b", ValueType::kInt}}))
+              .status());
+  CheckOk(db.CreateTable("d", Schema({{"k", ValueType::kInt},
+                                      {"v", ValueType::kInt}}))
+              .status());
+  std::vector<Row> rows;
+  for (int i = 0; i < 3000; ++i) {
+    rows.push_back({Value(int64_t(i)), Value(int64_t(i % 100))});
+  }
+  CheckOk(db.BulkInsert("t", std::move(rows)));
+  rows.clear();
+  for (int i = 0; i < 100; ++i) {
+    rows.push_back({Value(int64_t(i)), Value(int64_t(i))});
+  }
+  CheckOk(db.BulkInsert("d", std::move(rows)));
+  CheckOk(db.CreateIndex(IndexDef("t", {"a"})));
+  db.Analyze();
+
+  const std::vector<std::string> operator_names = {
+      "SeqScan", "IndexScan", "IndexNestedLoopJoin", "HashJoin",
+      "NestedLoopJoin", "Filter", "Project", "Sort", "Limit",
+      "HashAggregate"};
+  const struct {
+    const char* join;
+    const char* sql;
+  } cases[] = {
+      {"HashJoin", "SELECT t.b FROM d, t WHERE t.b = d.k AND d.v = 3"},
+      {"IndexNestedLoopJoin",
+       "SELECT d.v, t.b FROM d, t WHERE d.k = 1 AND t.a = 2"},
+      {"NestedLoopJoin",
+       "SELECT d.v, t.a FROM d, t WHERE d.k = 1 AND t.b = 2"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.sql);
+    tracer.ResetForTest();
+    tracer.Configure(kKeepAll, 0.0);
+    StatusOr<ExecResult> result = db.Execute(c.sql);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    std::vector<std::string> expected;
+    OperatorNames(*result->plan, &expected);
+    ASSERT_NE(std::find(expected.begin(), expected.end(), c.join),
+              expected.end());
+
+    const obs::Tracer::Snapshot snap = tracer.TakeSnapshot();
+    if (CompiledOut(snap)) break;
+    const obs::TraceData* trace =
+        FindTraceWithSpan(snap, "statement", "plan");
+    ASSERT_NE(trace, nullptr);
+    std::vector<std::string> spans;
+    for (const obs::SpanRecord& span : trace->spans) {
+      if (std::find(operator_names.begin(), operator_names.end(),
+                    span.name) != operator_names.end()) {
+        spans.push_back(span.name);
+      }
+    }
+    std::sort(expected.begin(), expected.end());
+    std::sort(spans.begin(), spans.end());
+    EXPECT_EQ(spans, expected);
+  }
   tracer.ResetForTest();
 }
 
