@@ -1,13 +1,19 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical
 // substrate pieces: B+Tree operations, SQL parsing, fingerprinting, DNF
-// rewriting, ANALYZE, what-if estimation, and MCTS iteration throughput.
+// rewriting, ANALYZE, SELECT planning, hash-join probing, what-if
+// estimation, and MCTS iteration throughput.
 
 #include <benchmark/benchmark.h>
+
+#include <map>
+#include <memory>
 
 #include "core/benefit_estimator.h"
 #include "core/mcts.h"
 #include "core/query_template.h"
 #include "engine/database.h"
+#include "engine/planner.h"
+#include "engine/what_if.h"
 #include "index/btree.h"
 #include "sql/dnf.h"
 #include "sql/fingerprint.h"
@@ -126,12 +132,12 @@ BENCHMARK(BM_DnfRewrite);
 // eight columns (six small-range ints, two doubles).
 struct StoreSalesFixture {
   StoreSalesFixture() {
-    TpcdsConfig config;
     config.sales_rows = 30000;
     config.items = 3000;
     config.customers = 4000;
     TpcdsWorkload::Populate(&db, config);
   }
+  TpcdsConfig config;
   Database db;
 };
 
@@ -145,6 +151,75 @@ void BM_AnalyzeTable(benchmark::State& state) {
                           static_cast<int64_t>(table.num_rows()));
 }
 BENCHMARK(BM_AnalyzeTable)->Unit(benchmark::kMillisecond);
+
+// Planning one SELECT of each of the 25 TPC-DS templates (the argument)
+// against wallbench tpcds_tune's tuned index set, hypothetical here.
+void BM_PlanSelect(benchmark::State& state) {
+  static StoreSalesFixture fixture;
+  static const std::vector<IndexStatsView> views =
+      IndexConfig({IndexDef("date_dim", {"d_year"}),
+                   IndexDef("ds_item", {"i_manufact_id", "i_category"}),
+                   IndexDef("store_sales", {"ss_customer_sk"}),
+                   IndexDef("store_sales", {"ss_item_sk"}),
+                   IndexDef("store_sales", {"ss_promo_sk"}),
+                   IndexDef("store_sales", {"ss_sold_date_sk"})})
+          .ToStatsViews(fixture.db.catalog());
+  const std::string sql = TpcdsWorkload::OneOfEach(
+      fixture.config, 1)[static_cast<size_t>(state.range(0))];
+  StatusOr<Statement> stmt = ParseSql(sql);
+  CheckOk(stmt.status());
+  const Planner planner(&fixture.db.catalog(), &fixture.db.stats_manager());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        planner.PlanSelect(*stmt->select, views)->est_total_cost);
+  }
+  state.SetLabel(std::to_string(stmt->select->from.size()) + " tables");
+}
+BENCHMARK(BM_PlanSelect)->DenseRange(0, TpcdsWorkload::kNumQueryTemplates - 1);
+
+// A hash join whose outer side is a small build table of `keys` rows
+// (0 .. keys-1), hashed, and whose inner side streams 30,000 probe rows
+// past it: every probe hits (arg 1) or nearly every probe misses (arg 0).
+struct HashJoinFixture {
+  explicit HashJoinFixture(int64_t keys) {
+    for (const char* name : {"b", "hit", "miss"}) {
+      CheckOk(db.CreateTable(name, Schema({{"k", ValueType::kInt}})));
+    }
+    std::vector<Row> build, hit, miss;
+    for (int64_t i = 0; i < keys; ++i) build.push_back({Value(i)});
+    for (int64_t i = 0; i < 30000; ++i) {
+      hit.push_back({Value(i % keys)});
+      miss.push_back({Value(i * 97)});
+    }
+    CheckOk(db.BulkInsert("b", std::move(build)));
+    CheckOk(db.BulkInsert("hit", std::move(hit)));
+    CheckOk(db.BulkInsert("miss", std::move(miss)));
+    db.Analyze();
+  }
+  Database db;
+};
+
+void BM_HashJoinProbe(benchmark::State& state) {
+  static std::map<int64_t, std::unique_ptr<HashJoinFixture>> fixtures;
+  std::unique_ptr<HashJoinFixture>& fixture = fixtures[state.range(0)];
+  if (fixture == nullptr) {
+    fixture = std::make_unique<HashJoinFixture>(state.range(0));
+  }
+  Database& db = fixture->db;
+  const bool hits = state.range(1) != 0;
+  StatusOr<Statement> stmt =
+      ParseSql(hits ? "SELECT COUNT(*) FROM b, hit WHERE b.k = hit.k"
+                    : "SELECT COUNT(*) FROM b, miss WHERE b.k = miss.k");
+  CheckOk(stmt.status());
+  for (auto _ : state) {
+    StatusOr<ExecResult> r = db.Execute(*stmt);
+    benchmark::DoNotOptimize(r->rows.size());
+  }
+  state.SetItemsProcessed(state.iterations() * 30000);
+}
+BENCHMARK(BM_HashJoinProbe)
+    ->ArgsProduct({{21, 365, 3000}, {0, 1}})
+    ->Unit(benchmark::kMicrosecond);
 
 // Shared fixture state for estimator/MCTS benches.
 struct WhatIfFixture {

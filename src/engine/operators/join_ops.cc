@@ -75,13 +75,16 @@ size_t HashJoinOp::OuterKeyHash(const ExecTuple& t) const {
 
 template <typename HashOf>
 void HashJoinOp::BuildTable(size_t n, HashOf hash_of) {
-  heads_.assign(std::bit_ceil(std::max<size_t>(n, 1)), kEnd);
+  const size_t buckets =
+      std::bit_ceil(std::max<size_t>(n, 1) * kBucketsPerItem);
+  bucket_shift_ = 64 - std::countr_zero(buckets);
+  heads_.assign(buckets, kEnd);
   entries_.resize(n);
   // Back to front, each item pushed onto its chain's head: every chain
   // then lists its items in input order.
   for (size_t i = n; i-- > 0;) {
     const size_t h = hash_of(i);
-    uint32_t& head = heads_[h & (heads_.size() - 1)];
+    uint32_t& head = heads_[Bucket(h)];
     entries_[i] = {h, head};
     head = static_cast<uint32_t>(i);
   }
@@ -144,7 +147,7 @@ bool HashJoinOp::NextHashedInner(ExecTuple* out) {
       }
       if (probe_bound_) probe_hash_ = OuterKeyHash(tuple_);
     }
-    chain_ = probe_bound_ ? heads_[probe_hash_ & (heads_.size() - 1)] : kEnd;
+    chain_ = probe_bound_ ? heads_[Bucket(probe_hash_)] : kEnd;
   }
 }
 
@@ -164,7 +167,7 @@ bool HashJoinOp::NextHashedOuter(ExecTuple* out) {
     }
     if (cursor_ == inner_rows_.size()) return false;
     probe_hash_ = InnerKeyHash(*inner_rows_[cursor_++]);
-    chain_ = heads_[probe_hash_ & (heads_.size() - 1)];
+    chain_ = heads_[Bucket(probe_hash_)];
   }
 }
 

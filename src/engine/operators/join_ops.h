@@ -122,6 +122,10 @@ class HashJoinOp : public JoinOpBase<SeqScanOp> {
     uint32_t next = 0;
   };
   static constexpr uint32_t kEnd = UINT32_MAX;
+  // Buckets per hashed item: with a small hashed side (a filtered
+  // dimension) most probes that miss find an empty bucket, so the probe
+  // loop's chain test is predictable.
+  static constexpr size_t kBucketsPerItem = 8;
 
   // First Next: drains the inner side, buffers the outer side and hashes
   // the smaller one. False when the outer side is empty (the inner scan is
@@ -130,6 +134,13 @@ class HashJoinOp : public JoinOpBase<SeqScanOp> {
   // Hashes `n` items; item i's key hash is hash_of(i).
   template <typename HashOf>
   void BuildTable(size_t n, HashOf hash_of);
+  // The bucket of a key hash: its top bits after a multiplicative mix,
+  // so keys that differ only in high bits still spread.
+  size_t Bucket(size_t hash) const {
+    return static_cast<size_t>((static_cast<uint64_t>(hash) *
+                                0x9E3779B97F4A7C15ULL) >>
+                               bucket_shift_);
+  }
   bool NextHashedInner(ExecTuple* out);
   bool NextHashedOuter(ExecTuple* out);
   size_t InnerKeyHash(const Row& row) const;
@@ -152,6 +163,7 @@ class HashJoinOp : public JoinOpBase<SeqScanOp> {
   bool outer_done_ = false;
 
   std::vector<uint32_t> heads_;  // power-of-two bucket array
+  int bucket_shift_ = 64;        // 64 - log2(heads_.size())
   std::vector<Entry> entries_;
   size_t probe_hash_ = 0;
   uint32_t chain_ = kEnd;  // next entry to test against probe_hash_

@@ -41,8 +41,10 @@ std::unique_ptr<PhysicalPlan> LowerSelect(const SelectStatement& stmt,
   const std::vector<TablePlan>& tables = pp->logical.tables;
 
   // Every operator carries the plan's figures: a level's operator its
-  // level's rows and cumulative cost, an inner scan its own access
-  // decision (per probe under an IndexNestedLoopJoin).
+  // level's rows and cumulative cost, an inner index scan its access
+  // decision (per probe under an IndexNestedLoopJoin), an inner sequential
+  // scan its sequential access: the rows its table's literal conditions
+  // pass and the price of one pass.
   std::unique_ptr<PhysicalOperator> root;
   auto push = [&root](std::unique_ptr<PhysicalOperator> op, double rows,
                       double cost) {
@@ -51,14 +53,15 @@ std::unique_ptr<PhysicalPlan> LowerSelect(const SelectStatement& stmt,
   };
   for (size_t level = 0; level < tables.size(); ++level) {
     const TablePlan& tp = tables[level];
+    // The planner keys an index only on sources the scan can bind.
     std::unique_ptr<IndexScanOp> index_scan;
     if (tp.access.use_index) {
       index_scan = std::make_unique<IndexScanOp>(ctx, tables, level);
-      if (index_scan->key_bound()) {
-        NoteIndexUse(tp, pp.get());
-      } else {
-        index_scan.reset();
+      if (!index_scan->key_bound()) {
+        CheckOk(Status::Internal("planned index key unbound: " +
+                                 tp.access.index.Key()));
       }
+      NoteIndexUse(tp, pp.get());
     }
     if (level == 0) {
       std::unique_ptr<PhysicalOperator> scan = std::move(index_scan);
@@ -83,29 +86,16 @@ std::unique_ptr<PhysicalPlan> LowerSelect(const SelectStatement& stmt,
     }
     auto inner = std::make_unique<SeqScanOp>(ctx, tables, level);
     inner->set_estimates(tp.access.est_rows, tp.access.est_cost);
-    double join_cost = tp.est_level_cost;
-    if (tp.access.use_index) {
-      // The planner kept an index whose key a join source shadowed by this
-      // table leaves unbound. The level runs a hash join instead, with the
-      // figures PlanSelect gives one.
-      const HeapTable& table = *catalog->GetTable(tp.ref.table);
-      const TablePlan& outer = tables[level - 1];
-      inner->set_estimates(tp.access.est_rows,
-                           SeqScanAccess(table, tp.access.est_rows).est_cost);
-      join_cost = outer.est_level_cost +
-                  PriceHashJoin(table.NumPages(), table.num_rows(),
-                                outer.est_level_rows);
-    }
     if (join_cols.empty()) {
       push(std::make_unique<NestedLoopJoinOp>(ctx, tables, level,
                                               std::move(root),
                                               std::move(inner)),
-           tp.est_level_rows, join_cost);
+           tp.est_level_rows, tp.est_level_cost);
     } else {
       push(std::make_unique<HashJoinOp>(
                ctx, tables, level, std::move(root), std::move(inner),
                std::move(join_cols), std::move(join_sources)),
-           tp.est_level_rows, join_cost);
+           tp.est_level_rows, tp.est_level_cost);
     }
   }
 

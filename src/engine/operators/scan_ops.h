@@ -70,9 +70,8 @@ class IndexScanOp : public PhysicalOperator {
   size_t out_width() const override { return 1; }
 
   // Whether every equality column of the key prefix has a source: a
-  // literal, or a column of an earlier table (bound at construction).
-  // Lowering falls back to another access path when it has not; an
-  // unbindable probe simply yields no rows.
+  // literal, or a column of an earlier table (bound at construction). The
+  // planner keys no index on any other column; lowering checks it.
   bool key_bound() const { return key_bound_; }
 
   // Probes the index with the key prefix read from the first `level` slots

@@ -21,6 +21,10 @@ struct ColumnCondition {
   Value literal;                    // for kEq/kRangeLo/kRangeHi
   std::vector<Value> in_values;     // for kIn
   std::optional<ColumnRef> join_source;  // equality with an earlier table
+  // The join source also names a column of this table. The binding rule
+  // (ColumnBinder) resolves it to the table itself, so an index key cannot
+  // read it: no index path is keyed on this condition.
+  bool source_shadowed = false;
   const Expr* atom = nullptr;       // borrowed pointer into the statement
 };
 
@@ -47,6 +51,9 @@ struct TablePlan {
   TableRef ref;
   std::vector<ColumnCondition> conditions;  // all table-local conditions
   AccessDecision access;
+  // Rows passing the table's literal conditions alone: what a sequential
+  // scan of the table emits as a join's inner side.
+  double est_local_rows = 0.0;
   // PlanSelect's figures for the join pipeline through this level: the
   // rows it emits and the cumulative cost of levels 0..this one. Lowering
   // gives them to the level's operator.
@@ -77,9 +84,15 @@ class Planner {
 
   // Plans a SELECT against the given per-table index configurations.
   // `config` maps each table (by real name) to the indexes assumed
-  // available. Join order: tables are greedily ordered by estimated
-  // filtered cardinality, except that tables only reachable by join
-  // predicates follow their producers.
+  // available. Join order is chosen by price: a greedy order (place next
+  // the smallest filtered table a join equality connects to the placed
+  // ones) is built from each FROM table as the first placement, each is
+  // priced level by level as lowering runs it, and the lowest
+  // est_total_cost wins. On a tie the greedy that starts at the smallest
+  // filtered table is kept; a one-table SELECT plans once. A statement
+  // whose answer depends on the join order (a column name several FROM
+  // tables have, or a `*` projection) keeps that greedy order alone, so
+  // the index configuration never changes its answer.
   StatusOr<SelectPlan> PlanSelect(
       const SelectStatement& stmt,
       const std::vector<IndexStatsView>& config) const;
@@ -104,6 +117,21 @@ class Planner {
       const std::vector<TableRef>& earlier) const;
 
  private:
+  // ChooseAccessPath with each condition's selectivity given:
+  // selectivity[k] is conditions[k]'s.
+  AccessDecision ChooseAccess(
+      const std::string& table,
+      const std::vector<ColumnCondition>& conditions,
+      const std::vector<double>& selectivity,
+      const std::vector<IndexStatsView>& table_indexes) const;
+
+  // Prices the join `levels` in order, as LowerSelect runs them: returns
+  // the plan's est_total_cost and sets *result_rows. With `record`, each
+  // level's access becomes the path that runs and its figures are set.
+  double PriceLevels(const SelectStatement& stmt,
+                     const std::vector<TablePlan*>& levels, bool record,
+                     double* result_rows) const;
+
   double EstimateConditionSelectivity(const std::string& table,
                                       const ColumnCondition& cond) const;
 

@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/database.h"
@@ -497,6 +499,60 @@ TEST_F(ColumnResolutionTest, IndexProbeKeyShadowedByPlacedTableYieldsNoRows) {
   ASSERT_TRUE(shadowed.ok()) << shadowed.status().ToString();
   EXPECT_TRUE(shadowed->rows.empty());
   EXPECT_EQ(NewestTable(*shadowed), "r");
+}
+
+// The join order is chosen by price, so it may follow the index set, but
+// the answer must not. Tables l (40 rows) and r (20,000 rows) share every
+// column name; an index on r(d) makes r's date range the cheapest start.
+TEST(JoinOrderAnswerTest, IndexesDoNotChangeOrderDependentAnswers) {
+  auto run = [](bool index_r_d, const std::string& sql) {
+    Database db;
+    for (const char* name : {"l", "r"}) {
+      CheckOk(db.CreateTable(name, Schema({{"k", ValueType::kInt},
+                                           {"v", ValueType::kInt},
+                                           {"c", ValueType::kInt},
+                                           {"d", ValueType::kInt}})));
+    }
+    std::vector<Row> l, r;
+    for (int64_t i = 0; i < 40; ++i) {
+      l.push_back({Value(i), Value(1000 + i), Value(i % 6), Value(i)});
+    }
+    for (int64_t i = 0; i < 20000; ++i) {
+      r.push_back({Value(i % 40), Value(100000 + i), Value(i % 6),
+                   Value(i * 730 / 20000)});
+    }
+    CheckOk(db.BulkInsert("l", std::move(l)));
+    CheckOk(db.BulkInsert("r", std::move(r)));
+    if (index_r_d) CheckOk(db.CreateIndex(IndexDef("r", {"d"})));
+    db.Analyze();
+    // The sorted rows and the table placed last.
+    std::pair<std::vector<Row>, std::string> out;
+    auto result = db.Execute(sql);
+    EXPECT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
+    if (!result.ok() || result->feedback.empty()) return out;
+    out.first = result->rows;
+    std::sort(out.first.begin(), out.first.end());
+    out.second = result->feedback.back().table;
+    return out;
+  };
+  const std::string where =
+      " FROM l, r WHERE l.k = r.k AND l.c = 2 AND r.d BETWEEN 100 AND 115";
+  // Qualified names: the index lets r lead, and the answer is the same.
+  const auto qualified = run(false, "SELECT r.v" + where);
+  const auto qualified_indexed = run(true, "SELECT r.v" + where);
+  ASSERT_FALSE(qualified.first.empty());
+  EXPECT_TRUE(qualified.first == qualified_indexed.first);
+  EXPECT_EQ(qualified_indexed.second, "l");  // r placed first
+  // An unqualified v binds to the table placed last, and `*` lists the
+  // tables in join order: both keep the same order with or without the
+  // index.
+  for (const char* items : {"v", "*"}) {
+    const auto plain = run(false, std::string("SELECT ") + items + where);
+    const auto indexed = run(true, std::string("SELECT ") + items + where);
+    ASSERT_FALSE(plain.first.empty()) << items;
+    EXPECT_TRUE(plain.first == indexed.first) << items;
+    EXPECT_EQ(plain.second, indexed.second) << items;
+  }
 }
 
 // Hash-join edge cases. No join column is indexed, so every join below is

@@ -12,6 +12,7 @@
 #include "core/manager.h"
 #include "core/query_template.h"
 #include "engine/explain.h"
+#include "sql/parser.h"
 #include "workload/banking.h"
 #include "workload/tpcc.h"
 #include "workload/tpcds.h"
@@ -223,6 +224,49 @@ TEST_F(ExplainTest, ErrorsPropagate) {
   EXPECT_FALSE(ExplainSql(db_, "SELEC nope").ok());
   // Parses fine; planning fails, and so does the EXPLAIN.
   EXPECT_FALSE(ExplainSql(db_, "SELECT a FROM missing").ok());
+}
+
+// An unqualified probe key the joined table shadows: `v` in `r.k = v`
+// resolves to r.v at r's level, so no index on r(k) can be probed with it
+// and the level runs a hash join. The plan prices that hash join, not the
+// index path, and EXPLAIN shows no operator priced at the index's figure.
+TEST(ShadowedProbeKey, PlanPricesTheHashJoinThatRuns) {
+  Database db;
+  for (const char* name : {"l", "r"}) {
+    CheckOk(db.CreateTable(name, Schema({{"k", ValueType::kInt},
+                                         {"v", ValueType::kInt}})));
+    std::vector<Row> rows;
+    for (int64_t i = 0; i < 20000; ++i) {
+      rows.push_back({Value(i), Value(i % 1000)});
+    }
+    ASSERT_TRUE(db.BulkInsert(name, std::move(rows)).ok());
+  }
+  ASSERT_TRUE(db.CreateIndex(IndexDef("r", {"k"})).ok());
+  db.Analyze();
+  auto parsed = ParseSql("SELECT l.k, r.k FROM l, r WHERE l.k = 3 AND r.k = v");
+  ASSERT_TRUE(parsed.ok());
+  StatusOr<std::unique_ptr<PhysicalPlan>> planned =
+      db.executor().PlanSelect(*parsed->select, nullptr);
+  ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+  const SelectPlan& plan = (*planned)->logical;
+  ASSERT_EQ(plan.tables.size(), 2u);
+  EXPECT_EQ(plan.tables[1].ref.table, "r");
+  EXPECT_FALSE(plan.tables[1].access.use_index);
+  const HeapTable& l = *db.catalog().GetTable("l");
+  const HeapTable& r = *db.catalog().GetTable("r");
+  EXPECT_DOUBLE_EQ(plan.est_total_cost,
+                   SeqScanAccess(l, 0.0).est_cost +
+                       PriceHashJoin(r.NumPages(), r.num_rows(),
+                                     plan.tables[0].est_level_rows));
+  EXPECT_NEAR(plan.est_total_cost, 598.0, 0.05);
+
+  auto explain = ExplainStatement(db, *parsed);
+  ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+  EXPECT_NE(explain->find("HashJoin to r"), std::string::npos) << *explain;
+  EXPECT_EQ(explain->find("IndexScan"), std::string::npos) << *explain;
+  EXPECT_EQ(explain->find("cost 315.0"), std::string::npos) << *explain;
+  EXPECT_NE(explain->find("estimated total cost: 598.0"), std::string::npos)
+      << *explain;
 }
 
 // --- one plan, one tree -------------------------------------------------
